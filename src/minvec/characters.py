@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
-from .residues import PSI_SIGN, LocalElement, UnitRoot, psi, unit_enumeration
+from .residues import PSI_SIGN, UnitRoot, unit_enumeration
 
 STRUCTURE_BOUND = 10**5
 
@@ -343,11 +343,6 @@ class ChiEvaluator:
         th = self.theta_table[x * pm + y]
         psi_e = (PSI_SIGN * (-self.mv.a_theta * alpha * bd)) % pn * (self.L // pn)
         return (th + psi_e) % self.L
-
-    def roots(self, mats: np.ndarray) -> np.ndarray:
-        """chi as complex values (support rows only)."""
-        e = self.exponents(mats)
-        return np.exp(2j * np.pi * e / self.L)
 
 
 def character_table_rows(mv: MinimalVectorSpec):

@@ -8,18 +8,15 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .characters import MinimalVectorSpec, character_table_rows, enumerate_theta
 from .errors import ConfigError, MinvecError
 from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                scan_supnorm)
 from .matgroups import TorusSpec
-from .minimal import (convolution_check, whittaker_closed, whittaker_oracle)
+from .minimal import convolution_check, whittaker_closed
 from .que import conductor_pair, distinguished, que_period, watson_Ip
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
@@ -75,6 +72,12 @@ def _parse_pn_list(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _pair_mode(p: int, n: int) -> str:
+    """The pair-scan mode: exhaustive while p^(8n), about the order of
+    GL2(Z/p^(2n)), is at most 10^7; random sampling beyond."""
+    return "exhaustive" if p ** (8 * n) <= 10**7 else "random"
+
+
 def _build_mv(p: int, n: int, theta_index: int) -> MinimalVectorSpec:
     spec = TorusSpec(p, n)
     thetas = enumerate_theta(spec)
@@ -98,7 +101,7 @@ def cmd_verify(args, cfg) -> int:
             entry["theta_count"] = len(thetas)
             mv = MinimalVectorSpec.build(spec, thetas[0])
             entry["a_theta"] = mv.a_theta
-            mode = "exhaustive" if p ** (8 * n) <= 10**7 else "random"
+            mode = _pair_mode(p, n)
             rep = convolution_check(mv, mode=mode, seed=seed)
             entry["convolution"] = {
                 "mode": mode, "pairs": rep.pairs_checked,
@@ -176,7 +179,7 @@ def cmd_matrix_coeff(args, cfg) -> int:
     out = Path(_resolve(cfg, args, "out", "report.json"))
     seed = int(_resolve(cfg, args, "seed", 0))
     mv = _build_mv(p, n, idx)
-    mode = "exhaustive" if p ** (8 * n) <= 10**7 else "random"
+    mode = _pair_mode(p, n)
     rep = convolution_check(mv, mode=mode, seed=seed)
     body = {"mode": mode, "pairs": rep.pairs_checked,
             "density": str(rep.density),

@@ -1,10 +1,9 @@
-"""Finite residue models: GL2 over Z/p^m, and the compact support set used by
-the distinguished matrix coefficient, materialized as integer matrix arrays.
+"""Finite residue models: the order of GL2 over Z/p^m, and the compact support
+set used by the distinguished matrix coefficient, materialized as an integer
+matrix array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,19 +15,6 @@ from .residues import ENUMERATION_BOUND
 def gl2_order(p: int, m: int) -> int:
     """|GL2(Z/p^m)|."""
     return p ** (4 * (m - 1)) * (p * p - 1) * (p * p - p)
-
-
-def gl2_elements(p: int, m: int) -> np.ndarray:
-    """All of GL2(Z/p^m) as an (N, 2, 2) int64 array."""
-    pm = p**m
-    if pm**4 > ENUMERATION_BOUND:
-        raise SizeGuard(f"GL2(Z/{p}^{m}) enumeration exceeds the configured bound")
-    grid = np.indices((pm, pm, pm, pm)).reshape(4, -1).T
-    a, b, c, d = grid.T
-    keep = (a * d - b * c) % p != 0
-    mats = grid[keep].reshape(-1, 2, 2).astype(np.int64)
-    assert len(mats) == gl2_order(p, m)
-    return mats
 
 
 def mat_keys(mats: np.ndarray, pm: int) -> np.ndarray:
@@ -46,31 +32,10 @@ def inverse_table(pm: int, p: int) -> np.ndarray:
     return inv
 
 
-@dataclass
-class KTSupport:
-    """The support of the distinguished matrix coefficient inside GL2(Z/p^{2n}):
-    the group generated by the torus units and the depth-n upper-triangular
-    congruence block, with each element's factorization recorded.
-    """
-
-    spec: TorusSpec
-    pm: int                 # p^{2n}
-    mats: np.ndarray        # (S, 2, 2) matrices mod pm
-    torus: np.ndarray       # (S, 2) unit pairs (x, y): the torus factor
-    bpart: np.ndarray       # (S, 2) pairs (a, b) mod p^n: factor [[1+p^n a, p^n b], [0, 1]]
-
-    @property
-    def size(self) -> int:
-        return len(self.mats)
-
-    def density(self):
-        from fractions import Fraction
-        return Fraction(self.size, gl2_order(self.spec.p, 2 * self.spec.n))
-
-
-def kt_support(spec: TorusSpec) -> KTSupport:
-    """Materialize the support mod p^{2n} as the bijective product
-    (torus units mod p^{2n}) x (unipotent-block representatives mod p^n).
+def kt_support(spec: TorusSpec) -> np.ndarray:
+    """The support of the distinguished matrix coefficient inside GL2(Z/p^{2n})
+    as an (S, 2, 2) array of matrices mod p^{2n}: the bijective product
+    (torus units mod p^{2n}) x (depth-n upper-triangular block mod p^n).
     """
     p, n, alpha = spec.p, spec.n, spec.alpha
     pm, pn = p ** (2 * n), p**n
@@ -91,11 +56,9 @@ def kt_support(spec: TorusSpec) -> KTSupport:
     prod = np.einsum("sij,tjk->stik", t_mats, b_mats) % pm
     S = len(t_mats) * len(b_mats)
     mats = prod.reshape(S, 2, 2)
-    torus = np.repeat(np.stack([tx, ty], axis=-1), len(b_mats), axis=0)
-    bpart = np.tile(np.stack([aa, bb], axis=-1), (len(t_mats), 1))
     keys = mat_keys(mats, pm)
     assert len(np.unique(keys)) == S, "torus x block product failed to be injective"
-    return KTSupport(spec, pm, mats, torus, bpart)
+    return mats
 
 
 def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
@@ -106,26 +69,8 @@ def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
     return ((a - d) % pn == 0) & ((c + spec.alpha * b) % pn == 0)
 
 
-def random_gl2(p: int, m: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random elements of GL2(Z/p^m)."""
-    pm = p**m
-    out = np.empty((size, 2, 2), dtype=np.int64)
-    filled = 0
-    while filled < size:
-        cand = rng.integers(0, pm, size=(2 * (size - filled) + 8, 2, 2), dtype=np.int64)
-        det = (cand[:, 0, 0] * cand[:, 1, 1] - cand[:, 0, 1] * cand[:, 1, 0]) % p
-        good = cand[det != 0]
-        take = min(len(good), size - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-    return out
-
-
-def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator):
-    """Uniform random support elements mod p^{2n}, with their factorizations.
-
-    Returns (mats, torus_pairs, bparts) in the same layout as KTSupport rows.
-    """
+def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random support elements mod p^{2n}, as a (size, 2, 2) array."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     pm, pn = p ** (2 * n), p**n
     tx = np.empty(size, dtype=np.int64)
@@ -144,5 +89,4 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator):
     t_mats = np.stack([tx, ty, (-alpha * ty) % pm, tx], axis=-1).reshape(-1, 2, 2)
     b_mats = np.stack([(1 + pn * aa) % pm, (pn * bb) % pm,
                        np.zeros_like(aa), np.ones_like(aa)], axis=-1).reshape(-1, 2, 2)
-    mats = np.einsum("sij,sjk->sik", t_mats, b_mats) % pm
-    return mats, np.stack([tx, ty], axis=-1), np.stack([aa, bb], axis=-1)
+    return np.einsum("sij,sjk->sik", t_mats, b_mats) % pm

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bessel import bessel_K_imag
 from .characters import MinimalVectorSpec, chi_value
-from .errors import ConfigError, NotInSupport
+from .errors import ConfigError
 from .matgroups import Mat2Local, a_mat, decompose_B1T, torus_extract
 from .minimal import support_profile, whittaker_closed
 from .residues import PSI_SIGN, LocalElement, UnitRoot
@@ -55,10 +55,6 @@ class ArchParams:
         if self.case == "holomorphic":
             return self.k**0.25
         return self.T ** (1.0 / 6.0)
-
-    @property
-    def delta_default(self) -> float:
-        return 0.0 if self.case == "holomorphic" else 7.0 / 64.0
 
 
 def log_kappa(y: float, arch: ArchParams) -> float:
@@ -162,6 +158,7 @@ class CoefficientSource:
     delta: float
     prime_values: dict = field(default_factory=dict)   # p -> lambda(p)
     explicit: dict = field(default_factory=dict)       # m -> lambda(m) (file kind)
+    seed: int | None = None                            # Sato-Tate stream (sato-tate kind)
 
     @classmethod
     def all_ones(cls, delta: float = 0.0) -> "CoefficientSource":
@@ -169,7 +166,7 @@ class CoefficientSource:
 
     @classmethod
     def sato_tate(cls, seed: int, delta: float = 0.0) -> "CoefficientSource":
-        return cls(f"sato-tate({seed})", delta, prime_values={"seed": seed})
+        return cls(f"sato-tate({seed})", delta, seed=seed)
 
     @classmethod
     def from_file(cls, path: str) -> "CoefficientSource":
@@ -200,7 +197,7 @@ class CoefficientSource:
         if p not in self.prime_values:
             # theta ~ (2/pi) sin^2 measure via inverse-CDF bisection on a
             # per-prime deterministic stream
-            rng = np.random.default_rng(self.prime_values["seed"] * 1_000_003 + p)
+            rng = np.random.default_rng(self.seed * 1_000_003 + p)
             u = rng.uniform()
             lo, hi = 0.0, math.pi
             for _ in range(60):
@@ -272,11 +269,8 @@ class CoefficientSource:
 class LocalRamifiedFactor:
     mv: MinimalVectorSpec
     coset: Mat2Local            # k_p in the maximal compact
-    b: int                      # support residue of m mod p^n (after global adjust)
-    magnitude: float
     theta_phase: UnitRoot       # theta(t_p) from the coset decomposition
     x_residue: int              # upper-triangular part of k_p mod p^{2n}
-    z_residue: int              # leading unit of k_p mod p^{2n}
     cofactor_sq_inv: int        # ((N/p^n)^2)^{-1} mod p^{2n}
 
 
@@ -308,15 +302,14 @@ class RamifiedData:
         for mv, k in zip(mvs, cosets):
             p, n = mv.p, mv.n
             pn, pm = p**n, p ** (2 * n)
-            z, x, t = decompose_B1T(k, mv.torus, side="left")
+            _, x, t = decompose_B1T(k, mv.torus, side="left")
             zq = torus_extract(t, mv.torus)
             theta_ph = mv.theta.value((zq.a.residue(2 * n), zq.b.residue(2 * n)))
             b_local = support_profile(mv, k)
             cof = N // pn
             b_adj = b_local * pow(cof % pn, 2, pn) % pn
             factors.append(LocalRamifiedFactor(
-                mv, k, b_adj, math.sqrt((p - 1) * p ** (n - 1)), theta_ph,
-                x.residue(2 * n), z.residue(2 * n), pow(cof % pm, -2, pm)))
+                mv, k, theta_ph, x.residue(2 * n), pow(cof % pm, -2, pm)))
             residues.append(b_adj)
             moduli.append(pn)
             amp *= math.sqrt((p - 1) * p ** (n - 1))
@@ -378,14 +371,13 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
 
 # -- evaluation and the sup-norm scan ----------------------------------------
 
-def _cutoff(N: int, arch: ArchParams, y: float, eps: float = 0.1) -> int:
+def _cutoff(N: int, arch: ArchParams, y: float, lc: float, eps: float = 0.1) -> int:
     """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y),
     extended until the first omitted term is below e^{-30} of the kernel
-    normalization (the decay is exponential past the kernel peak, but the
-    asymptotic constant matters at desk-scale weights)."""
+    normalization lc = log c_inf (the decay is exponential past the kernel
+    peak, but the asymptotic constant matters at desk-scale weights)."""
     T = arch.T
     R = max(8, math.ceil(N ** (2 + eps) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
-    lc = log_c_infty(arch)
 
     def log_term(m: int) -> float:
         return log_kappa(m * y / N**2, arch) - lc - 0.5 * math.log(m)
@@ -395,28 +387,6 @@ def _cutoff(N: int, arch: ArchParams, y: float, eps: float = 0.1) -> int:
     return R
 
 
-@dataclass
-class PhiContext:
-    """Precomputed per-(ram, coeffs, arch) state for repeated evaluations."""
-
-    ram: RamifiedData
-    coeffs: CoefficientSource
-    arch: ArchParams
-    adjoint_value: float = 1.0
-
-    @property
-    def prefactor(self) -> float:
-        return math.sqrt(2 * ZETA2 / self.adjoint_value)
-
-    def term_magnitudes(self, ms: np.ndarray, y: float, lam: np.ndarray) -> np.ndarray:
-        """|m|^{-1/2} kappa(|m| y / N^2) |lambda(m)| amplitude / c_inf, per m."""
-        N2 = self.ram.N**2
-        lk = np.array([log_kappa(abs(int(m)) * y / N2, self.arch) for m in ms])
-        return (self.prefactor * self.ram.amplitude
-                * np.exp(lk - log_c_infty(self.arch))
-                * np.abs(lam) / np.sqrt(np.abs(ms)))
-
-
 def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSource,
                  arch: ArchParams, adjoint_value: float = 1.0,
                  cutoff: int | None = None, check_stability: bool = False) -> complex:
@@ -424,17 +394,26 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
     sqrt(2 zeta(2)/adjoint) c_inf^{-1} sum_{m = b (N), 0<|m|<=R}
         |m|^{-1/2} e(m x / N^2) kappa(m y / N^2) lambda(m) lambda'(m).
+
+    The lambda(m) come from coeffs.values_upto, so a file source must cover
+    every m in 1..R (1..2R with check_stability), as scan_supnorm requires.
     """
     if y <= 0:
         raise ConfigError("y must be positive")
-    R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y)
-    val = _evaluate_phi_at(x, y, ram, coeffs, arch, adjoint_value, R)
-    if check_stability:
-        val2 = _evaluate_phi_at(x, y, ram, coeffs, arch, adjoint_value, 2 * R)
-        scale = max(abs(val), abs(val2), 1e-300)
-        if abs(val2 - val) / scale > 1e-8:
-            raise ConfigError("tail instability: doubling the cutoff moved the value")
-        val = val2
+    lc = log_c_infty(arch)
+    R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y, lc)
+    cutoffs = (R, 2 * R) if check_stability else (R,)
+    lam_all = coeffs.values_upto(cutoffs[-1])
+    pref = math.sqrt(2 * ZETA2 / adjoint_value)
+    vals = []
+    for Rc in cutoffs:
+        ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
+        c = _row_coefficients(ms, y, ram, arch, lam_all, pref, lc)
+        vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
+    val = vals[-1]
+    scale = max(abs(vals[0]), abs(val), 1e-300)
+    if abs(val - vals[0]) / scale > 1e-8:
+        raise ConfigError("tail instability: doubling the cutoff moved the value")
     return val
 
 
@@ -447,19 +426,21 @@ def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndar
     return all_m[all_m % ram.N == ram.b % ram.N]
 
 
-def _evaluate_phi_at(x, y, ram, coeffs, arch, adjoint_value, R) -> complex:
-    ms = _signed_progression(ram, R, arch.case == "holomorphic")
-    if len(ms) == 0:
-        return 0.0
+def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
+                      lam_all: np.ndarray, pref: float, lc: float) -> np.ndarray:
+    """The Fourier coefficients of phi on the row y, one per m in ms:
+
+    pref |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
+
+    with lambda read from the sieve lam_all (indexed by |m|) and lc = log c_inf.
+    """
     N2 = ram.N**2
-    lam = np.array([coeffs.value(int(abs(m))) for m in ms])
+    am = np.abs(ms)
+    lam = lam_all[am]
     lamp = lambda_prime_fast(ms, ram)
-    lc = log_c_infty(arch)
-    kap = np.array([kappa(abs(int(m)) * y / N2, arch, sign=1 if m > 0 else -1)
-                    * math.exp(-lc) for m in ms])
-    phase = np.exp(2j * np.pi * x * ms / N2)
-    pref = math.sqrt(2 * ZETA2 / adjoint_value)
-    return complex(pref * np.sum(lam * lamp * kap * phase / np.sqrt(np.abs(ms))))
+    kap = np.array([kappa(a * y / N2, arch, sign=1 if s > 0 else -1)
+                    for a, s in zip(am, np.sign(ms))])
+    return pref * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
 
 
 @dataclass
@@ -506,23 +487,18 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     holo = arch.case == "holomorphic"
     base_X = x_steps_per_period * max(N2, 1)
 
-    R_global = _cutoff(N, arch, y_min)
+    R_global = _cutoff(N, arch, y_min, lc)
     lam_all = coeffs.values_upto(R_global)
 
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
     for yv in ys:
-        R = _cutoff(N, arch, float(yv))
+        R = _cutoff(N, arch, float(yv), lc)
         ms = _signed_progression(ram, R, holo)
         if len(ms) == 0:
             continue
-        am = np.abs(ms)
-        lam = lam_all[am]
-        lamp = lambda_prime_fast(ms, ram)
-        kap = np.array([kappa(a * yv / N2, arch, sign=1 if s > 0 else -1)
-                        for a, s in zip(am, np.sign(ms))])
-        c = pref * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
+        c = _row_coefficients(ms, yv, ram, arch, lam_all, pref, lc)
         # row witness: best single Fourier coefficient magnitude
         mags = np.abs(c)
         j = int(np.argmax(mags))

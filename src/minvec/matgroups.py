@@ -127,11 +127,6 @@ def n_mat(x: LocalElement) -> Mat2Local:
     return Mat2Local(one, x, zero, one)
 
 
-def z_mat(t: LocalElement) -> Mat2Local:
-    zero = LocalElement.zero(t.p, t.M)
-    return Mat2Local(t, zero, zero, t)
-
-
 def w_alpha(spec: TorusSpec, M: int | None = None) -> Mat2Local:
     """The matrix [[0, 1], [-alpha, 0]], image of sqrt(-alpha)."""
     return Mat2Local.from_rationals(spec.p, (0, 1, -spec.alpha, 0), M or spec.precision)
@@ -155,10 +150,6 @@ def torus_extract(t: Mat2Local, spec: TorusSpec) -> QuadElement:
     return QuadElement(t.a, t.b, spec.delta)
 
 
-def _integral(e: LocalElement) -> bool:
-    return e.is_zero or e.v >= 0
-
-
 def subgroup_member(g: Mat2Local, which: str, spec: TorusSpec, r: int | None = None) -> bool:
     """Membership predicate for K and its congruence subgroups, at tracked precision.
 
@@ -166,7 +157,7 @@ def subgroup_member(g: Mat2Local, which: str, spec: TorusSpec, r: int | None = N
     """
     p = spec.p
     if which == "K":
-        return all(_integral(e) for e in g.entries()) and not g.det.is_zero and g.det.v == 0
+        return all(e.is_integral() for e in g.entries()) and not g.det.is_zero and g.det.v == 0
     if r is None:
         raise ValueError(f"subgroup {which} requires the parameter r")
     one = LocalElement.one(p, min(e.M for e in g.entries() if not e.is_zero))

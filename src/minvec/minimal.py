@@ -5,7 +5,6 @@ integral-transform oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
-from .cosets import KTSupport, gl2_order, kt_support, mat_keys, random_kt_elements
+from .cosets import gl2_order, kt_support, mat_keys, random_kt_elements
 from .errors import NotInSupport
-from .matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat, subgroup_member
+from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
 from .residues import LocalElement, UnitRoot, psi
 
 
@@ -67,14 +66,14 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     mult_bad = 0
     if mode == "exhaustive":
         supp = kt_support(spec)
-        exps = ev.exponents(supp.mats)
+        exps = ev.exponents(supp)
         key_to_exp = np.full(pm**4, -1, dtype=np.int64)
-        key_to_exp[mat_keys(supp.mats, pm)] = exps
-        S = supp.size
+        key_to_exp[mat_keys(supp, pm)] = exps
+        S = len(supp)
         checked = 0
         for lo in range(0, S, chunk):
-            left = supp.mats[lo:lo + chunk]
-            prod = np.einsum("aij,bjk->abik", left, supp.mats) % pm
+            left = supp[lo:lo + chunk]
+            prod = np.einsum("aij,bjk->abik", left, supp) % pm
             pk = key_to_exp[mat_keys(prod, pm)].reshape(len(left), S)
             closure_bad += int((pk < 0).sum())
             want = (exps[lo:lo + chunk, None] + exps[None, :]) % ev.L
@@ -82,8 +81,8 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
             checked += len(left) * S
     elif mode == "random":
         rng = np.random.default_rng(seed)
-        g1, _, _ = random_kt_elements(spec, pairs, rng)
-        g2, _, _ = random_kt_elements(spec, pairs, rng)
+        g1 = random_kt_elements(spec, pairs, rng)
+        g2 = random_kt_elements(spec, pairs, rng)
         prod = np.einsum("sij,sjk->sik", g1, g2) % pm
         in_supp = ev.support_mask(prod)
         closure_bad = int((~in_supp).sum())

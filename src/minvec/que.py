@@ -62,7 +62,6 @@ def que_period(spec: TorusSpec, torus_mc=None) -> QueReport:
     vol = vol_KT(p, n)
     cosets = torus_cosets(spec)
     if torus_mc is None:
-        avg = Fraction(1)
         H = float(vol)
         normalized = float(p ** (2 * n) * vol)
         return QueReport(p, n, vol, H, normalized)

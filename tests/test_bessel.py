@@ -1,4 +1,9 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,3 +55,17 @@ def test_imaginary_order_against_mpmath():
 def test_positive_x_required():
     with pytest.raises(ValueError):
         bessel_K_imag(1.0, 0.0)
+
+
+def test_nonconvergence_raises_within_node_cap(tmp_path):
+    # K_{10i} cancels below the quadrature's reach near x ~ 1; the node cap
+    # must turn that into NoSolution (CLI exit 1), not an unbounded allocation
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "minvec.cli", "scan-supnorm", "--N", "1", "--t", "10"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          preexec_fn=cap_address_space, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "Bessel quadrature" in proc.stderr and "did not converge" in proc.stderr
