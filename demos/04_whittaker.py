@@ -2,7 +2,7 @@
 
 Closed form: supported on a single unit class at one diagonal valuation, with
 constant magnitude.  Oracle: the additive-twist transform of the matrix
-coefficient, computed term by term.  They agree up to one global scalar.
+coefficient.  They agree up to one global scalar.
 """
 
 from fractions import Fraction

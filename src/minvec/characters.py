@@ -316,9 +316,13 @@ class ChiEvaluator:
         pm = p ** (2 * n)
         pres = mv.theta.presentation
         L = math.lcm(pres.exponent, p**n)
+        # theta(z) = e(sum_i w_i k_i / d_i) for dlog(z) = (k_i): one integer product
+        zs = np.array(list(pres.dlog), dtype=np.int64).reshape(-1, 2)
+        ks = np.array(list(pres.dlog.values()), dtype=np.int64).reshape(len(zs), len(pres.orders))
+        steps = np.array([w * (L // d) for w, d in zip(mv.theta.weights, pres.orders)],
+                         dtype=np.int64)
         table = np.full(pm * pm, -1, dtype=np.int64)
-        for z, _ in pres.dlog.items():
-            table[z[0] * pm + z[1]] = mv.theta.exponent_of(z, L)
+        table[zs[:, 0] * pm + zs[:, 1]] = ks @ steps % L
         return cls(mv, L, table, inverse_table(pm, p))
 
     def support_mask(self, mats: np.ndarray) -> np.ndarray:

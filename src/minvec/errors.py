@@ -27,3 +27,7 @@ class SizeGuard(MinvecError):
 
 class ConfigError(MinvecError):
     """Invalid run configuration."""
+
+
+class NumericalError(MinvecError):
+    """A numerical route failed to reach, or to confirm, the accuracy it needs."""

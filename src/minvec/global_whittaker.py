@@ -13,7 +13,7 @@ import numpy as np
 
 from .bessel import bessel_K_imag
 from .characters import MinimalVectorSpec, chi_value
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .matgroups import Mat2Local, a_mat, decompose_B1T, torus_extract
 from .minimal import support_profile, whittaker_closed
 from .residues import PSI_SIGN, LocalElement, UnitRoot
@@ -96,9 +96,10 @@ def c_infty(arch: ArchParams) -> float:
     val, err = quad(lambda y: bessel_K_imag(t, 2 * math.pi * y) ** 2,
                     0.0, (_bessel_support_bound(t)), limit=200)
     c = math.sqrt(2.0 * val)
-    c0 = 0.05
-    if not c >= c0 * math.exp(-math.pi * abs(t) / 2):
-        raise ConfigError("archimedean normalization fell below the sanity floor")
+    floor = 0.05 * math.exp(-math.pi * abs(t) / 2)
+    if not c >= floor:
+        raise NumericalError(f"archimedean normalization {c:.3e} fell below the sanity "
+                             f"floor {floor:.3e} (quadrature error estimate {err:.1e})")
     return c
 
 
@@ -371,20 +372,28 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
 
 # -- evaluation and the sup-norm scan ----------------------------------------
 
+_MAX_CUTOFF = 10**7
+
+
 def _cutoff(N: int, arch: ArchParams, y: float, lc: float, eps: float = 0.1) -> int:
     """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y),
     extended until the first omitted term is below e^{-30} of the kernel
     normalization lc = log c_inf (the decay is exponential past the kernel
-    peak, but the asymptotic constant matters at desk-scale weights)."""
+    peak, but the asymptotic constant matters at desk-scale weights).
+    Raises NumericalError rather than pass _MAX_CUTOFF terms."""
     T = arch.T
     R = max(8, math.ceil(N ** (2 + eps) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
 
     def log_term(m: int) -> float:
         return log_kappa(m * y / N**2, arch) - lc - 0.5 * math.log(m)
 
-    while log_term(R) > -30.0 and R < 10**7:
+    while True:
+        if R > _MAX_CUTOFF:
+            raise NumericalError(f"tail cutoff would pass {_MAX_CUTOFF} terms at y = {y:g}; "
+                                 f"log of the omitted term is {log_term(R):.1f}, not yet -30")
+        if log_term(R) <= -30.0:
+            return R
         R = math.ceil(1.3 * R)
-    return R
 
 
 def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSource,
@@ -413,7 +422,8 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     val = vals[-1]
     scale = max(abs(vals[0]), abs(val), 1e-300)
     if abs(val - vals[0]) / scale > 1e-8:
-        raise ConfigError("tail instability: doubling the cutoff moved the value")
+        raise NumericalError(f"tail instability: doubling the cutoff {R} moved the value "
+                             f"by {abs(val - vals[0]) / scale:.1e} (relative)")
     return val
 
 

@@ -13,9 +13,9 @@ import numpy as np
 
 from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
 from .cosets import gl2_order, kt_support, mat_keys, random_kt_elements
-from .errors import NotInSupport
+from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
 from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
-from .residues import LocalElement, UnitRoot, psi
+from .residues import ENUMERATION_BOUND, PSI_SIGN, LocalElement, UnitRoot, psi
 
 
 def matrix_coefficient(mv: MinimalVectorSpec, g: Mat2Local) -> complex:
@@ -141,9 +141,19 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     window [p^(-low), p^L] covers it; `low` defaults to a window derived from
     the valuation of the upper-triangular part of g (a truncation hint only —
     the value itself still comes from the transform).
+
+    The window x = xi / p^low, 0 <= xi < p^(L+low), is one integer pass:
+    det(a(c) n(x) g) = c det g fixes s = v(det) / 2 for every x, and each entry
+    of h0 = p^(-s) a(c) n(x) g is affine in xi.  Scaled by p^E to integral
+    coefficients, the entries are known mod p^(E+2n), which decides
+    integrality and gives h0 mod p^(2n) for ChiEvaluator.  At the first
+    support point the exponent is checked against the scalar
+    matrix_coefficient; a mismatch raises NumericalError.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
+    if g.det.is_zero:
+        return 0j
     L = level if level is not None else n + 2
     if low is None:
         low = n
@@ -151,22 +161,57 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
             _, m, _ = decompose_B1T(g, spec, side="left")
             if not m.is_zero and m.v < -n:
                 low = -int(m.v)
-        except Exception:
+        except PrecisionError:
             pass
-    # generous working precision: products and cancellations inside the
-    # decomposition must still determine residues mod p^(2n)
+    v_det = 2 * n + int(g.det.v)
+    if v_det % 2:
+        return 0j
+    s = v_det // 2
+    # (entry of g, power of p, times the unit part of c) for A0, A1, B0, B1, C, D in
+    # h0 = [[A0 + A1 xi, B0 + B1 xi], [C, D]]
+    terms = [(g.a, 2 * n - s, True), (g.c, 2 * n - s - low, True),
+             (g.b, 2 * n - s, True), (g.d, 2 * n - s - low, True),
+             (g.c, -s, False), (g.d, -s, False)]
+    for e, k, _ in terms:
+        if not e.is_zero and e.v + k + e.M < 2 * n:
+            raise PrecisionError(f"h0 mod p^{2 * n} undetermined: a term of h0 is known "
+                                 f"only mod p^{e.v + k + e.M}")
+    E = max([0] + [-(e.v + k) for e, k, _ in terms if not e.is_zero])
+    pE, pm, pl = p**E, p ** (2 * n), p**low
+    P = pE * pm
+    window = p ** (L + low)
+    if window > ENUMERATION_BOUND or P * window >= 2**62:
+        raise SizeGuard(f"oracle window p^{L + low} at modulus p^{E + 2 * n} exceeds "
+                        "the enumeration bound or int64 range")
+    cu = pow(mv.support_unit(), -1, P)
+    a0, a1, b0, b1, c0, d0 = (0 if e.is_zero else
+                              p ** (E + e.v + k) * e.u * (cu if scaled else 1) % P
+                              for e, k, scaled in terms)
+    if c0 % pE or d0 % pE:
+        return 0j
+    xi = np.arange(window, dtype=np.int64)
+    A, B = (a0 + a1 * xi) % P, (b0 + b1 * xi) % P
+    keep = np.flatnonzero((A % pE == 0) & (B % pE == 0))
+    mats = np.empty((len(keep), 2, 2), dtype=np.int64)
+    mats[:, 0, 0], mats[:, 0, 1] = A[keep] // pE, B[keep] // pE
+    mats[:, 1, 0], mats[:, 1, 1] = c0 // pE, d0 // pE
+    ev = ChiEvaluator.build(mv)
+    in_kt = ev.support_mask(mats)
+    keep, mats = keep[in_kt], mats[in_kt]
+    if not len(keep):
+        return 0j
+    exps = ev.exponents(mats)
+    # spot check against the scalar route at the first support point
     M = max(spec.precision, 2 * n + L + low + 6)
     c = LocalElement.from_rational(p, Fraction(p ** (2 * n), mv.support_unit()), M)
-    ac = a_mat(c)
-    total = 0.0 + 0.0j
-    weight = float(Fraction(1, p**L))
-    for xi in range(p ** (L + low)):
-        x = LocalElement.from_rational(p, Fraction(xi, p**low), M)
-        h = ac * n_mat(x) * g
-        val = matrix_coefficient(mv, h)
-        if val != 0.0:
-            total += weight * val * psi(-x).to_complex()
-    return total
+    x0 = LocalElement.from_rational(p, Fraction(int(keep[0]), pl), M)
+    scalar = matrix_coefficient(mv, a_mat(c) * n_mat(x0) * g)
+    if abs(scalar - np.exp(2j * np.pi * exps[0] / ev.L)) > 1e-9:
+        raise NumericalError(f"vectorized chi exponent {exps[0]}/{ev.L} disagrees with the "
+                             f"scalar matrix coefficient {scalar} at x = {x0}")
+    Lt = math.lcm(ev.L, pl)
+    phase = (exps * (Lt // ev.L) + PSI_SIGN * ((-keep) % pl) * (Lt // pl)) % Lt
+    return float(Fraction(1, p**L)) * complex(np.exp(2j * np.pi * phase / Lt).sum())
 
 
 def support_profile(mv: MinimalVectorSpec, k: Mat2Local):

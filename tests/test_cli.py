@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from minvec import cli
 from minvec.cli import main
+from minvec.errors import NumericalError
 
 
 def run(argv):
@@ -98,3 +100,11 @@ def test_que_subcommand(tmp_path):
     assert len(doc["rows"]) == 4
     for row in doc["rows"]:
         assert row["distinguished"] == (row["a3"] % 2 == 0)
+
+
+def test_numerical_error_exits_one(monkeypatch, tmp_path, capsys):
+    def fail(args, cfg):
+        raise NumericalError("tail instability")
+    monkeypatch.setitem(cli._DISPATCH, "verify", fail)
+    assert run(["verify", "--pn", "3,1", "--out", str(tmp_path / "r.json")]) == 1
+    assert "verification failure: tail instability" in capsys.readouterr().err

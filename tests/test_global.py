@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minvec.characters import MinimalVectorSpec, enumerate_theta
-from minvec.errors import ConfigError
+from minvec.errors import ConfigError, NumericalError
 from minvec.global_whittaker import (ArchParams, CoefficientSource,
                                      RamifiedData, build_D, c_infty,
                                      evaluate_phi, gamma_TD, kappa,
@@ -182,6 +182,19 @@ def test_evaluate_phi_cutoff_stability(mv31):
     v = evaluate_phi(0.0, 1.0, ram, CoefficientSource.all_ones(),
                      ArchParams("holomorphic", k=12), check_stability=True)
     assert abs(v) > 0
+
+
+def test_evaluate_phi_too_small_cutoff_is_numerical_error():
+    with pytest.raises(NumericalError, match="tail instability"):
+        evaluate_phi(0.1, 1.0, RamifiedData.unramified(), CoefficientSource.all_ones(),
+                     ArchParams("holomorphic", k=12), cutoff=2, check_stability=True)
+
+
+def test_cutoff_past_the_cap_raises():
+    # the tail at y = 3e-7 needs more than 10^7 terms
+    with pytest.raises(NumericalError, match="tail cutoff"):
+        evaluate_phi(0.1, 3e-7, RamifiedData.unramified(), CoefficientSource.all_ones(),
+                     ArchParams("holomorphic", k=12))
 
 
 def test_evaluate_phi_maass_runs():

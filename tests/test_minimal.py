@@ -6,19 +6,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minvec.characters import MinimalVectorSpec, enumerate_theta
-from minvec.matgroups import Mat2Local, TorusSpec, a_mat, n_mat, torus_embed
+from minvec import minimal
+from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
+from minvec.errors import NumericalError, PrecisionError
+from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat, torus_embed
 from minvec.minimal import (convolution_check, coefficient_density,
                             matrix_coefficient, support_profile,
                             whittaker_closed, whittaker_oracle,
                             whittaker_support_scan)
-from minvec.residues import LocalElement
+from minvec.residues import LocalElement, psi
+from test_acceptance import RATIO_TOL
+
+
+def _mv(p, n):
+    spec = TorusSpec(p, n)
+    return MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
 
 
 @pytest.fixture(scope="module")
 def mv31():
-    spec = TorusSpec(3, 1)
-    return MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+    return _mv(3, 1)
+
+
+@pytest.fixture(scope="module")
+def mv51():
+    return _mv(5, 1)
+
+
+@pytest.fixture(scope="module")
+def mv32():
+    return _mv(3, 2)
 
 
 def test_matrix_coefficient_identity_and_outside(mv31):
@@ -153,3 +170,148 @@ def test_support_profile_matches_scan(mv31):
             continue
         b = support_profile(mv31, k)
         assert whittaker_support_scan(mv31, k) == [b]
+
+
+# -- the vectorized oracle against the scalar transform ---------------------------
+
+def _scalar_oracle(mv, g, level, low):
+    """The transform one point at a time through LocalElement arithmetic: the
+    reference for whittaker_oracle, which evaluates the window in one pass."""
+    p, n = mv.p, mv.n
+    M = max(mv.torus.precision, 2 * n + level + low + 6)
+    c = LocalElement.from_rational(p, Fraction(p ** (2 * n), mv.support_unit()), M)
+    ac = a_mat(c)
+    total = 0.0 + 0.0j
+    weight = float(Fraction(1, p**level))
+    for xi in range(p ** (level + low)):
+        x = LocalElement.from_rational(p, Fraction(xi, p**low), M)
+        val = matrix_coefficient(mv, ac * n_mat(x) * g)
+        if val != 0.0:
+            total += weight * val * psi(-x).to_complex()
+    return total
+
+
+def _default_window(mv, g):
+    _, m, _ = decompose_B1T(g, mv.torus, side="left")
+    return -int(m.v) if not m.is_zero and m.v < -mv.n else mv.n
+
+
+def _criterion4_samples(mv, count, seed, windows=None, M=16):
+    """g = n(x) a(y) k as in acceptance criterion 4: k with unit determinant and
+    entries below p^(2n+1), y in the support class of k at valuation -2n, x with
+    denominator p^0, p^1 or p^2; kept when the default window lies in `windows`."""
+    p, n = mv.p, mv.n
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = Mat2Local.from_rationals(p, [rng.randrange(p ** (2 * n + 1)) for _ in range(4)], M)
+        if k.det.is_zero or k.det.v != 0:
+            continue
+        b = support_profile(mv, k)
+        y = LocalElement(p, -2 * n, (b + p**n * rng.randrange(p**n)) % p ** (2 * n), M)
+        x = LocalElement.from_rational(p, Fraction(rng.randint(-15, 15), p ** rng.randint(0, 2)), M)
+        g = n_mat(x) * a_mat(y) * k
+        if windows is None or _default_window(mv, g) in windows:
+            out.append(g)
+    return out
+
+
+def _assert_matches_scalar(mv, g, level=None, low=None):
+    L = level if level is not None else mv.n + 2
+    want = _scalar_oracle(mv, g, L, low if low is not None else _default_window(mv, g))
+    got = whittaker_oracle(mv, g, level=level, low=low)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    assert abs(want) > 0.1
+
+
+def test_oracle_matches_scalar_reference_31(mv31):
+    gs = _criterion4_samples(mv31, 12, seed=5)
+    for g in gs:
+        _assert_matches_scalar(mv31, g)
+    for level, low in ((3, 2), (4, 2), (3, 3)):
+        _assert_matches_scalar(mv31, gs[0], level=level, low=low)
+
+
+def test_oracle_matches_scalar_reference_51(mv51):
+    gs = _criterion4_samples(mv51, 4, seed=6)
+    for g in gs[:3]:
+        _assert_matches_scalar(mv51, g)
+    _assert_matches_scalar(mv51, gs[3], level=2)
+
+
+def test_oracle_matches_scalar_reference_32(mv32):
+    gs = _criterion4_samples(mv32, 2, seed=7, windows={2})
+    _assert_matches_scalar(mv32, gs[0])
+    _assert_matches_scalar(mv32, gs[1], level=3, low=2)
+
+
+def test_oracle_matches_scalar_reference_nonintegral_rows(mv31):
+    # x below p^(-2n) makes h0 non-integral on part of the window
+    M = 16
+    k = Mat2Local.from_rationals(3, (1, 2, 4, 3), M)
+    y = LocalElement(3, -2, support_profile(mv31, k), M)
+    for x in (Fraction(1, 27), Fraction(5, 27), Fraction(1, 81)):
+        _assert_matches_scalar(mv31, n_mat(LocalElement.from_rational(3, x, M)) * a_mat(y) * k)
+
+
+def test_oracle_zero_cases_match_scalar(mv31):
+    M = 12
+    k = Mat2Local.from_rationals(3, (1, 2, 0, 1), M)
+    odd = a_mat(LocalElement(3, -1, 1, M)) * k          # det valuation -1
+    assert whittaker_oracle(mv31, odd) == 0
+    assert _scalar_oracle(mv31, odd, 3, 1) == 0
+    unit = a_mat(LocalElement(3, 0, 1, M))
+    assert abs(whittaker_oracle(mv31, unit, level=3)) < 1e-12
+    assert abs(_scalar_oracle(mv31, unit, 3, 1)) < 1e-12
+
+
+def test_oracle_raises_when_digits_run_out(mv32, monkeypatch):
+    g16 = _criterion4_samples(mv32, 1, seed=8)[0]
+    g = Mat2Local(*(LocalElement(3, e.v, e.u, 2) for e in g16.entries()))
+
+    def scalar_route(mv, h):
+        raise AssertionError("the precision guard must raise before the spot check")
+    monkeypatch.setattr(minimal, "matrix_coefficient", scalar_route)
+    with pytest.raises(PrecisionError):
+        whittaker_oracle(mv32, g)
+
+
+def test_oracle_spot_check_catches_a_wrong_route(mv31, monkeypatch):
+    g = _criterion4_samples(mv31, 1, seed=9)[0]
+    monkeypatch.setattr(minimal, "matrix_coefficient", lambda mv, h: 1.0 + 0.0j)
+    with pytest.raises(NumericalError):
+        whittaker_oracle(mv31, g)
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (5, 1), (3, 2)])
+def test_chi_evaluator_theta_table(pn):
+    spec = TorusSpec(*pn)
+    pm = spec.p ** (2 * spec.n)
+    thetas = enumerate_theta(spec)
+    for theta in (thetas[0], thetas[-1]):
+        ev = ChiEvaluator.build(MinimalVectorSpec.build(spec, theta))
+        want = np.full(pm * pm, -1, dtype=np.int64)
+        for z in theta.presentation.dlog:
+            want[z[0] * pm + z[1]] = theta.exponent_of(z, ev.L)
+        assert np.array_equal(ev.theta_table, want)
+
+
+def _ratio_spread(mv, gs):
+    ratios = []
+    for g in gs:
+        wc = whittaker_closed(mv, g)
+        assert wc.in_support
+        ratios.append(whittaker_oracle(mv, g) / wc.to_complex())
+    r0 = ratios[0]
+    assert abs(r0) > 0
+    return max(abs(r / r0 - 1) for r in ratios)
+
+
+def test_oracle_matches_closed_criterion4_51(mv51):
+    assert _ratio_spread(mv51, _criterion4_samples(mv51, 200, seed=51)) < RATIO_TOL
+
+
+def test_oracle_matches_closed_criterion4_32(mv32):
+    gs = _criterion4_samples(mv32, 100, seed=32, windows={2, 3, 4})
+    assert {_default_window(mv32, g) for g in gs} == {2, 3, 4}
+    assert _ratio_spread(mv32, gs) < RATIO_TOL
