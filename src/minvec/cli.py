@@ -8,8 +8,12 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
+from importlib import metadata
 from pathlib import Path
+
+import numpy as np
 
 from .characters import MinimalVectorSpec, character_table_rows, enumerate_theta
 from .errors import ConfigError, MinvecError
@@ -55,9 +59,16 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _versions() -> dict:
+    """Python, NumPy and SciPy versions; SciPy's from its installed metadata,
+    so that writing a report does not import it."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": metadata.version("scipy")}
+
+
 def _write_report(path: Path, command: str, config: dict, body: dict) -> None:
     doc = {"command": command, "config": config,
-           "config_hash": _config_hash(config), **body}
+           "config_hash": _config_hash(config), "versions": _versions(), **body}
     path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
 
 

@@ -71,13 +71,25 @@ def log_kappa(y: float, arch: ArchParams) -> float:
     return v + math.log(abs(b))
 
 
-def kappa(y: float, arch: ArchParams, sign: int = 1) -> float:
+def kappa(y, arch: ArchParams, sign=1):
     """The kernel itself: y^{k/2} e^{-2 pi y} (holomorphic, positive y only) or
-    sqrt|y| K_{it}(2 pi |y|) with the parity sign for negative arguments."""
+    sqrt|y| K_{it}(2 pi |y|) with the parity sign for negative arguments.
+
+    In the holomorphic case y (and sign) may also be arrays: the array route
+    evaluates the same log-space formula elementwise, 0 where sign < 0.
+    """
     if arch.case == "holomorphic":
+        if np.ndim(y):
+            y = np.asarray(y, dtype=float)
+            if not np.all(y > 0):
+                raise ValueError("y must be positive")
+            return np.where(np.asarray(sign) < 0, 0.0,
+                            np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y))
         if sign < 0:
             return 0.0
         return math.exp(log_kappa(y, arch))
+    if np.ndim(y):
+        raise ValueError("the Maass kernel takes one y at a time")
     base = math.sqrt(y) * bessel_K_imag(arch.t, 2.0 * math.pi * y)
     return base * ((-1) ** arch.parity if sign < 0 else 1)
 
@@ -428,12 +440,12 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
 
 def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndarray:
-    """All m with m == b (mod N), 0 < |m| <= R (positive only if holomorphic)."""
-    all_m = np.arange(-R, R + 1) if not holomorphic else np.arange(1, R + 1)
-    all_m = all_m[all_m != 0]
-    if ram.N == 1:
-        return all_m
-    return all_m[all_m % ram.N == ram.b % ram.N]
+    """All m with m == b (mod N), 0 < |m| <= R (positive only if holomorphic),
+    ascending."""
+    N, b = ram.N, ram.b % ram.N
+    start = (b or N) if holomorphic else -R + (b + R) % N
+    ms = np.arange(start, R + 1, N)
+    return ms if b else ms[ms != 0]
 
 
 def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
@@ -443,13 +455,18 @@ def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchPar
     pref |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
 
     with lambda read from the sieve lam_all (indexed by |m|) and lc = log c_inf.
+    The holomorphic kernel takes the whole row in one array call; the Maass
+    kernel runs one Bessel quadrature per term.
     """
     N2 = ram.N**2
     am = np.abs(ms)
     lam = lam_all[am]
     lamp = lambda_prime_fast(ms, ram)
-    kap = np.array([kappa(a * y / N2, arch, sign=1 if s > 0 else -1)
-                    for a, s in zip(am, np.sign(ms))])
+    if arch.case == "holomorphic":
+        kap = kappa(am * y / N2, arch, sign=np.sign(ms))
+    else:
+        kap = np.array([kappa(a * y / N2, arch, sign=1 if s > 0 else -1)
+                        for a, s in zip(am, np.sign(ms))])
     return pref * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
 
 
@@ -465,6 +482,8 @@ class ScanReport:
     ratio: float                        # sup / (C^{1/8} h)
     witness_ratio: float                # witness / (C^{1/8} h)
     rows: list = field(default_factory=list)   # (y, row sup, row witness)
+    terms: int = 0                      # Fourier terms summed, over all rows
+    fft_points: int = 0                 # transform points computed, over all rows
 
     def as_dict(self):
         return {
@@ -474,6 +493,7 @@ class ScanReport:
             "witness": self.witness, "witness_m": self.witness_m,
             "conductor": self.conductor, "ratio": self.ratio,
             "witness_ratio": self.witness_ratio,
+            "terms": self.terms, "fft_points": self.fft_points,
         }
 
 
@@ -482,9 +502,19 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
                  x_steps_per_period: int = 64, rows_per_decade: int = 256,
                  adjoint_value: float = 1.0, keep_rows: bool = False) -> ScanReport:
     """Grid maximum of |phi| over the generating domain: x over one period
-    [0, N^2), y log-spaced.  Per y-row the x-scan is an exact FFT of the
-    progression coefficients (the grid is refined per row so that no two
-    contributing frequencies collide mod the transform length).
+    [0, N^2), y log-spaced.
+
+    Each row scans the grid x = j N^2 / X, j < X, with X = x_steps_per_period
+    N^2 2^i the first such length above 2R + 1 for the row cutoff R.  The
+    terms sit on m = b + N j' (0 <= b < N), so
+
+        sum_m c_m e(m j / X) = e(b j / X) G[j mod X/N],
+
+    where G is the unscaled inverse transform, of length X/N, of the c_m
+    placed at j' mod X/N (distinct, as X > 2R + 1).  So |phi| on the row has
+    period N in x, every grid point keeps its exact modulus, and the row sup
+    and its first argmax come from |G| alone.  The unscaled transform keeps
+    each row sup at or above its largest single term (discrete Parseval).
     """
     N = ram.N
     N2 = N * N
@@ -503,6 +533,7 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
+    terms = fft_points = 0
     for yv in ys:
         R = _cutoff(N, arch, float(yv), lc)
         ms = _signed_progression(ram, R, holo)
@@ -514,25 +545,26 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
         j = int(np.argmax(mags))
         if mags[j] > witness:
             witness, witness_m = float(mags[j]), int(ms[j])
-        # exact x-grid evaluation: fold coefficients into a transform long
-        # enough that frequencies in [-R, R] stay distinct
         X = base_X
         while X <= 2 * R + 1:
             X *= 2
-        F = np.zeros(X, dtype=complex)
-        np.add.at(F, ms % X, c)
-        vals = np.fft.ifft(F) * X     # sum_m c_m e^{2 pi i m j / X}
-        av = np.abs(vals)
+        L = X // N
+        F = np.zeros(L, dtype=complex)
+        F[(ms // N) % L] = c        # m = b + N j' puts c_m at j' mod L
+        av = np.abs(np.fft.ifft(F, norm="forward"))    # |phi| at x = jx N^2 / X, jx mod L
         jx = int(np.argmax(av))
         row_sup = float(av[jx])
         if row_sup > sup:
             sup, argmax = row_sup, (jx * N2 / X, float(yv))
         if keep_rows:
             rows.append((float(yv), row_sup, float(mags[j])))
+        terms += len(ms)
+        fft_points += L
     C = max(N, 1) ** 4
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C,
-                      sup / scale, witness / scale, rows)
+                      sup / scale, witness / scale, rows,
+                      terms=terms, fft_points=fft_points)
 
 
 # -- classical congruence group ----------------------------------------------

@@ -1,6 +1,9 @@
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from minvec import cli
 from minvec.cli import main
@@ -19,6 +22,8 @@ def test_verify_pass_and_report(tmp_path):
     assert doc["results"][0]["theta_count"] == 8
     assert doc["results"][0]["convolution"]["density"] == "1/6"
     assert "config_hash" in doc
+    assert doc["versions"]["python"] == platform.python_version()
+    assert doc["versions"]["numpy"] == np.__version__
 
 
 def test_invalid_even_prime_exits_config(tmp_path):
@@ -90,6 +95,12 @@ def test_scan_supnorm_runs_and_reports(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["sup"] >= doc["witness"] > 0
     assert samples.read_text().startswith("y,")
+    # counters: terms summed and transform points computed over all rows
+    assert isinstance(doc["terms"], int) and isinstance(doc["fft_points"], int)
+    rows = len(samples.read_text().splitlines()) - 1
+    assert doc["fft_points"] >= 2 * doc["terms"] - rows > 0
+    assert set(doc["versions"]) == {"python", "numpy", "scipy"}
+    assert doc["versions"]["scipy"] == scipy.__version__
 
 
 def test_que_subcommand(tmp_path):

@@ -6,11 +6,12 @@ import pytest
 
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NumericalError
-from minvec.global_whittaker import (ArchParams, CoefficientSource,
-                                     RamifiedData, build_D, c_infty,
+from minvec.global_whittaker import (ZETA2, ArchParams, CoefficientSource,
+                                     RamifiedData, _cutoff, _row_coefficients,
+                                     _signed_progression, build_D, c_infty,
                                      evaluate_phi, gamma_TD, kappa,
                                      kernel_peak_ratio, lambda_prime,
-                                     lambda_prime_fast, log_kappa,
+                                     lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
 from minvec.matgroups import Mat2Local, TorusSpec
 
@@ -25,6 +26,20 @@ def mv31():
 def mv51():
     spec = TorusSpec(5, 1)
     return MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+
+
+# the minimal vectors (theta index 0) behind each level N of the scan tests
+LEVEL_PRIMES = {1: [], 3: [(3, 1)], 15: [(3, 1), (5, 1)], 21: [(3, 1), (7, 1)]}
+
+
+@pytest.fixture(scope="module")
+def rams():
+    mvs = {}
+    for p, n in {pn for pns in LEVEL_PRIMES.values() for pn in pns}:
+        spec = TorusSpec(p, n)
+        mvs[(p, n)] = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+    return {N: RamifiedData.build([mvs[pn] for pn in pns]) if pns else RamifiedData.unramified()
+            for N, pns in LEVEL_PRIMES.items()}
 
 
 # -- archimedean layer --------------------------------------------------------
@@ -45,6 +60,26 @@ def test_kappa_holomorphic_peak_and_decay():
     ys = np.linspace(ypk, 10 * ypk, 50)
     vals = [kappa(float(y), arch) for y in ys]
     assert all(a >= b for a, b in zip(vals, vals[1:]))  # monotone past the peak
+
+
+@pytest.mark.parametrize("k", [2, 12, 40, 120])
+def test_kappa_array_route_matches_scalar(k):
+    arch = ArchParams("holomorphic", k=k)
+    ys = np.logspace(-3, 3, 241)
+    scalar = np.array([kappa(float(y), arch) for y in ys])
+    np.testing.assert_allclose(kappa(ys, arch), scalar, rtol=1e-13, atol=0)
+    assert not kappa(ys, arch, sign=-1).any()
+    signs = np.where(np.arange(len(ys)) % 2 == 0, 1, -1)
+    mixed = kappa(ys, arch, sign=signs)
+    assert not mixed[signs < 0].any()
+    np.testing.assert_allclose(mixed[signs > 0], scalar[signs > 0], rtol=1e-13, atol=0)
+
+
+def test_kappa_array_route_rejects_nonpositive_y():
+    with pytest.raises(ValueError):
+        kappa(np.array([1.0, 0.0]), ArchParams("holomorphic", k=12))
+    with pytest.raises(ValueError):
+        kappa(np.array([1.0, 2.0]), ArchParams("maass", t=1.0))
 
 
 def test_kappa_maass_specialization():
@@ -226,6 +261,91 @@ def test_scan_grid_value_matches_pointwise(mv31):
     direct = evaluate_phi(x, y, ram, src, arch,
                           cutoff=10 * max(8, int(12 * 9 / y)))
     assert abs(direct) == pytest.approx(rep.sup, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", [15, 21])
+def test_phi_modulus_has_period_N(rams, N):
+    # the terms sit on m = b (mod N), so x -> x + N multiplies phi by e(b/N)
+    ram = rams[N]
+    src = CoefficientSource.sato_tate(seed=4)
+    arch = ArchParams("holomorphic", k=12)
+    for x, y in [(0.3, 1.0), (2.7, 1.5), (7.1, 3.0), (11.0, 0.9)]:
+        a = abs(evaluate_phi(x, y, ram, src, arch))
+        b = abs(evaluate_phi(x + N, y, ram, src, arch))
+        assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_signed_progression_matches_filter(mv31, mv51):
+    for ram in (RamifiedData.unramified(), RamifiedData.build([mv31]),
+                RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
+                RamifiedData(15, 0, 1.0, [])):
+        for R in (1, 2, 14, 15, 16, 100):
+            for holo in (True, False):
+                all_m = np.arange(1, R + 1) if holo else np.arange(-R, R + 1)
+                expect = all_m[(all_m != 0) & (all_m % ram.N == ram.b % ram.N)]
+                assert np.array_equal(_signed_progression(ram, R, holo), expect)
+
+
+def _full_length_row(ram, arch, y, lam_all, x_steps_per_period=64):
+    """One scan row by the full-length transform: every term added into a
+    length-X array, X = x_steps_per_period N^2 2^i > 2R + 1, and one inverse
+    FFT of length X.  Returns (row sup, x of its first maximum, terms, X)."""
+    N2 = ram.N**2
+    lc = log_c_infty(arch)
+    R = _cutoff(ram.N, arch, y, lc)
+    ms = _signed_progression(ram, R, arch.case == "holomorphic")
+    c = _row_coefficients(ms, y, ram, arch, lam_all, math.sqrt(2 * ZETA2), lc)
+    X = x_steps_per_period * N2
+    while X <= 2 * R + 1:
+        X *= 2
+    F = np.zeros(X, dtype=complex)
+    np.add.at(F, ms % X, c)
+    av = np.abs(np.fft.ifft(F) * X)
+    jx = int(np.argmax(av))
+    return float(av[jx]), jx * N2 / X, len(ms), X
+
+
+def _source(kind, seed):
+    if kind == "sato-tate":
+        return CoefficientSource.sato_tate(seed=seed)
+    return CoefficientSource.all_ones()
+
+
+@pytest.mark.parametrize("N", [3, 15, 21])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+def test_scan_rows_match_full_length_transform(rams, N, kind):
+    ram = rams[N]
+    arch = ArchParams("holomorphic", k=40)
+    rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=64, keep_rows=True)
+    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, math.sqrt(3) / 2, log_c_infty(arch)))
+    ref_sup, ref_argmax = -1.0, None
+    terms = fft_points = 0
+    for y, row_sup, _ in rep.rows:
+        sup, x, n_terms, X = _full_length_row(ram, arch, y, lam_all)
+        if sup > 1e-290:
+            assert row_sup == pytest.approx(sup, rel=1e-12)
+        if sup > ref_sup:
+            ref_sup, ref_argmax = sup, (x, y)
+        terms += n_terms
+        fft_points += X // N
+    assert (rep.terms, rep.fft_points) == (terms, fft_points)
+    assert rep.sup == pytest.approx(ref_sup, rel=1e-12)
+    if rep.argmax != ref_argmax:
+        # a tie within rounding: |phi| at the new argmax is the reference sup
+        direct = abs(evaluate_phi(*rep.argmax, ram, _source(kind, 3), arch))
+        assert direct == pytest.approx(ref_sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 3, 15, 21])
+@pytest.mark.parametrize("k", [12, 120])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+def test_scan_row_sup_bounds_row_witness(rams, N, k, kind):
+    # discrete Parseval: the largest |G| is at least the largest |c_m|
+    rep = scan_supnorm(rams[N], _source(kind, 1), ArchParams("holomorphic", k=k),
+                       rows_per_decade=64, keep_rows=True)
+    assert rep.rows
+    assert all(row_sup >= row_witness for _, row_sup, row_witness in rep.rows)
+    assert rep.sup >= rep.witness > 0
 
 
 def test_scan_progression_support_instrumented(mv31):
