@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
-from .residues import PSI_SIGN, UnitRoot, unit_enumeration
+from .residues import UnitRoot, factorize, psi_numerator, unit_enumeration
 
 STRUCTURE_BOUND = 10**5
 
@@ -54,19 +54,6 @@ def _group_pow(g, k, mul, one):
     return out
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _element_order(g, mul, one, n: int, primes: list[int]) -> int:
     e = n
     for p in primes:
@@ -75,9 +62,11 @@ def _element_order(g, mul, one, n: int, primes: list[int]) -> int:
     return e
 
 
-def _structure_gens(elements, mul, one, n, primes):
-    if len(elements) == 1:
+def _structure_gens(elements, mul, one):
+    n = len(elements)
+    if n == 1:
         return [], []
+    primes = [q for q, _ in factorize(n)]
     best, best_ord = None, 0
     for g in elements:
         o = _element_order(g, mul, one, n, primes)
@@ -94,8 +83,7 @@ def _structure_gens(elements, mul, one, n, primes):
         rep[x] = min(mul(x, pk) for pk in powers)
     q_elements = sorted(set(rep.values()))
     q_mul = lambda a, b: rep[mul(a, b)]
-    q_gens, q_orders = _structure_gens(q_elements, q_mul, rep[one],
-                                       len(q_elements), _prime_factors(len(q_elements)) or [2])
+    q_gens, q_orders = _structure_gens(q_elements, q_mul, rep[one])
     gens, orders = [g1], [d1]
     for x, d in zip(q_gens, q_orders):
         c = pow_index[_group_pow(x, d, mul, one)]
@@ -111,7 +99,7 @@ def abelian_structure(elements, mul, one, bound: int = STRUCTURE_BOUND) -> Abeli
     if len(elements) > bound:
         raise SizeGuard(f"group of order {len(elements)} exceeds the structure bound")
     n = len(elements)
-    gens, orders = _structure_gens(sorted(elements), mul, one, n, _prime_factors(n))
+    gens, orders = _structure_gens(sorted(elements), mul, one)
     dlog = {one: tuple(0 for _ in gens)}
     frontier = {one: tuple(0 for _ in gens)}
     for i, (g, d) in enumerate(zip(gens, orders)):
@@ -199,7 +187,7 @@ def enumerate_theta(spec: TorusSpec, presentation: AbelianPresentation | None = 
 def _primitive_root_mod_ppow(p: int, m: int) -> int:
     pm = p**m
     order = pm - pm // p
-    primes = _prime_factors(order)
+    primes = [q for q, _ in factorize(order)]
     for g in range(2, pm):
         if g % p == 0:
             continue
@@ -214,8 +202,7 @@ def _pairing_root(spec: TorusSpec, a: int, u0: int, u1: int) -> UnitRoot:
     """psi_E of p^{-n} * a*sqrt(delta) * (u0 + u1*sqrt(delta)):
     the trace is 2*a*u1*delta / p^n."""
     p, n = spec.p, spec.n
-    num = (2 * a * u1 * spec.delta) % p**n
-    return UnitRoot(PSI_SIGN * Fraction(num, p**n))
+    return UnitRoot(Fraction(psi_numerator(2 * a * u1 * spec.delta) % p**n, p**n))
 
 
 def verify_a_theta(theta: ThetaChar, a: int, spec: TorusSpec) -> bool:
@@ -295,7 +282,7 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
     m_res = m.residue(2 * n)
     assert m_res % p**n == 0
     bd = m_res // p**n
-    psi_part = UnitRoot(PSI_SIGN * Fraction((-mv.a_theta * spec.alpha * bd) % p**n, p**n))
+    psi_part = UnitRoot(Fraction(psi_numerator(-mv.a_theta * spec.alpha * bd) % p**n, p**n))
     return tval * psi_part
 
 
@@ -345,7 +332,7 @@ class ChiEvaluator:
         m = (-m2) % pm * self.inv[u2] % pm
         bd = m // pn       # support rows have m divisible by p^n
         th = self.theta_table[x * pm + y]
-        psi_e = (PSI_SIGN * (-self.mv.a_theta * alpha * bd)) % pn * (self.L // pn)
+        psi_e = psi_numerator(-self.mv.a_theta * alpha * bd) % pn * (self.L // pn)
         return (th + psi_e) % self.L
 
 

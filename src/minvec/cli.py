@@ -22,6 +22,7 @@ from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
 from .matgroups import TorusSpec
 from .minimal import convolution_check, whittaker_closed
 from .que import conductor_pair, distinguished, que_period, watson_Ip
+from .residues import LocalElement, factorize
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
@@ -160,7 +161,6 @@ def cmd_whittaker(args, cfg) -> int:
     samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
     mv = _build_mv(p, n, idx)
     from .matgroups import a_mat
-    from .residues import LocalElement
     M = mv.torus.precision + 2 * n
     rows = []
     for u in range(1, p**n):
@@ -203,12 +203,12 @@ def cmd_matrix_coeff(args, cfg) -> int:
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
-def _coeff_source(text: str, delta: float | None) -> CoefficientSource:
+def _coeff_source(text: str) -> CoefficientSource:
     if text == "all-ones":
-        return CoefficientSource.all_ones(delta or 0.0)
+        return CoefficientSource.all_ones()
     if text.startswith("sato-tate"):
         seed = int(text.split(":", 1)[1]) if ":" in text else 0
-        return CoefficientSource.sato_tate(seed, delta or 0.0)
+        return CoefficientSource.sato_tate(seed)
     if text.startswith("file:"):
         return CoefficientSource.from_file(text.split(":", 1)[1])
     raise ConfigError(f"unknown coefficient source {text!r}")
@@ -221,7 +221,6 @@ def cmd_scan_supnorm(args, cfg) -> int:
     coeffs_spec = _resolve(cfg, args, "coeffs", "all-ones")
     out = Path(_resolve(cfg, args, "out", "report.json"))
     samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
-    seed = int(_resolve(cfg, args, "seed", 0))
     if k is not None:
         arch = ArchParams("holomorphic", k=int(k))
     elif t is not None:
@@ -231,20 +230,19 @@ def cmd_scan_supnorm(args, cfg) -> int:
     if N == 1:
         ram = RamifiedData.unramified()
     else:
-        from .global_whittaker import _factorize
         mvs = []
-        for p, e in _factorize(N):
+        for p, e in factorize(N):
             if p == 2:
                 raise ConfigError("N must be odd")
             mvs.append(_build_mv(p, e, 0))
         ram = RamifiedData.build(mvs)
-    coeffs = _coeff_source(coeffs_spec, None)
+    coeffs = _coeff_source(coeffs_spec)
     rep = scan_supnorm(ram, coeffs, arch, keep_rows=True)
     with samples.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["y", "row_sup", "row_witness"])
         w.writerows(rep.rows)
-    config = {"N": N, "k": k, "t": t, "coeffs": coeffs_spec, "seed": seed}
+    config = {"N": N, "k": k, "t": t, "coeffs": coeffs_spec}
     _write_report(out, "scan-supnorm", config, {**rep.as_dict(), "samples_file": str(samples)})
     print(f"scan-supnorm: sup={rep.sup:.6g} ratio={rep.ratio:.4g} witness={rep.witness:.6g}")
     return EXIT_OK
@@ -274,13 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="key=value configuration file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-
     sp = sub.add_parser("verify", help="run the local verification suites")
     sp.add_argument("--pn", help="semicolon-separated p,n pairs, e.g. '3,1;5,1'")
-    common(sp)
+    sp.add_argument("--out")
+    sp.add_argument("--seed", type=int)
 
     for name in ("character-table", "whittaker", "matrix-coeff"):
         sp = sub.add_parser(name)
@@ -288,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int)
         sp.add_argument("--theta-index", type=int)
         sp.add_argument("--samples")
-        common(sp)
+        sp.add_argument("--out")
+        if name == "matrix-coeff":
+            sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("scan-supnorm")
     sp.add_argument("--N", type=int)
@@ -296,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float)
     sp.add_argument("--coeffs")
     sp.add_argument("--samples")
-    common(sp)
+    sp.add_argument("--out")
 
     sp = sub.add_parser("que")
     sp.add_argument("--grid")
     sp.add_argument("--a3")
-    common(sp)
+    sp.add_argument("--out")
     return ap
 
 

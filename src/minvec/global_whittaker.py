@@ -16,9 +16,13 @@ from .characters import MinimalVectorSpec, chi_value
 from .errors import ConfigError, NumericalError
 from .matgroups import Mat2Local, a_mat, decompose_B1T, torus_extract
 from .minimal import support_profile, whittaker_closed
-from .residues import PSI_SIGN, LocalElement, UnitRoot
+from .residues import LocalElement, UnitRoot, factorize, psi_numerator
 
 ZETA2 = math.pi**2 / 6
+# The adjoint L-value in the normalization sqrt(2 zeta(2) / L(1, Ad)) of phi,
+# and that normalization; the model coefficients fix L(1, Ad) = 1.
+ADJOINT_VALUE = 1.0
+PREF = math.sqrt(2 * ZETA2 / ADJOINT_VALUE)
 
 
 # -- archimedean parameters ---------------------------------------------------
@@ -97,12 +101,12 @@ def kappa(y, arch: ArchParams, sign=1):
 def c_infty(arch: ArchParams) -> float:
     """L2 normalization of the kernel: (integral of kappa^2 dy/y)^{1/2}.
 
-    Holomorphic: exact log-space formula (4 pi)^{-k/2} Gamma(k)^{1/2}.
+    Holomorphic: the exp of log_c_infty's closed form.
     Maass: numeric integral (doubled for the two-sided expansion), with the
     one-sided sanity bound c_inf >= c0 e^{-pi t / 2}.
     """
     if arch.case == "holomorphic":
-        return math.exp(0.5 * math.lgamma(arch.k) - 0.5 * arch.k * math.log(4 * math.pi))
+        return math.exp(log_c_infty(arch))
     from scipy.integrate import quad
     t = arch.t
     val, err = quad(lambda y: bessel_K_imag(t, 2 * math.pi * y) ** 2,
@@ -121,6 +125,8 @@ def _bessel_support_bound(t: float) -> float:
 
 
 def log_c_infty(arch: ArchParams) -> float:
+    """log c_inf: holomorphic, the exact log-space formula
+    log((4 pi)^{-k/2} Gamma(k)^{1/2}); Maass, the log of c_infty's quadrature."""
     if arch.case == "holomorphic":
         return 0.5 * math.lgamma(arch.k) - 0.5 * arch.k * math.log(4 * math.pi)
     return math.log(c_infty(arch))
@@ -138,29 +144,9 @@ def kernel_peak_ratio(arch: ArchParams) -> float:
 
 # -- Hecke-like coefficient sources ------------------------------------------
 
-def _divisor_count(m: int) -> int:
-    c, d = 0, 1
-    while d * d <= m:
-        if m % d == 0:
-            c += 2 if d * d != m else 1
-        d += 1
-    return c
-
-
-def _factorize(m: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+def _ramanujan_bound(m: int, delta: float) -> float:
+    """d(m) m^delta, with the divisor count d(m) = prod (e + 1) over m = prod p^e."""
+    return math.prod(e + 1 for _, e in factorize(m)) * m**delta
 
 
 @dataclass
@@ -197,10 +183,12 @@ class CoefficientSource:
                         delta = float(parts[1])
                     continue
                 ms, ls = line.split("\t")
+                if int(ms) < 1:
+                    raise ConfigError(f"coefficient index m={ms} is not positive")
                 explicit[int(ms)] = float(ls)
         src = cls("file", delta, explicit=explicit)
         for m, lam in explicit.items():
-            if abs(lam) > _divisor_count(m) * m**delta * (1 + 1e-12):
+            if abs(lam) > _ramanujan_bound(m, delta) * (1 + 1e-12):
                 raise ConfigError(f"coefficient at m={m} violates the Ramanujan bound")
         return src
 
@@ -244,12 +232,18 @@ class CoefficientSource:
         if self.kind == "all-ones":
             return 1.0
         out = 1.0
-        for p, e in _factorize(m):
+        for p, e in factorize(m):
             out *= self._lambda_ppow(p, e)
         return out
 
     def values_upto(self, limit: int) -> np.ndarray:
-        """lambda(1..limit) by a multiplicative sieve; index 0 unused."""
+        """lambda(1..limit) by a multiplicative sieve; index 0 unused.
+
+        The primes p <= limit are walked in descending order, and lambda(p^e)
+        multiplies the multiples of p^e that p^(e+1) does not divide.  So
+        lambda(m) for m = p1^e1 ... pk^ek (p1 < ... < pk) is the float product
+        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).
+        """
         if self.kind == "all-ones":
             return np.ones(limit + 1)
         out = np.ones(limit + 1)
@@ -257,22 +251,24 @@ class CoefficientSource:
             for m in range(1, limit + 1):
                 out[m] = self.value(m)
             return out
-        smallest = np.zeros(limit + 1, dtype=np.int64)
-        for p in range(2, limit + 1):
-            if smallest[p] == 0:
-                smallest[p::p] = np.where(smallest[p::p] == 0, p, smallest[p::p])
-        for m in range(2, limit + 1):
-            p = int(smallest[m])
-            e, r = 0, m
-            while r % p == 0:
-                r //= p
-                e += 1
-            out[m] = self._lambda_ppow(p, e) * out[r]
+        is_prime = np.ones(limit + 1, dtype=bool)
+        is_prime[:2] = False
+        for q in range(2, math.isqrt(limit) + 1):
+            if is_prime[q]:
+                is_prime[q * q::q] = False
+        for p in np.flatnonzero(is_prime)[::-1].tolist():
+            # f[j] = lambda(p^e) for the multiple (j + 1) p, exactly divisible by p^e
+            f = np.full(limit // p, self._lambda_ppow(p, 1))
+            e, step = 2, p
+            while step * p <= limit:
+                f[step - 1::step] = self._lambda_ppow(p, e)
+                e, step = e + 1, step * p
+            out[p::p] *= f
         return out
 
     def check_ramanujan(self, limit: int = 200) -> bool:
         vals = self.values_upto(limit)
-        return all(abs(vals[m]) <= _divisor_count(m) * m**self.delta + 1e-9
+        return all(abs(vals[m]) <= _ramanujan_bound(m, self.delta) + 1e-9
                    for m in range(1, limit + 1))
 
 
@@ -377,7 +373,7 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
         pm = p ** (2 * n)
         # psi_p(m * x_p / N^2): p-part of the fractional part
         num = (ms % pm) * (f.x_residue * f.cofactor_sq_inv % pm) % pm
-        phases = phases + PSI_SIGN * (num / pm) + float(f.theta_phase.r)
+        phases = phases + psi_numerator(num) / pm + float(f.theta_phase.r)
     out[mask] = ram.amplitude * np.exp(2j * np.pi * phases[mask])
     return out
 
@@ -409,11 +405,11 @@ def _cutoff(N: int, arch: ArchParams, y: float, lc: float, eps: float = 0.1) -> 
 
 
 def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSource,
-                 arch: ArchParams, adjoint_value: float = 1.0,
-                 cutoff: int | None = None, check_stability: bool = False) -> complex:
+                 arch: ArchParams, cutoff: int | None = None,
+                 check_stability: bool = False) -> complex:
     """The form at n(x) a(y): the progression-supported Fourier expansion
 
-    sqrt(2 zeta(2)/adjoint) c_inf^{-1} sum_{m = b (N), 0<|m|<=R}
+    PREF c_inf^{-1} sum_{m = b (N), 0<|m|<=R}
         |m|^{-1/2} e(m x / N^2) kappa(m y / N^2) lambda(m) lambda'(m).
 
     The lambda(m) come from coeffs.values_upto, so a file source must cover
@@ -425,11 +421,10 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y, lc)
     cutoffs = (R, 2 * R) if check_stability else (R,)
     lam_all = coeffs.values_upto(cutoffs[-1])
-    pref = math.sqrt(2 * ZETA2 / adjoint_value)
     vals = []
     for Rc in cutoffs:
         ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
-        c = _row_coefficients(ms, y, ram, arch, lam_all, pref, lc)
+        c = _row_coefficients(ms, y, ram, arch, lam_all, lc)
         vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
     val = vals[-1]
     scale = max(abs(vals[0]), abs(val), 1e-300)
@@ -449,10 +444,10 @@ def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndar
 
 
 def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
-                      lam_all: np.ndarray, pref: float, lc: float) -> np.ndarray:
+                      lam_all: np.ndarray, lc: float) -> np.ndarray:
     """The Fourier coefficients of phi on the row y, one per m in ms:
 
-    pref |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
+    PREF |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
 
     with lambda read from the sieve lam_all (indexed by |m|) and lc = log c_inf.
     The holomorphic kernel takes the whole row in one array call; the Maass
@@ -467,7 +462,7 @@ def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchPar
     else:
         kap = np.array([kappa(a * y / N2, arch, sign=1 if s > 0 else -1)
                         for a, s in zip(am, np.sign(ms))])
-    return pref * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
+    return PREF * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
 
 
 @dataclass
@@ -497,14 +492,18 @@ class ScanReport:
         }
 
 
-def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
-                 y_min: float = math.sqrt(3) / 2.0, y_max: float | None = None,
-                 x_steps_per_period: int = 64, rows_per_decade: int = 256,
-                 adjoint_value: float = 1.0, keep_rows: bool = False) -> ScanReport:
-    """Grid maximum of |phi| over the generating domain: x over one period
-    [0, N^2), y log-spaced.
+# The scan grid: rows from the bottom Y_MIN of the generating domain, at
+# least X_STEPS_PER_PERIOD points per unit of x.
+Y_MIN = math.sqrt(3) / 2.0
+X_STEPS_PER_PERIOD = 64
 
-    Each row scans the grid x = j N^2 / X, j < X, with X = x_steps_per_period
+
+def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
+                 rows_per_decade: int = 256, keep_rows: bool = False) -> ScanReport:
+    """Grid maximum of |phi| over the generating domain: x over one period
+    [0, N^2), y log-spaced from Y_MIN to max(2, N^2 T).
+
+    Each row scans the grid x = j N^2 / X, j < X, with X = X_STEPS_PER_PERIOD
     N^2 2^i the first such length above 2R + 1 for the row cutoff R.  The
     terms sit on m = b + N j' (0 <= b < N), so
 
@@ -518,16 +517,14 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     """
     N = ram.N
     N2 = N * N
-    if y_max is None:
-        y_max = max(2.0, N2 * arch.T)
-    n_rows = max(2, int(rows_per_decade * math.log10(y_max / y_min)) + 1)
-    ys = np.exp(np.linspace(math.log(y_min), math.log(y_max), n_rows))
+    y_max = max(2.0, N2 * arch.T)
+    n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
+    ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
     lc = log_c_infty(arch)
-    pref = math.sqrt(2 * ZETA2 / adjoint_value)
     holo = arch.case == "holomorphic"
-    base_X = x_steps_per_period * max(N2, 1)
+    base_X = X_STEPS_PER_PERIOD * max(N2, 1)
 
-    R_global = _cutoff(N, arch, y_min, lc)
+    R_global = _cutoff(N, arch, Y_MIN, lc)
     lam_all = coeffs.values_upto(R_global)
 
     sup, argmax = -1.0, (0.0, ys[0])
@@ -539,7 +536,7 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
         ms = _signed_progression(ram, R, holo)
         if len(ms) == 0:
             continue
-        c = _row_coefficients(ms, yv, ram, arch, lam_all, pref, lc)
+        c = _row_coefficients(ms, yv, ram, arch, lam_all, lc)
         # row witness: best single Fourier coefficient magnitude
         mags = np.abs(c)
         j = int(np.argmax(mags))

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DiscriminantMismatch, PrecisionError
+from .errors import DiscriminantMismatch
 from .residues import LocalElement, QuadElement, is_square_mod_p
 
 _INF = math.inf
@@ -192,9 +192,10 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
 
     side="left":  g = [[u, m], [0, 1]] * t
     side="right": g = t * [[u, m], [0, 1]]
-    with t in the torus.  Returns (u, m, t).  Always succeeds for invertible g
-    (the relevant denominators are forced to be nonzero because -alpha is a
-    non-square), subject only to precision.
+    with t in the torus.  Returns (u, m, t).  Always succeeds for invertible g:
+    -alpha is a non-square, so neither c^2 + alpha*d^2 nor alpha*a^2 + c^2 can
+    cancel (when the two terms share a valuation, the leading digit is
+    u^2 + alpha*w^2, nonzero mod p).
     """
     a, b, c, d = g.entries()
     p = g.p
@@ -204,8 +205,6 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
         raise ValueError("matrix is not invertible")
     if side == "right":
         den = alpha * a * a + c * c
-        if den.is_zero:
-            raise PrecisionError("alpha*a^2 + c^2 vanished at tracked precision")
         u1 = alpha * det / den
         m1 = -((a * b * alpha + c * d) / den)
         bmat = Mat2Local(u1, m1, LocalElement.zero(p, u1.M), LocalElement.one(p, u1.M))
@@ -217,8 +216,6 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
         den = alpha * det
         u2 = (c * c + d * d * alpha) / den
         m2 = -((a * c + alpha * b * d) / den)
-        if u2.is_zero:
-            raise PrecisionError("c^2 + alpha*d^2 vanished at tracked precision")
         bmat = Mat2Local(u2, m2, LocalElement.zero(p, u2.M), LocalElement.one(p, u2.M))
         t = bmat * g
         u = u2.inverse()

@@ -15,7 +15,7 @@ from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
 from .cosets import gl2_order, kt_support, mat_keys, random_kt_elements
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
 from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
-from .residues import ENUMERATION_BOUND, PSI_SIGN, LocalElement, UnitRoot, psi
+from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
 def matrix_coefficient(mv: MinimalVectorSpec, g: Mat2Local) -> complex:
@@ -156,13 +156,8 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
         return 0j
     L = level if level is not None else n + 2
     if low is None:
-        low = n
-        try:
-            _, m, _ = decompose_B1T(g, spec, side="left")
-            if not m.is_zero and m.v < -n:
-                low = -int(m.v)
-        except PrecisionError:
-            pass
+        _, m, _ = decompose_B1T(g, spec, side="left")
+        low = -int(m.v) if not m.is_zero and m.v < -n else n
     v_det = 2 * n + int(g.det.v)
     if v_det % 2:
         return 0j
@@ -210,7 +205,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
         raise NumericalError(f"vectorized chi exponent {exps[0]}/{ev.L} disagrees with the "
                              f"scalar matrix coefficient {scalar} at x = {x0}")
     Lt = math.lcm(ev.L, pl)
-    phase = (exps * (Lt // ev.L) + PSI_SIGN * ((-keep) % pl) * (Lt // pl)) % Lt
+    phase = (exps * (Lt // ev.L) + psi_numerator((-keep) % pl) * (Lt // pl)) % Lt
     return float(Fraction(1, p**L)) * complex(np.exp(2j * np.pi * phase / Lt).sum())
 
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 from .errors import DiscriminantMismatch, PrecisionError, SizeGuard
 
 # Sign of the additive character: psi(x) = e^(2*pi*i * PSI_SIGN * frac_p(x)).
-# A single flip here must leave every invariant suite passing (all phases
-# conjugate); tests rely on that.
+# Only this module reads it, at call time (psi, psi_of_rational,
+# psi_numerator), so a flip conjugates every phase; tests/test_psi_flip.py
+# runs the invariant suites with it flipped.
 PSI_SIGN = -1
 
 # Overflow guard for unit enumerations (desk scale).
@@ -26,8 +27,26 @@ ENUMERATION_BOUND = 10**7
 _INF = math.inf
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization [(p, e), ...] of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _require_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+    if p < 3 or p % 2 == 0 or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
@@ -335,6 +354,12 @@ def psi_of_rational(p: int, x: Fraction) -> UnitRoot:
     # x = num / (den * pk); p-fractional part is (num * den^-1 mod pk) / pk
     frac = Fraction(x.numerator * pow(den, -1, pk) % pk, pk)
     return UnitRoot(PSI_SIGN * frac)
+
+
+def psi_numerator(k):
+    """The numerator of psi's phase at k/d: psi(k/d) = e(psi_numerator(k)/d) for
+    a p-power d and an integer (or integer array) k; the caller reduces mod d."""
+    return PSI_SIGN * k
 
 
 def psi_E(z: QuadElement) -> UnitRoot:

@@ -119,3 +119,22 @@ def test_numerical_error_exits_one(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli._DISPATCH, "verify", fail)
     assert run(["verify", "--pn", "3,1", "--out", str(tmp_path / "r.json")]) == 1
     assert "verification failure: tail instability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["character-table"], ["whittaker"],
+                                  ["scan-supnorm", "--N", "1", "--k", "12"], ["que"]])
+def test_seed_is_a_usage_error_where_unread(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "1", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_seed_accepted_by_verify_and_matrix_coeff(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--pn", "3,1", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 5
+    assert run(["matrix-coeff", "--p", "3", "--n", "1", "--seed", "5",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 5

@@ -6,8 +6,9 @@ import pytest
 
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NumericalError
-from minvec.global_whittaker import (ZETA2, ArchParams, CoefficientSource,
-                                     RamifiedData, _cutoff, _row_coefficients,
+from minvec.global_whittaker import (X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
+                                     CoefficientSource, RamifiedData, _cutoff,
+                                     _ramanujan_bound, _row_coefficients,
                                      _signed_progression, build_D, c_infty,
                                      evaluate_phi, gamma_TD, kappa,
                                      kernel_peak_ratio, lambda_prime,
@@ -148,9 +149,63 @@ def test_file_source_roundtrip(tmp_path):
 
 def test_file_source_rejects_ramanujan_violation(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("# delta 0.0\n6\t9.5\n")
-    with pytest.raises(ConfigError):
-        CoefficientSource.from_file(str(path))
+    for record in ("6\t9.5", "0\t0.0", "-3\t1.0"):
+        path.write_text(f"# delta 0.0\n{record}\n")
+        with pytest.raises(ConfigError):
+            CoefficientSource.from_file(str(path))
+
+
+def test_ramanujan_bound_divisor_count():
+    top = 5000
+    d = [0] * (top + 1)
+    for k in range(1, top + 1):
+        for m in range(k, top + 1, k):
+            d[m] += 1
+    for m in range(1, top + 1):
+        assert _ramanujan_bound(m, 0.0) == d[m], m
+    assert _ramanujan_bound(12, 0.5) == 6 * 12**0.5
+
+
+def _per_m_sieve(src, limit):
+    """values_upto as a per-m recursion lambda(m) = lambda(p^e) lambda(m / p^e),
+    p the smallest prime of m: the reference for the prime-power sieve, which
+    must give the same bits."""
+    if src.kind == "all-ones":
+        return np.ones(limit + 1)
+    out = np.ones(limit + 1)
+    if src.kind == "file":
+        for m in range(1, limit + 1):
+            out[m] = src.value(m)
+        return out
+    smallest = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if smallest[p] == 0:
+            smallest[p::p] = np.where(smallest[p::p] == 0, p, smallest[p::p])
+    for m in range(2, limit + 1):
+        p = int(smallest[m])
+        e, r = 0, m
+        while r % p == 0:
+            r //= p
+            e += 1
+        out[m] = src._lambda_ppow(p, e) * out[r]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_values_upto_matches_per_m_sieve(seed):
+    for limit in (1, 2, 60, 13729, 20000):
+        got = CoefficientSource.sato_tate(seed=seed).values_upto(limit)
+        assert np.array_equal(got, _per_m_sieve(CoefficientSource.sato_tate(seed=seed), limit))
+
+
+def test_values_upto_matches_per_m_sieve_other_kinds(tmp_path):
+    src = CoefficientSource.all_ones()
+    assert np.array_equal(src.values_upto(500), _per_m_sieve(src, 500))
+    path = tmp_path / "coeffs.tsv"
+    st = CoefficientSource.sato_tate(seed=2)
+    path.write_text("".join(f"{m}\t{st.value(m)!r}\n" for m in range(1, 61)))
+    src = CoefficientSource.from_file(str(path))
+    assert np.array_equal(src.values_upto(60), _per_m_sieve(src, 60))
 
 
 # -- ramified data and lambda' -------------------------------------------------
@@ -286,16 +341,16 @@ def test_signed_progression_matches_filter(mv31, mv51):
                 assert np.array_equal(_signed_progression(ram, R, holo), expect)
 
 
-def _full_length_row(ram, arch, y, lam_all, x_steps_per_period=64):
+def _full_length_row(ram, arch, y, lam_all):
     """One scan row by the full-length transform: every term added into a
-    length-X array, X = x_steps_per_period N^2 2^i > 2R + 1, and one inverse
+    length-X array, X = X_STEPS_PER_PERIOD N^2 2^i > 2R + 1, and one inverse
     FFT of length X.  Returns (row sup, x of its first maximum, terms, X)."""
     N2 = ram.N**2
     lc = log_c_infty(arch)
     R = _cutoff(ram.N, arch, y, lc)
     ms = _signed_progression(ram, R, arch.case == "holomorphic")
-    c = _row_coefficients(ms, y, ram, arch, lam_all, math.sqrt(2 * ZETA2), lc)
-    X = x_steps_per_period * N2
+    c = _row_coefficients(ms, y, ram, arch, lam_all, lc)
+    X = X_STEPS_PER_PERIOD * N2
     while X <= 2 * R + 1:
         X *= 2
     F = np.zeros(X, dtype=complex)
@@ -317,7 +372,7 @@ def test_scan_rows_match_full_length_transform(rams, N, kind):
     ram = rams[N]
     arch = ArchParams("holomorphic", k=40)
     rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=64, keep_rows=True)
-    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, math.sqrt(3) / 2, log_c_infty(arch)))
+    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, Y_MIN, log_c_infty(arch)))
     ref_sup, ref_argmax = -1.0, None
     terms = fft_points = 0
     for y, row_sup, _ in rep.rows:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from minvec.errors import PrecisionError, SizeGuard
-from minvec.residues import (LocalElement, QuadElement, UnitRoot, is_square_mod_p,
-                             psi, psi_E, psi_of_rational, unit_enumeration)
+from minvec.residues import (LocalElement, QuadElement, UnitRoot, _require_odd_prime,
+                             factorize, is_square_mod_p, psi, psi_E, psi_of_rational,
+                             unit_enumeration)
 
 
 def test_from_rational_roundtrip():
@@ -103,3 +104,27 @@ def test_unit_enumeration_counts():
 def test_is_square_mod_p():
     assert is_square_mod_p(4, 7)
     assert not is_square_mod_p(3, 7)
+
+
+def test_factorize_and_odd_prime_check_against_brute_force():
+    top = 5000
+    primes = [q for q in range(2, top + 1) if all(q % d for d in range(2, q))]
+    expect = {n: [] for n in range(1, top + 1)}
+    for q in primes:
+        for n in range(q, top + 1, q):
+            e, r = 0, n
+            while r % q == 0:
+                r //= q
+                e += 1
+            expect[n].append((q, e))
+    for n in range(1, top + 1):
+        assert factorize(n) == expect[n], n
+    odd_primes = set(primes) - {2}
+    for p in range(-2, top + 1):
+        if p in odd_primes:
+            _require_odd_prime(p)
+        else:
+            with pytest.raises(ValueError):
+                _require_odd_prime(p)
+    with pytest.raises(ValueError):
+        factorize(0)
