@@ -46,13 +46,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, args: argparse.Namespace, key: str, default=None, cast=str):
+def _resolve(cfg: dict, args: argparse.Namespace, key: str, default=None):
     """Flags win over config file entries; both win over the default."""
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
     if key in cfg:
-        return cast(cfg[key])
+        return cfg[key]
     return default
 
 

@@ -6,6 +6,7 @@ the generating domain, and the classical congruence-group translation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,13 +30,12 @@ PREF = math.sqrt(2 * ZETA2 / ADJOINT_VALUE)
 
 @dataclass(frozen=True)
 class ArchParams:
-    """Archimedean data: either a holomorphic form of even weight k, or a
-    Maass form with spectral parameter t and parity m."""
+    """Archimedean data: either a holomorphic form of even weight k, or an even
+    Maass form with spectral parameter t."""
 
     case: str                   # "holomorphic" | "maass"
     k: int | None = None
     t: float | None = None
-    parity: int = 0
 
     def __post_init__(self):
         if self.case == "holomorphic":
@@ -44,8 +44,6 @@ class ArchParams:
         elif self.case == "maass":
             if self.t is None:
                 raise ConfigError("maass case needs spectral parameter t")
-            if self.parity not in (0, 1):
-                raise ConfigError("parity must be 0 or 1")
         else:
             raise ConfigError(f"unknown archimedean case {self.case!r}")
 
@@ -75,47 +73,42 @@ def log_kappa(y: float, arch: ArchParams) -> float:
     return v + math.log(abs(b))
 
 
-def kappa(y, arch: ArchParams, sign=1):
-    """The kernel itself: y^{k/2} e^{-2 pi y} (holomorphic, positive y only) or
-    sqrt|y| K_{it}(2 pi |y|) with the parity sign for negative arguments.
+def kappa(y, arch: ArchParams):
+    """The kernel itself: y^{k/2} e^{-2 pi y} (holomorphic) or sqrt(y) K_{it}(2 pi y)
+    (Maass), at y > 0.
 
-    In the holomorphic case y (and sign) may also be arrays: the array route
-    evaluates the same log-space formula elementwise, 0 where sign < 0.
+    In the holomorphic case y may also be an array: the array route evaluates
+    the same log-space formula elementwise.
     """
     if arch.case == "holomorphic":
         if np.ndim(y):
             y = np.asarray(y, dtype=float)
             if not np.all(y > 0):
                 raise ValueError("y must be positive")
-            return np.where(np.asarray(sign) < 0, 0.0,
-                            np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y))
-        if sign < 0:
-            return 0.0
+            return np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y)
         return math.exp(log_kappa(y, arch))
     if np.ndim(y):
         raise ValueError("the Maass kernel takes one y at a time")
-    base = math.sqrt(y) * bessel_K_imag(arch.t, 2.0 * math.pi * y)
-    return base * ((-1) ** arch.parity if sign < 0 else 1)
+    return math.sqrt(y) * bessel_K_imag(arch.t, 2.0 * math.pi * y)
 
 
 def c_infty(arch: ArchParams) -> float:
-    """L2 normalization of the kernel: (integral of kappa^2 dy/y)^{1/2}.
+    """L2 normalization of the kernel: (integral of kappa^2 dy/y)^{1/2}, both
+    cases in closed form.
 
-    Holomorphic: the exp of log_c_infty's closed form.
-    Maass: numeric integral (doubled for the two-sided expansion), with the
-    one-sided sanity bound c_inf >= c0 e^{-pi t / 2}.
+    Holomorphic: the exp of log_c_infty's formula.
+    Maass: the two-sided sqrt(pi / (4 cosh pi t)), from int_0^inf K_{it}(x)^2 dx
+    = pi^2 / (4 cosh pi t) (Gradshteyn-Ryzhik 6.576.4), evaluated in log space
+    so that cosh cannot overflow.  Raises NumericalError once the value
+    underflows the normal floats (|t| above about 450).
     """
     if arch.case == "holomorphic":
         return math.exp(log_c_infty(arch))
-    from scipy.integrate import quad
-    t = arch.t
-    val, err = quad(lambda y: bessel_K_imag(t, 2 * math.pi * y) ** 2,
-                    0.0, (_bessel_support_bound(t)), limit=200)
-    c = math.sqrt(2.0 * val)
-    floor = 0.05 * math.exp(-math.pi * abs(t) / 2)
-    if not c >= floor:
-        raise NumericalError(f"archimedean normalization {c:.3e} fell below the sanity "
-                             f"floor {floor:.3e} (quadrature error estimate {err:.1e})")
+    a = math.pi * abs(arch.t)
+    c = math.exp(0.5 * (math.log(math.pi / 2) - a - math.log1p(math.exp(-2 * a))))
+    if not c >= sys.float_info.min:
+        raise NumericalError(f"archimedean normalization at t = {arch.t:g} underflows "
+                             f"double precision ({c:.3e})")
     return c
 
 
@@ -126,7 +119,7 @@ def _bessel_support_bound(t: float) -> float:
 
 def log_c_infty(arch: ArchParams) -> float:
     """log c_inf: holomorphic, the exact log-space formula
-    log((4 pi)^{-k/2} Gamma(k)^{1/2}); Maass, the log of c_infty's quadrature."""
+    log((4 pi)^{-k/2} Gamma(k)^{1/2}); Maass, the log of c_infty's closed form."""
     if arch.case == "holomorphic":
         return 0.5 * math.lgamma(arch.k) - 0.5 * arch.k * math.log(4 * math.pi)
     return math.log(c_infty(arch))
@@ -458,10 +451,9 @@ def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchPar
     lam = lam_all[am]
     lamp = lambda_prime_fast(ms, ram)
     if arch.case == "holomorphic":
-        kap = kappa(am * y / N2, arch, sign=np.sign(ms))
+        kap = kappa(am * y / N2, arch)
     else:
-        kap = np.array([kappa(a * y / N2, arch, sign=1 if s > 0 else -1)
-                        for a, s in zip(am, np.sign(ms))])
+        kap = np.array([kappa(a * y / N2, arch) for a in am])
     return PREF * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
 
 

@@ -24,14 +24,6 @@ def vol_KT(p: int, n: int) -> Fraction:
     return Fraction(1, p ** (2 * n - 1) * (p - 1))
 
 
-def torus_cosets(spec: TorusSpec) -> list[tuple[int, int]]:
-    """Coset representatives of the torus units modulo the depth-n kernel:
-    unit pairs (x, y) mod p^n."""
-    pn = spec.p**spec.n
-    return [(x, y) for x in range(pn) for y in range(pn)
-            if x % spec.p != 0 or y % spec.p != 0]
-
-
 @dataclass
 class QueReport:
     p: int
@@ -51,29 +43,13 @@ class QueReport:
         }
 
 
-def que_period(spec: TorusSpec, torus_mc=None) -> QueReport:
-    """The local period H: vol(K_T(n)) times the average of the supplied torus
-    matrix coefficient h -> <h u, u> over the torus cosets (probability Haar).
-
-    torus_mc maps coset pairs (x, y) mod p^n to complex; None means the
-    constant-1 map (a spherical, torus-fixed u), for which H = vol exactly.
-    """
+def que_period(spec: TorusSpec) -> QueReport:
+    """The local period H for a spherical, torus-fixed u: vol(K_T(n)) times the
+    average of the constant matrix coefficient h -> <h u, u> = 1 over the torus
+    cosets (probability Haar), so H = vol exactly."""
     p, n = spec.p, spec.n
     vol = vol_KT(p, n)
-    cosets = torus_cosets(spec)
-    if torus_mc is None:
-        H = float(vol)
-        normalized = float(p ** (2 * n) * vol)
-        return QueReport(p, n, vol, H, normalized)
-    vals = []
-    for z in cosets:
-        try:
-            vals.append(complex(torus_mc(z)))
-        except KeyError as e:
-            raise ConfigError(f"torus_mc undefined at coset {z}") from e
-    avg = sum(vals) / len(vals)
-    H = float(vol) * avg
-    return QueReport(p, n, vol, H, p ** (2 * n) * H)
+    return QueReport(p, n, vol, float(vol), float(p ** (2 * n) * vol))
 
 
 def distinguished(a3: int, n: int) -> bool:
@@ -86,7 +62,7 @@ def distinguished(a3: int, n: int) -> bool:
     return a3 % 2 == 0
 
 
-def watson_Ip(H: complex, L_ratio: complex = 1) -> complex:
-    """Watson local factor I_p = H / L_ratio; the default ratio 1 reflects the
-    adjoint factor being trivial at the ramified primes."""
-    return H / L_ratio
+def watson_Ip(H: complex) -> complex:
+    """Watson local factor I_p = H / L_ratio with L_ratio = 1: the adjoint
+    factor is trivial at the ramified primes."""
+    return H

@@ -121,6 +121,18 @@ def test_numerical_error_exits_one(monkeypatch, tmp_path, capsys):
     assert "verification failure: tail instability" in capsys.readouterr().err
 
 
+def test_maass_normalization_underflow_exits_one(monkeypatch, tmp_path, capsys):
+    def no_bessel(t, x):
+        raise AssertionError("the scan must stop before any Bessel quadrature")
+    monkeypatch.setattr("minvec.global_whittaker.bessel_K_imag", no_bessel)
+    out = tmp_path / "r.json"
+    assert run(["scan-supnorm", "--N", "1", "--t", "500", "--out", str(out),
+                "--samples", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure: archimedean normalization at t = 500" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["character-table"], ["whittaker"],
                                   ["scan-supnorm", "--N", "1", "--k", "12"], ["que"]])
 def test_seed_is_a_usage_error_where_unread(argv, tmp_path, capsys):

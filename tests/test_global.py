@@ -69,11 +69,6 @@ def test_kappa_array_route_matches_scalar(k):
     ys = np.logspace(-3, 3, 241)
     scalar = np.array([kappa(float(y), arch) for y in ys])
     np.testing.assert_allclose(kappa(ys, arch), scalar, rtol=1e-13, atol=0)
-    assert not kappa(ys, arch, sign=-1).any()
-    signs = np.where(np.arange(len(ys)) % 2 == 0, 1, -1)
-    mixed = kappa(ys, arch, sign=signs)
-    assert not mixed[signs < 0].any()
-    np.testing.assert_allclose(mixed[signs > 0], scalar[signs > 0], rtol=1e-13, atol=0)
 
 
 def test_kappa_array_route_rejects_nonpositive_y():
@@ -96,9 +91,30 @@ def test_c_infty_holomorphic_exact():
     assert c_infty(ArchParams("holomorphic", k=2)) > 0
 
 
-def test_c_infty_maass_sanity():
-    c = c_infty(ArchParams("maass", t=1.0))
-    assert c > 0.05 * math.exp(-math.pi / 2)
+@pytest.mark.parametrize("t", [0.5, 2.0, 5.0, 10.0, 20.0])
+def test_c_infty_maass_matches_mpmath(t):
+    # c_inf^2 = 2 int_0^inf kappa(y)^2 dy/y = 2 int_0^inf K_{it}(2 pi y)^2 dy,
+    # by quadrature at a working precision that survives the e^{-pi t} cancellation
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50 if t > 10 else 30):
+        integral = mpmath.quad(lambda y: mpmath.besselk(1j * t, 2 * mpmath.pi * y).real ** 2,
+                               [0, 0.25, 0.5, 1, 2, 4, mpmath.inf])
+        ref = float(mpmath.sqrt(2 * integral))
+    arch = ArchParams("maass", t=t)
+    assert c_infty(arch) == pytest.approx(ref, rel=1e-12)
+    assert log_c_infty(arch) == math.log(c_infty(arch))
+
+
+def test_c_infty_maass_underflow_raises_without_bessel(monkeypatch):
+    def no_bessel(t, x):
+        raise AssertionError("c_infty must not call the Bessel quadrature")
+    monkeypatch.setattr("minvec.global_whittaker.bessel_K_imag", no_bessel)
+    for t in (500.0, -500.0, math.inf):
+        with pytest.raises(NumericalError, match=f"t = {t:g}"):
+            c_infty(ArchParams("maass", t=t))
+        with pytest.raises(NumericalError):
+            log_c_infty(ArchParams("maass", t=t))
+    assert c_infty(ArchParams("maass", t=400.0)) > 0
 
 
 def test_kernel_peak_tracks_h_value():

@@ -5,7 +5,7 @@ import pytest
 from minvec.errors import ConfigError
 from minvec.matgroups import TorusSpec
 from minvec.que import (QueReport, conductor_pair, distinguished, que_period,
-                        torus_cosets, vol_KT, watson_Ip)
+                        vol_KT, watson_Ip)
 
 
 def test_conductor_pair_values():
@@ -31,23 +31,6 @@ def test_que_period_spherical():
     assert r5.H == pytest.approx(1 / 20) and r5.normalized == pytest.approx(5 / 4)
 
 
-def test_que_period_custom_maps():
-    spec = TorusSpec(3, 1)
-    zero = que_period(spec, lambda z: 0.0)
-    assert zero.H == 0
-    # linearity in the supplied coefficient
-    half = que_period(spec, lambda z: 0.5)
-    assert half.H == pytest.approx(1 / 12)
-
-
-def test_que_period_requires_total_map():
-    spec = TorusSpec(3, 1)
-    table = {z: 1.0 for z in torus_cosets(spec)}
-    del table[(1, 1)]
-    with pytest.raises(ConfigError):
-        que_period(spec, lambda z: table[z])
-
-
 def test_que_period_independent_of_theta():
     # H for the spherical map depends only on (p, n), not which theta
     assert que_period(TorusSpec(3, 1)).H == que_period(TorusSpec(3, 1, 1)).H
@@ -64,7 +47,6 @@ def test_distinguished_parity():
 def test_watson_Ip():
     r = que_period(TorusSpec(3, 1))
     assert watson_Ip(r.H) == pytest.approx(1 / 6)
-    assert watson_Ip(r.H, L_ratio=2) == pytest.approx(1 / 12)
     # I_p * Cond^{1/2} = q^{2n} H = q/(q-1)
     assert watson_Ip(r.H) * conductor_pair(3, 1) ** 0.5 == pytest.approx(3 / 2)
     r7 = que_period(TorusSpec(7, 1))
