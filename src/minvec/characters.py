@@ -5,11 +5,13 @@ character chi of the compact-mod-center group that pins down a minimal vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .cosets import inverse_table
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
 from .residues import UnitRoot, factorize, psi_numerator, unit_enumeration
@@ -37,7 +39,6 @@ class AbelianPresentation:
 
     @property
     def exponent(self) -> int:
-        import math
         e = 1
         for d in self.orders:
             e = math.lcm(e, d)
@@ -297,8 +298,6 @@ class ChiEvaluator:
 
     @classmethod
     def build(cls, mv: MinimalVectorSpec) -> "ChiEvaluator":
-        from .cosets import inverse_table
-        import math
         p, n = mv.p, mv.n
         pm = p ** (2 * n)
         pres = mv.theta.presentation
@@ -311,10 +310,6 @@ class ChiEvaluator:
         table = np.full(pm * pm, -1, dtype=np.int64)
         table[zs[:, 0] * pm + zs[:, 1]] = ks @ steps % L
         return cls(mv, L, table, inverse_table(pm, p))
-
-    def support_mask(self, mats: np.ndarray) -> np.ndarray:
-        from .cosets import kt_membership_mask
-        return kt_membership_mask(mats, self.mv.torus)
 
     def exponents(self, mats: np.ndarray) -> np.ndarray:
         """chi as an exponent in Z/L.  Only valid on support rows."""

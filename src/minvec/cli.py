@@ -19,7 +19,7 @@ from .characters import MinimalVectorSpec, character_table_rows, enumerate_theta
 from .errors import ConfigError, MinvecError
 from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                scan_supnorm)
-from .matgroups import TorusSpec
+from .matgroups import TorusSpec, a_mat
 from .minimal import convolution_check, whittaker_closed
 from .que import conductor_pair, distinguished, que_period, watson_Ip
 from .residues import LocalElement, factorize
@@ -160,7 +160,6 @@ def cmd_whittaker(args, cfg) -> int:
     out = Path(_resolve(cfg, args, "out", "report.json"))
     samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
     mv = _build_mv(p, n, idx)
-    from .matgroups import a_mat
     M = mv.torus.precision + 2 * n
     rows = []
     for u in range(1, p**n):

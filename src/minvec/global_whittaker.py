@@ -60,50 +60,61 @@ class ArchParams:
 
 
 def log_kappa(y: float, arch: ArchParams) -> float:
-    """log of the archimedean Whittaker kernel at y > 0 (holomorphic case);
-    for the Maass case, log |kappa|."""
+    """log |kappa(y) / c_inf| at one y > 0: the scalar route of the normalized
+    kernel, in math only.
+
+    Holomorphic: (k/2) log y - 2 pi y - log c_inf, which neither overflows nor
+    underflows at any weight.  Maass: (1/2) log y + log |K_{it}(2 pi y)| -
+    log c_inf, or -inf where the Bessel value is 0.  log c_inf comes first, so
+    its NumericalError precedes any Bessel quadrature.
+    """
     if y <= 0:
         raise ValueError("y must be positive")
+    lc = log_c_infty(arch)
     if arch.case == "holomorphic":
-        return 0.5 * arch.k * math.log(y) - 2.0 * math.pi * y
-    v = 0.5 * math.log(y)
+        return 0.5 * arch.k * math.log(y) - 2.0 * math.pi * y - lc
     b = bessel_K_imag(arch.t, 2.0 * math.pi * y)
     if b == 0.0:
         return -math.inf
-    return v + math.log(abs(b))
+    return 0.5 * math.log(y) + math.log(abs(b)) - lc
 
 
-def kappa(y, arch: ArchParams):
-    """The kernel itself: y^{k/2} e^{-2 pi y} (holomorphic) or sqrt(y) K_{it}(2 pi y)
-    (Maass), at y > 0.
+def kappa(y: np.ndarray, arch: ArchParams) -> np.ndarray:
+    """The L2-normalized kernel kappa(y) / c_inf at an array of y > 0: the
+    array route, cross-checked against exp(log_kappa) in the tests.
 
-    In the holomorphic case y may also be an array: the array route evaluates
-    the same log-space formula elementwise.
+    Holomorphic: exp((k/2) log y - 2 pi y - log c_inf), one log-space
+    expression, finite at every weight.  Maass: sqrt(y) K_{it}(2 pi y) / c_inf,
+    one Bessel quadrature per y; c_inf comes first, so its NumericalError
+    precedes any quadrature.
     """
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0):
+        raise ValueError("y must be positive")
     if arch.case == "holomorphic":
-        if np.ndim(y):
-            y = np.asarray(y, dtype=float)
-            if not np.all(y > 0):
-                raise ValueError("y must be positive")
-            return np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y)
-        return math.exp(log_kappa(y, arch))
-    if np.ndim(y):
-        raise ValueError("the Maass kernel takes one y at a time")
-    return math.sqrt(y) * bessel_K_imag(arch.t, 2.0 * math.pi * y)
+        return np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y - log_c_infty(arch))
+    c = c_infty(arch)
+    bessel = np.array([bessel_K_imag(arch.t, 2.0 * math.pi * v) for v in y.tolist()])
+    return np.sqrt(y) * bessel / c
 
 
 def c_infty(arch: ArchParams) -> float:
     """L2 normalization of the kernel: (integral of kappa^2 dy/y)^{1/2}, both
     cases in closed form.
 
-    Holomorphic: the exp of log_c_infty's formula.
+    Holomorphic: the exp of log_c_infty's formula; raises NumericalError where
+    it overflows (k >= 522).
     Maass: the two-sided sqrt(pi / (4 cosh pi t)), from int_0^inf K_{it}(x)^2 dx
     = pi^2 / (4 cosh pi t) (Gradshteyn-Ryzhik 6.576.4), evaluated in log space
     so that cosh cannot overflow.  Raises NumericalError once the value
     underflows the normal floats (|t| above about 450).
     """
     if arch.case == "holomorphic":
-        return math.exp(log_c_infty(arch))
+        try:
+            return math.exp(log_c_infty(arch))
+        except OverflowError:
+            raise NumericalError(f"archimedean normalization at k = {arch.k} overflows "
+                                 f"double precision (log c_inf = {log_c_infty(arch):.1f})") from None
     a = math.pi * abs(arch.t)
     c = math.exp(0.5 * (math.log(math.pi / 2) - a - math.log1p(math.exp(-2 * a))))
     if not c >= sys.float_info.min:
@@ -126,13 +137,11 @@ def log_c_infty(arch: ArchParams) -> float:
 
 
 def kernel_peak_ratio(arch: ArchParams) -> float:
-    """sup_y kappa(y) / c_infty, the computational shadow of h(pi_inf)."""
+    """sup_y |kappa(y) / c_inf|, the computational shadow of h(pi_inf)."""
     if arch.case == "holomorphic":
-        ypk = arch.k / (4 * math.pi)
-        return math.exp(log_kappa(ypk, arch) - log_c_infty(arch))
+        return math.exp(log_kappa(arch.k / (4 * math.pi), arch))
     ys = np.exp(np.linspace(math.log(1e-3), math.log(_bessel_support_bound(arch.t) + 1), 400))
-    best = max(abs(kappa(float(y), arch)) for y in ys)
-    return best / c_infty(arch)
+    return float(np.max(np.abs(kappa(ys, arch))))
 
 
 # -- Hecke-like coefficient sources ------------------------------------------
@@ -376,17 +385,17 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
 _MAX_CUTOFF = 10**7
 
 
-def _cutoff(N: int, arch: ArchParams, y: float, lc: float, eps: float = 0.1) -> int:
+def _cutoff(N: int, arch: ArchParams, y: float, eps: float = 0.1) -> int:
     """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y),
-    extended until the first omitted term is below e^{-30} of the kernel
-    normalization lc = log c_inf (the decay is exponential past the kernel
-    peak, but the asymptotic constant matters at desk-scale weights).
+    extended until the first omitted term of the normalized kernel is below
+    e^{-30} (the decay is exponential past the kernel peak, but the asymptotic
+    constant matters at desk-scale weights).
     Raises NumericalError rather than pass _MAX_CUTOFF terms."""
     T = arch.T
     R = max(8, math.ceil(N ** (2 + eps) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
 
     def log_term(m: int) -> float:
-        return log_kappa(m * y / N**2, arch) - lc - 0.5 * math.log(m)
+        return log_kappa(m * y / N**2, arch) - 0.5 * math.log(m)
 
     while True:
         if R > _MAX_CUTOFF:
@@ -407,19 +416,24 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
     The lambda(m) come from coeffs.values_upto, so a file source must cover
     every m in 1..R (1..2R with check_stability), as scan_supnorm requires.
+    Raises NumericalError where the sum cancels into rounding noise: |phi|
+    below eps sqrt(#terms) sum |c_m| (strictly, so an all-zero sum gives 0).
     """
     if y <= 0:
         raise ConfigError("y must be positive")
-    lc = log_c_infty(arch)
-    R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y, lc)
+    R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y)
     cutoffs = (R, 2 * R) if check_stability else (R,)
     lam_all = coeffs.values_upto(cutoffs[-1])
     vals = []
     for Rc in cutoffs:
         ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
-        c = _row_coefficients(ms, y, ram, arch, lam_all, lc)
+        c = _row_coefficients(ms, y, ram, arch, lam_all)
         vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
     val = vals[-1]
+    floor = float(np.abs(c).sum()) * np.finfo(float).eps * math.sqrt(len(c))
+    if abs(val) < floor:
+        raise NumericalError(f"cancellation: |phi| = {abs(val):.1e} is below the rounding "
+                             f"floor {floor:.1e} of its {len(c)} terms")
     scale = max(abs(vals[0]), abs(val), 1e-300)
     if abs(val - vals[0]) / scale > 1e-8:
         raise NumericalError(f"tail instability: doubling the cutoff {R} moved the value "
@@ -437,24 +451,18 @@ def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndar
 
 
 def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
-                      lam_all: np.ndarray, lc: float) -> np.ndarray:
+                      lam_all: np.ndarray) -> np.ndarray:
     """The Fourier coefficients of phi on the row y, one per m in ms:
 
     PREF |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
 
-    with lambda read from the sieve lam_all (indexed by |m|) and lc = log c_inf.
-    The holomorphic kernel takes the whole row in one array call; the Maass
-    kernel runs one Bessel quadrature per term.
+    with lambda read from the sieve lam_all (indexed by |m|) and the
+    normalized kernel from one array call.
     """
-    N2 = ram.N**2
     am = np.abs(ms)
     lam = lam_all[am]
-    lamp = lambda_prime_fast(ms, ram)
-    if arch.case == "holomorphic":
-        kap = kappa(am * y / N2, arch)
-    else:
-        kap = np.array([kappa(a * y / N2, arch) for a in am])
-    return PREF * lam * lamp * kap * math.exp(-lc) / np.sqrt(am)
+    kap = kappa(am * y / ram.N**2, arch)
+    return PREF * lam * lambda_prime_fast(ms, ram) * kap / np.sqrt(am)
 
 
 @dataclass
@@ -512,11 +520,10 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     y_max = max(2.0, N2 * arch.T)
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
-    lc = log_c_infty(arch)
     holo = arch.case == "holomorphic"
     base_X = X_STEPS_PER_PERIOD * max(N2, 1)
 
-    R_global = _cutoff(N, arch, Y_MIN, lc)
+    R_global = _cutoff(N, arch, Y_MIN)
     lam_all = coeffs.values_upto(R_global)
 
     sup, argmax = -1.0, (0.0, ys[0])
@@ -524,11 +531,11 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     rows = []
     terms = fft_points = 0
     for yv in ys:
-        R = _cutoff(N, arch, float(yv), lc)
+        R = _cutoff(N, arch, float(yv))
         ms = _signed_progression(ram, R, holo)
         if len(ms) == 0:
             continue
-        c = _row_coefficients(ms, yv, ram, arch, lam_all, lc)
+        c = _row_coefficients(ms, yv, ram, arch, lam_all)
         # row witness: best single Fourier coefficient magnitude
         mags = np.abs(c)
         j = int(np.argmax(mags))

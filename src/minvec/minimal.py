@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
-from .cosets import gl2_order, kt_support, mat_keys, random_kt_elements
+from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys,
+                     random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
-from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
+from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat, torus_extract
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
@@ -84,7 +85,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         g1 = random_kt_elements(spec, pairs, rng)
         g2 = random_kt_elements(spec, pairs, rng)
         prod = np.einsum("sij,sjk->sik", g1, g2) % pm
-        in_supp = ev.support_mask(prod)
+        in_supp = kt_membership_mask(prod, spec)
         closure_bad = int((~in_supp).sum())
         want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
         got = ev.exponents(prod)
@@ -124,7 +125,6 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
         return WhittakerValue(False, 0.0, None)
     if (ys.residue(n) - mv.support_unit()) % p**n != 0:
         return WhittakerValue(False, 0.0, None)
-    from .matgroups import torus_extract
     z = torus_extract(t, spec)
     phase = psi(x) * mv.theta.value((z.a.residue(2 * n), z.b.residue(2 * n)))
     return WhittakerValue(True, mag, phase)
@@ -191,7 +191,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     mats[:, 0, 0], mats[:, 0, 1] = A[keep] // pE, B[keep] // pE
     mats[:, 1, 0], mats[:, 1, 1] = c0 // pE, d0 // pE
     ev = ChiEvaluator.build(mv)
-    in_kt = ev.support_mask(mats)
+    in_kt = kt_membership_mask(mats, spec)
     keep, mats = keep[in_kt], mats[in_kt]
     if not len(keep):
         return 0j

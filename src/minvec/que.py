@@ -31,7 +31,6 @@ class QueReport:
     vol_KT: Fraction
     H: complex
     normalized: complex      # q^{2n} * H
-    distinguished: bool | None = None
 
     def as_dict(self):
         return {
@@ -39,7 +38,6 @@ class QueReport:
             "vol_KT": [self.vol_KT.numerator, self.vol_KT.denominator],
             "H": [self.H.real, self.H.imag],
             "normalized": [self.normalized.real, self.normalized.imag],
-            "distinguished": self.distinguished,
         }
 
 

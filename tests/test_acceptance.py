@@ -126,13 +126,13 @@ def test_criterion_3_matrix_coefficient_algebra(mv31, mv51, pair_scans):
     for idx in (0, 17, 123):
         h = supp[idx]
         q = np.einsum("sij,jk->sik", inv, h) % pm
-        mask = ev.support_mask(q)
+        mask = kt_membership_mask(q, mv31.torus)
         ok = ok and bool(mask.all())
         total_exp = (exps + ev.exponents(q)) % ev.L
         ok = ok and bool((total_exp == exps[idx]).all())   # exact, term by term
     for h in (np.array([[1, 1], [0, 1]]), np.array([[2, 0], [0, 1]])):
         q = np.einsum("sij,jk->sik", inv, h % pm) % pm
-        mask = ev.support_mask(q)
+        mask = kt_membership_mask(q, mv31.torus)
         roots = np.exp(2j * np.pi * ev.exponents(q[mask]) / ev.L)
         s = np.sum(np.exp(2j * np.pi * exps[mask] / ev.L) * roots)
         ok = ok and abs(s) < 1e-9 * len(supp)

@@ -58,13 +58,15 @@ def test_positive_x_required():
 
 
 def test_nonconvergence_raises_within_node_cap(tmp_path):
-    # K_{10i} cancels below the quadrature's reach near x ~ 1; the node cap
-    # must turn that into NoSolution (CLI exit 1), not an unbounded allocation
+    # K_{25i} cancels below the quadrature's reach in a scan row (the first
+    # failure, K_{25i}(21.77), stops at a relative change of 1e-9, about
+    # 1000 rel_tol); the node cap must turn that into NoSolution (CLI exit 1),
+    # not an unbounded allocation
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-m", "minvec.cli", "scan-supnorm", "--N", "1", "--t", "10"],
+    proc = subprocess.run([sys.executable, "-m", "minvec.cli", "scan-supnorm", "--N", "1", "--t", "25"],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           preexec_fn=cap_address_space, timeout=300)
     assert proc.returncode == 1, proc.stderr

@@ -9,7 +9,7 @@ from minvec.characters import (AbelianPresentation, ChiEvaluator,
                                enumerate_theta, quad_unit_mul,
                                quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
-from minvec.cosets import kt_support, random_kt_elements
+from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, torus_embed
 from minvec.residues import UnitRoot
@@ -121,7 +121,7 @@ def test_fast_evaluator_matches_slow(p, n):
     ev = ChiEvaluator.build(mv)
     rng = np.random.default_rng(7)
     mats = random_kt_elements(spec, 80, rng)
-    assert ev.support_mask(mats).all()
+    assert kt_membership_mask(mats, spec).all()
     exps = ev.exponents(mats)
     for i in range(80):
         g = Mat2Local.from_rationals(p, [int(v) for v in mats[i].ravel()], spec.precision)
@@ -141,4 +141,4 @@ def test_support_is_group_closed():
     det_inv = ev.inv[(a * d - b * c) % pm]
     inv_mats = np.stack([d * det_inv % pm, (-b) * det_inv % pm,
                          (-c) * det_inv % pm, a * det_inv % pm], axis=-1).reshape(-1, 2, 2)
-    assert ev.support_mask(inv_mats).all()
+    assert kt_membership_mask(inv_mats, spec).all()

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NumericalError
-from minvec.global_whittaker import (X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
+from minvec.global_whittaker import (PREF, X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
                                      CoefficientSource, RamifiedData, _cutoff,
                                      _ramanujan_bound, _row_coefficients,
                                      _signed_progression, build_D, c_infty,
@@ -57,38 +58,46 @@ def test_arch_params_validation():
 def test_kappa_holomorphic_peak_and_decay():
     arch = ArchParams("holomorphic", k=12)
     ypk = 12 / (4 * math.pi)
-    assert kappa(ypk, arch) > 0
-    ys = np.linspace(ypk, 10 * ypk, 50)
-    vals = [kappa(float(y), arch) for y in ys]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))  # monotone past the peak
+    vals = kappa(np.linspace(ypk, 10 * ypk, 50), arch)
+    assert vals[0] > 0
+    assert np.all(vals[:-1] >= vals[1:])  # monotone past the peak
 
 
-@pytest.mark.parametrize("k", [2, 12, 40, 120])
-def test_kappa_array_route_matches_scalar(k):
-    arch = ArchParams("holomorphic", k=k)
+@pytest.mark.parametrize("arch", [ArchParams("holomorphic", k=k) for k in (2, 12, 40, 120, 600)]
+                         + [ArchParams("maass", t=1.0)],
+                         ids=lambda a: str(a.k) if a.case == "holomorphic" else f"maass-{a.t:g}")
+def test_kappa_array_route_matches_scalar(arch):
     ys = np.logspace(-3, 3, 241)
-    scalar = np.array([kappa(float(y), arch) for y in ys])
-    np.testing.assert_allclose(kappa(ys, arch), scalar, rtol=1e-13, atol=0)
+    scalar = np.array([math.exp(log_kappa(float(y), arch)) for y in ys])
+    # log_kappa is log |kappa|: the Maass kernel changes sign as y -> 0
+    np.testing.assert_allclose(np.abs(kappa(ys, arch)), scalar, rtol=1e-13, atol=0)
 
 
 def test_kappa_array_route_rejects_nonpositive_y():
-    with pytest.raises(ValueError):
-        kappa(np.array([1.0, 0.0]), ArchParams("holomorphic", k=12))
-    with pytest.raises(ValueError):
-        kappa(np.array([1.0, 2.0]), ArchParams("maass", t=1.0))
+    for arch in (ArchParams("holomorphic", k=12), ArchParams("maass", t=1.0)):
+        with pytest.raises(ValueError):
+            kappa(np.array([1.0, 0.0]), arch)
 
 
 def test_kappa_maass_specialization():
-    from minvec.bessel import bessel_K_imag
     arch = ArchParams("maass", t=0.0)
     y = 0.7
-    assert kappa(y, arch) == pytest.approx(math.sqrt(y) * bessel_K_imag(0.0, 2 * math.pi * y))
+    assert kappa(np.array([y]), arch)[0] == pytest.approx(
+        math.sqrt(y) * bessel_K_imag(0.0, 2 * math.pi * y) / c_infty(arch))
 
 
 def test_c_infty_holomorphic_exact():
     assert math.log(c_infty(ArchParams("holomorphic", k=12))) == pytest.approx(
         0.5 * math.lgamma(12) - 6 * math.log(4 * math.pi))
     assert c_infty(ArchParams("holomorphic", k=2)) > 0
+
+
+def test_c_infty_holomorphic_overflow_is_numerical_error():
+    assert c_infty(ArchParams("holomorphic", k=520)) < math.inf
+    for k in (540, 600, 2000):
+        with pytest.raises(NumericalError, match=f"k = {k} overflows"):
+            c_infty(ArchParams("holomorphic", k=k))
+        assert math.isfinite(log_c_infty(ArchParams("holomorphic", k=k)))
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 5.0, 10.0, 20.0])
@@ -118,7 +127,7 @@ def test_c_infty_maass_underflow_raises_without_bessel(monkeypatch):
 
 
 def test_kernel_peak_tracks_h_value():
-    for k in (12, 20, 40):
+    for k in (12, 20, 40, 600, 2000):
         arch = ArchParams("holomorphic", k=k)
         ratio = kernel_peak_ratio(arch) / arch.h_value
         assert 0.3 < ratio < 3.0
@@ -303,6 +312,16 @@ def test_cutoff_past_the_cap_raises():
                      ArchParams("holomorphic", k=12))
 
 
+def test_evaluate_phi_cancellation_below_rounding_floor(rams):
+    # at k = 120 the 629 terms, sum |c_m| = 13.8, cancel to 1e-14 at this
+    # point: rounding noise, below the floor eps sqrt(#terms) sum |c_m| =
+    # 7.7e-14; at k = 40 the same point gives 2.9e-7, far above its floor
+    ram, src = rams[21], CoefficientSource.all_ones()
+    with pytest.raises(NumericalError, match="rounding floor"):
+        evaluate_phi(1.9, 0.9, ram, src, ArchParams("holomorphic", k=120))
+    assert abs(evaluate_phi(1.9, 0.9, ram, src, ArchParams("holomorphic", k=40))) > 1e-8
+
+
 def test_evaluate_phi_maass_runs():
     v = evaluate_phi(0.1, 1.3, RamifiedData.unramified(),
                      CoefficientSource.all_ones(delta=7 / 64),
@@ -362,10 +381,9 @@ def _full_length_row(ram, arch, y, lam_all):
     length-X array, X = X_STEPS_PER_PERIOD N^2 2^i > 2R + 1, and one inverse
     FFT of length X.  Returns (row sup, x of its first maximum, terms, X)."""
     N2 = ram.N**2
-    lc = log_c_infty(arch)
-    R = _cutoff(ram.N, arch, y, lc)
+    R = _cutoff(ram.N, arch, y)
     ms = _signed_progression(ram, R, arch.case == "holomorphic")
-    c = _row_coefficients(ms, y, ram, arch, lam_all, lc)
+    c = _row_coefficients(ms, y, ram, arch, lam_all)
     X = X_STEPS_PER_PERIOD * N2
     while X <= 2 * R + 1:
         X *= 2
@@ -388,7 +406,7 @@ def test_scan_rows_match_full_length_transform(rams, N, kind):
     ram = rams[N]
     arch = ArchParams("holomorphic", k=40)
     rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=64, keep_rows=True)
-    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, Y_MIN, log_c_infty(arch)))
+    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, Y_MIN))
     ref_sup, ref_argmax = -1.0, None
     terms = fft_points = 0
     for y, row_sup, _ in rep.rows:
@@ -417,6 +435,28 @@ def test_scan_row_sup_bounds_row_witness(rams, N, k, kind):
     assert rep.rows
     assert all(row_sup >= row_witness for _, row_sup, row_witness in rep.rows)
     assert rep.sup >= rep.witness > 0
+
+
+@pytest.mark.parametrize("N", [1, 15])
+def test_scan_at_large_weight(rams, N):
+    # at k = 600 kappa overflows and c_inf^{-1} underflows as separate factors;
+    # the normalized kernel keeps every term finite
+    mpmath = pytest.importorskip("mpmath")
+    ram, src, k = rams[N], CoefficientSource.all_ones(), 600
+    arch = ArchParams("holomorphic", k=k)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        rep = scan_supnorm(ram, src, arch, rows_per_decade=64, keep_rows=True)
+    assert rep.sup >= rep.witness > 0 and math.isfinite(rep.ratio)
+    assert abs(evaluate_phi(*rep.argmax, ram, src, arch)) == pytest.approx(rep.sup, rel=1e-6)
+    # the witness term PREF |lambda'| kappa(m y / N^2) / (c_inf sqrt m), in mpmath
+    y_row = next(y for y, _, w in rep.rows if w == rep.witness)
+    m = rep.witness_m
+    with mpmath.workdps(40):
+        u = mpmath.mpf(m) * mpmath.mpf(y_row) / N**2
+        log_c = mpmath.loggamma(k) / 2 - k * mpmath.log(4 * mpmath.pi) / 2
+        ref = (mpmath.mpf(PREF) * mpmath.mpf(ram.amplitude) / mpmath.sqrt(m)
+               * mpmath.exp(k * mpmath.log(u) / 2 - 2 * mpmath.pi * u - log_c))
+    assert rep.witness == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_scan_progression_support_instrumented(mv31):

@@ -1,4 +1,5 @@
-"""Every name a module imports is used somewhere in that module."""
+"""Every name a module imports is used somewhere in that module, and every
+import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,12 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    nested = sorted(node.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+    assert not nested, f"{path.name}: imports below module level at lines {nested}"
