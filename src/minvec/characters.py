@@ -24,11 +24,19 @@ STRUCTURE_BOUND = 10**5
 @dataclass
 class AbelianPresentation:
     """Invariant-factor presentation of a finite abelian group with a full
-    discrete-log table (element -> exponent tuple)."""
+    discrete-log table (element -> exponent tuple), also held as two integer
+    arrays in the table's order: the elements and their exponent rows."""
 
     generators: list
     orders: list[int]
     dlog: dict
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
+    logs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.elements = np.array(list(self.dlog), dtype=np.int64)
+        self.logs = np.array(list(self.dlog.values()), dtype=np.int64).reshape(
+            len(self.dlog), len(self.orders))
 
     @property
     def order(self) -> int:
@@ -303,12 +311,11 @@ class ChiEvaluator:
         pres = mv.theta.presentation
         L = math.lcm(pres.exponent, p**n)
         # theta(z) = e(sum_i w_i k_i / d_i) for dlog(z) = (k_i): one integer product
-        zs = np.array(list(pres.dlog), dtype=np.int64).reshape(-1, 2)
-        ks = np.array(list(pres.dlog.values()), dtype=np.int64).reshape(len(zs), len(pres.orders))
+        zs = pres.elements
         steps = np.array([w * (L // d) for w, d in zip(mv.theta.weights, pres.orders)],
                          dtype=np.int64)
         table = np.full(pm * pm, -1, dtype=np.int64)
-        table[zs[:, 0] * pm + zs[:, 1]] = ks @ steps % L
+        table[zs[:, 0] * pm + zs[:, 1]] = pres.logs @ steps % L
         return cls(mv, L, table, inverse_table(pm, p))
 
     def exponents(self, mats: np.ndarray) -> np.ndarray:

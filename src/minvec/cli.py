@@ -20,7 +20,7 @@ from .errors import ConfigError, MinvecError
 from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                scan_supnorm)
 from .matgroups import TorusSpec, a_mat
-from .minimal import convolution_check, whittaker_closed
+from .minimal import convolution_check, exhaustive_fits, whittaker_closed
 from .que import conductor_pair, distinguished, que_period, watson_Ip
 from .residues import LocalElement, factorize
 
@@ -85,9 +85,8 @@ def _parse_pn_list(text: str) -> list[tuple[int, int]]:
 
 
 def _pair_mode(p: int, n: int) -> str:
-    """The pair-scan mode: exhaustive while p^(8n), about the order of
-    GL2(Z/p^(2n)), is at most 10^7; random sampling beyond."""
-    return "exhaustive" if p ** (8 * n) <= 10**7 else "random"
+    """The pair-scan mode: exhaustive where it fits, random sampling beyond."""
+    return "exhaustive" if exhaustive_fits(p, n) else "random"
 
 
 def _build_mv(p: int, n: int, theta_index: int) -> MinimalVectorSpec:

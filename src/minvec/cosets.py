@@ -23,6 +23,34 @@ def mat_keys(mats: np.ndarray, pm: int) -> np.ndarray:
     return ((f[:, 0] * pm + f[:, 1]) * pm + f[:, 2]) * pm + f[:, 3]
 
 
+def mul_mod(x, y, pm: int):
+    """The entries (a, b, c, d) of the 2x2 products x @ y mod pm, written out.
+
+    x and y are entry tuples (a, b, c, d) of integer arrays or ints that
+    broadcast against each other; the arrays' dtype must hold 2 pm^2.
+    """
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return ((a1 * a2 + b1 * c2) % pm, (a1 * b2 + b1 * d2) % pm,
+            (c1 * a2 + d1 * c2) % pm, (c1 * b2 + d1 * d2) % pm)
+
+
+def product_keys(left: np.ndarray, right: np.ndarray, pm: int) -> np.ndarray:
+    """mat_keys of every product left[i] @ right[j] mod pm, as a
+    (len(left), len(right)) array in the dtype of left, which must hold pm^4.
+
+    Column k of l @ r is l times column k of r, and a column mod pm is one of
+    pm^2 pairs (x, y).  So l @ (x, y) is written out once for every (x, y), as
+    the key digits of a first column; a pair's key is the digits of its first
+    column times pm plus those of its second.
+    """
+    x, y = np.divmod(np.arange(pm * pm, dtype=left.dtype), pm)
+    top, _, bottom, _ = mul_mod(left.reshape(-1, 4).T[:, :, None], (x, 0, y, 0), pm)
+    digits = top * pm**2 + bottom
+    r = right.reshape(-1, 4)
+    return digits[:, r[:, 0] * pm + r[:, 2]] * pm + digits[:, r[:, 1] * pm + r[:, 3]]
+
+
 def inverse_table(pm: int, p: int) -> np.ndarray:
     """inv[u] = u^-1 mod pm for units u; 0 elsewhere."""
     inv = np.zeros(pm, dtype=np.int64)
@@ -30,6 +58,16 @@ def inverse_table(pm: int, p: int) -> np.ndarray:
         if u % p != 0:
             inv[u] = pow(u, -1, pm)
     return inv
+
+
+def _torus_entries(tx, ty, alpha: int, pm: int):
+    """Entries of the torus elements [[x, y], [-alpha y, x]] mod pm."""
+    return tx, ty, (-alpha * ty) % pm, tx
+
+
+def _block_entries(aa, bb, pn: int, pm: int):
+    """Entries of the depth-n block elements [[1 + p^n a, p^n b], [0, 1]] mod pm."""
+    return (1 + pn * aa) % pm, (pn * bb) % pm, 0, 1
 
 
 def kt_support(spec: TorusSpec) -> np.ndarray:
@@ -42,20 +80,16 @@ def kt_support(spec: TorusSpec) -> np.ndarray:
     n_torus = pm * pm - (pm // p) ** 2
     if n_torus * pn * pn > 2 * ENUMERATION_BOUND:
         raise SizeGuard(f"support for (p, n) = ({p}, {n}) exceeds the configured bound")
-    xs, ys = np.meshgrid(np.arange(pm), np.arange(pm), indexing="ij")
+    xs, ys = np.meshgrid(np.arange(pm, dtype=np.int64), np.arange(pm, dtype=np.int64),
+                         indexing="ij")
     unit = (xs % p != 0) | (ys % p != 0)
-    tx, ty = xs[unit].astype(np.int64), ys[unit].astype(np.int64)
-    t_mats = np.stack([tx, ty, (-alpha * ty) % pm, tx], axis=-1).reshape(-1, 2, 2)
-
-    aa, bb = np.meshgrid(np.arange(pn), np.arange(pn), indexing="ij")
-    aa, bb = aa.ravel().astype(np.int64), bb.ravel().astype(np.int64)
-    b_mats = np.stack([(1 + pn * aa) % pm, (pn * bb) % pm,
-                       np.zeros_like(aa), np.ones_like(aa)], axis=-1).reshape(-1, 2, 2)
-
-    # products t * b over the full grid
-    prod = np.einsum("sij,tjk->stik", t_mats, b_mats) % pm
-    S = len(t_mats) * len(b_mats)
-    mats = prod.reshape(S, 2, 2)
+    aa, bb = np.meshgrid(np.arange(pn, dtype=np.int64), np.arange(pn, dtype=np.int64),
+                         indexing="ij")
+    # products t * b over the full grid: torus units down, block elements across
+    torus = _torus_entries(xs[unit][:, None], ys[unit][:, None], alpha, pm)
+    block = _block_entries(aa.ravel()[None, :], bb.ravel()[None, :], pn, pm)
+    mats = np.stack(mul_mod(torus, block, pm), axis=-1).reshape(-1, 2, 2)
+    S = len(mats)
     keys = mat_keys(mats, pm)
     assert len(np.unique(keys)) == S, "torus x block product failed to be injective"
     return mats
@@ -86,7 +120,5 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
         filled += take
     aa = rng.integers(0, pn, size=size, dtype=np.int64)
     bb = rng.integers(0, pn, size=size, dtype=np.int64)
-    t_mats = np.stack([tx, ty, (-alpha * ty) % pm, tx], axis=-1).reshape(-1, 2, 2)
-    b_mats = np.stack([(1 + pn * aa) % pm, (pn * bb) % pm,
-                       np.zeros_like(aa), np.ones_like(aa)], axis=-1).reshape(-1, 2, 2)
-    return np.einsum("sij,sjk->sik", t_mats, b_mats) % pm
+    prod = mul_mod(_torus_entries(tx, ty, alpha, pm), _block_entries(aa, bb, pn, pm), pm)
+    return np.stack(prod, axis=-1).reshape(-1, 2, 2)

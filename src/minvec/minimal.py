@@ -12,11 +12,15 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
-from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys,
-                     random_kt_elements)
+from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys, mul_mod,
+                     product_keys, random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
 from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat, torus_extract
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
+
+
+# bytes of one (block, S) temporary in the exhaustive pair scan
+PAIR_BLOCK_BYTES = 1 << 21
 
 
 def matrix_coefficient(mv: MinimalVectorSpec, g: Mat2Local) -> complex:
@@ -50,49 +54,66 @@ class ConvolutionReport:
         return self.closure_violations == 0 and self.multiplicativity_violations == 0
 
 
+def exhaustive_fits(p: int, n: int) -> bool:
+    """Whether the exhaustive pair scan fits: it keys matrices mod p^(2n) by
+    their base-p^(2n) digits, p^(8n) keys (about the order of GL2(Z/p^(2n)))."""
+    return p ** (8 * n) <= ENUMERATION_BOUND
+
+
 def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
-                      pairs: int = 10**5, seed: int = 0,
-                      chunk: int = 256) -> ConvolutionReport:
+                      pairs: int = 10**5, seed: int = 0) -> ConvolutionReport:
     """Verify the idempotent law (Phi_0 * Phi_0)(h) = delta * Phi_0(h):
     the support is closed under products and chi-exponents add, which makes
     every term of the convolution sum equal, so the law holds with the exact
     density delta = [support : maximal compact].
+
+    The exhaustive mode checks every ordered pair of the support, one block of
+    left factors at a time (PAIR_BLOCK_BYTES per temporary); it raises
+    SizeGuard unless exhaustive_fits(p, n).  The random mode checks `pairs`
+    uniform pairs drawn from `seed`.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
     pm = p ** (2 * n)
+    if mode not in ("exhaustive", "random"):
+        raise ValueError("mode must be 'exhaustive' or 'random'")
+    if mode == "exhaustive" and not exhaustive_fits(p, n):
+        raise SizeGuard(f"exhaustive pair scan for (p, n) = ({p}, {n}) needs p^{8 * n} keys, "
+                        "beyond the enumeration bound")
     ev = ChiEvaluator.build(mv)
     delta = coefficient_density(mv)
-    closure_bad = 0
-    mult_bad = 0
     if mode == "exhaustive":
         supp = kt_support(spec)
         exps = ev.exponents(supp)
-        key_to_exp = np.full(pm**4, -1, dtype=np.int64)
+        # exhaustive_fits makes p^(8n) <= ENUMERATION_BOUND < 2^31, so int32
+        # holds every key; L divides the order of the unit group mod p^(2n),
+        # below p^(4n) < 2^12, so int16 holds every sum of two exponents
+        key_to_exp = np.full(pm**4, -1, dtype=np.int16)
         key_to_exp[mat_keys(supp, pm)] = exps
+        supp, exps = supp.astype(np.int32), exps.astype(np.int16)
         S = len(supp)
-        checked = 0
-        for lo in range(0, S, chunk):
-            left = supp[lo:lo + chunk]
-            prod = np.einsum("aij,bjk->abik", left, supp) % pm
-            pk = key_to_exp[mat_keys(prod, pm)].reshape(len(left), S)
-            closure_bad += int((pk < 0).sum())
-            want = (exps[lo:lo + chunk, None] + exps[None, :]) % ev.L
-            mult_bad += int(((pk != want) & (pk >= 0)).sum())
-            checked += len(left) * S
-    elif mode == "random":
+        block = max(1, PAIR_BLOCK_BYTES // (S * supp.itemsize))
+        closure_bad = mismatched = 0
+        for lo in range(0, S, block):
+            got = key_to_exp[product_keys(supp[lo:lo + block], supp, pm)]
+            want = (exps[lo:lo + block, None] + exps[None, :]) % ev.L
+            closure_bad += int(np.count_nonzero(got < 0))
+            mismatched += int(np.count_nonzero(got != want))
+        # a product outside the support (-1) never equals an exponent in Z/L
+        mult_bad = mismatched - closure_bad
+        checked = S * S
+    else:
         rng = np.random.default_rng(seed)
         g1 = random_kt_elements(spec, pairs, rng)
         g2 = random_kt_elements(spec, pairs, rng)
-        prod = np.einsum("sij,sjk->sik", g1, g2) % pm
+        prod = np.stack(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm),
+                        axis=-1).reshape(-1, 2, 2)
         in_supp = kt_membership_mask(prod, spec)
         closure_bad = int((~in_supp).sum())
         want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
         got = ev.exponents(prod)
         mult_bad = int((got[in_supp] != want[in_supp]).sum())
         checked = pairs
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'random'")
     # |chi| = 1 on the support, so the L2 mass equals the support volume
     return ConvolutionReport(delta, checked, closure_bad, mult_bad, delta)
 

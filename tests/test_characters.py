@@ -9,7 +9,9 @@ from minvec.characters import (AbelianPresentation, ChiEvaluator,
                                enumerate_theta, quad_unit_mul,
                                quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
-from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
+from minvec import minimal
+from minvec.cosets import (kt_membership_mask, kt_support, mat_keys, mul_mod, product_keys,
+                           random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, torus_embed
 from minvec.residues import UnitRoot
@@ -142,3 +144,76 @@ def test_support_is_group_closed():
     inv_mats = np.stack([d * det_inv % pm, (-b) * det_inv % pm,
                          (-c) * det_inv % pm, a * det_inv % pm], axis=-1).reshape(-1, 2, 2)
     assert kt_membership_mask(inv_mats, spec).all()
+
+
+# -- the einsum products the entrywise kernels replaced, kept as references ----
+
+def _einsum_factors(spec, tx, ty, aa, bb):
+    """The torus factors [[x, y], [-alpha y, x]] and the block factors
+    [[1 + p^n a, p^n b], [0, 1]] mod p^(2n), as (., 2, 2) arrays."""
+    pm, pn = spec.p ** (2 * spec.n), spec.p**spec.n
+    t = np.stack([tx, ty, (-spec.alpha * ty) % pm, tx], axis=-1).reshape(-1, 2, 2)
+    b = np.stack([(1 + pn * aa) % pm, (pn * bb) % pm,
+                  np.zeros_like(aa), np.ones_like(aa)], axis=-1).reshape(-1, 2, 2)
+    return t, b
+
+
+def _einsum_support(spec):
+    p, pm, pn = spec.p, spec.p ** (2 * spec.n), spec.p**spec.n
+    xs, ys = np.meshgrid(np.arange(pm), np.arange(pm), indexing="ij")
+    unit = (xs % p != 0) | (ys % p != 0)
+    aa, bb = np.meshgrid(np.arange(pn), np.arange(pn), indexing="ij")
+    t, b = _einsum_factors(spec, xs[unit].astype(np.int64), ys[unit].astype(np.int64),
+                           aa.ravel().astype(np.int64), bb.ravel().astype(np.int64))
+    return (np.einsum("sij,tjk->stik", t, b) % pm).reshape(-1, 2, 2)
+
+
+def _einsum_draws(spec, size, rng):
+    """random_kt_elements' draws, multiplied out by einsum."""
+    p, pm, pn = spec.p, spec.p ** (2 * spec.n), spec.p**spec.n
+    tx, ty = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        cx = rng.integers(0, pm, size=2 * (size - filled) + 8, dtype=np.int64)
+        cy = rng.integers(0, pm, size=len(cx), dtype=np.int64)
+        good = (cx % p != 0) | (cy % p != 0)
+        take = min(int(good.sum()), size - filled)
+        tx[filled:filled + take] = cx[good][:take]
+        ty[filled:filled + take] = cy[good][:take]
+        filled += take
+    aa = rng.integers(0, pn, size=size, dtype=np.int64)
+    bb = rng.integers(0, pn, size=size, dtype=np.int64)
+    t, b = _einsum_factors(spec, tx, ty, aa, bb)
+    return np.einsum("sij,sjk->sik", t, b) % pm
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_kt_support_matches_einsum_reference(p, n):
+    spec = TorusSpec(p, n)
+    got, want = kt_support(spec), _einsum_support(spec)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_random_draws_and_pair_products_match_einsum_reference(p, n):
+    spec = TorusSpec(p, n)
+    pm = p ** (2 * n)
+    for seed in (0, 1, 2):
+        got = random_kt_elements(spec, 1000, np.random.default_rng(seed))
+        want = _einsum_draws(spec, 1000, np.random.default_rng(seed))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        prod = np.stack(mul_mod(got.reshape(-1, 4).T, got[::-1].reshape(-1, 4).T, pm),
+                        axis=-1).reshape(-1, 2, 2)
+        assert np.array_equal(prod, np.einsum("sij,sjk->sik", want, want[::-1]) % pm)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1)])
+def test_block_keys_match_einsum_reference(p, n):
+    pm = p ** (2 * n)
+    supp = kt_support(TorusSpec(p, n))
+    block = minimal.PAIR_BLOCK_BYTES // (len(supp) * 4)
+    left = supp[len(supp) // 2:][:block]
+    want = mat_keys(np.einsum("aij,bjk->abik", left, supp) % pm, pm).reshape(len(left), -1)
+    got = product_keys(left.astype(np.int32), supp.astype(np.int32), pm)
+    assert np.array_equal(got, want)

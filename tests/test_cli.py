@@ -150,3 +150,9 @@ def test_seed_accepted_by_verify_and_matrix_coeff(tmp_path):
     assert run(["matrix-coeff", "--p", "3", "--n", "1", "--seed", "5",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 5
+
+
+def test_pair_mode_follows_the_exhaustive_bound():
+    modes = {pn: cli._pair_mode(*pn) for pn in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)]}
+    assert modes == {(3, 1): "exhaustive", (5, 1): "exhaustive", (7, 1): "exhaustive",
+                     (3, 2): "random", (11, 1): "random"}

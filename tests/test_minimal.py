@@ -8,7 +8,8 @@ import pytest
 
 from minvec import minimal
 from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
-from minvec.errors import NumericalError, PrecisionError
+from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
+from minvec.errors import NumericalError, PrecisionError, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat, torus_embed
 from minvec.minimal import (convolution_check, coefficient_density,
                             matrix_coefficient, support_profile,
@@ -62,11 +63,61 @@ def test_convolution_exhaustive_31(mv31):
     assert rep.pairs_checked == 648 * 648
 
 
-def test_convolution_random_32():
-    spec = TorusSpec(3, 2)
-    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
-    rep = convolution_check(mv, "random", pairs=2000, seed=3)
+def test_convolution_random_32(mv32):
+    rep = convolution_check(mv32, "random", pairs=2000, seed=3)
     assert rep.ok and rep.pairs_checked == 2000
+
+
+def test_exhaustive_scan_beyond_the_bound_raises_at_once(mv32, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("the size guard must raise before any table is built")
+    monkeypatch.setattr(minimal, "kt_support", no_tables)
+    monkeypatch.setattr(ChiEvaluator, "build", classmethod(no_tables))
+    with pytest.raises(SizeGuard):
+        convolution_check(mv32, "exhaustive")
+
+
+# -- the scans can fail: a wrong character or a draw outside the support -------
+
+def _shift_chi_at(monkeypatch, target):
+    """Make ChiEvaluator.exponents off by one at the matrix `target` (mod p^(2n))."""
+    exponents = ChiEvaluator.exponents
+
+    def shifted(self, mats):
+        out = exponents(self, mats).copy()
+        pm = self.mv.p ** (2 * self.mv.n)
+        hit = (mats.reshape(-1, 4) % pm == target.reshape(4) % pm).all(axis=1)
+        out[hit] = (out[hit] + 1) % self.L
+        return out
+    monkeypatch.setattr(ChiEvaluator, "exponents", shifted)
+
+
+def test_exhaustive_scan_reports_a_wrong_exponent(mv31, monkeypatch):
+    _shift_chi_at(monkeypatch, kt_support(mv31.torus)[5])
+    rep = convolution_check(mv31, "exhaustive")
+    assert rep.multiplicativity_violations > 0 and rep.closure_violations == 0
+    assert rep.pairs_checked == 648 * 648
+
+
+def test_random_scan_reports_a_wrong_exponent(mv32, monkeypatch):
+    first_draw = random_kt_elements(mv32.torus, 2000, np.random.default_rng(3))[0]
+    _shift_chi_at(monkeypatch, first_draw)
+    rep = convolution_check(mv32, "random", pairs=2000, seed=3)
+    assert rep.multiplicativity_violations > 0 and rep.closure_violations == 0
+
+
+def test_random_scan_reports_a_planted_non_member(mv32, monkeypatch):
+    outside = np.array([[1, 1], [0, 1]])     # c + alpha b = alpha, a unit
+    assert not kt_membership_mask(outside[None], mv32.torus).any()
+    draws = minimal.random_kt_elements
+
+    def planted(spec, size, rng):
+        mats = draws(spec, size, rng)
+        mats[0] = outside
+        return mats
+    monkeypatch.setattr(minimal, "random_kt_elements", planted)
+    rep = convolution_check(mv32, "random", pairs=2000, seed=3)
+    assert rep.closure_violations > 0 and not rep.ok
 
 
 def test_whittaker_closed_on_diagonal(mv31):

@@ -1,9 +1,7 @@
 """Flip invariance of the additive character's sign: with residues.PSI_SIGN
 negated at run time, every phase in the library is conjugated and the
 invariant suites still pass.  They run in a subprocess, so the flip cannot
-leak into this one.  Criteria 1 and 3 of the acceptance suite are left out:
-they share the exhaustive pair-scan fixture (about 100 s), and the pair
-kernels they check are covered by test_characters and test_minimal.
+leak into this one.
 """
 
 import os
@@ -15,8 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SUITES = ["tests/test_residues.py", "tests/test_characters.py", "tests/test_minimal.py",
           "tests/test_global.py", "tests/test_que.py", "tests/test_acceptance.py"]
-SKIPPED = ["tests/test_acceptance.py::test_criterion_1_character_multiplicativity",
-           "tests/test_acceptance.py::test_criterion_3_matrix_coefficient_algebra"]
 
 FLIPPED_PYTEST = """
 import sys
@@ -38,8 +34,6 @@ def test_invariant_suites_pass_with_psi_sign_flipped():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     args = ["-q", "-p", "no:cacheprovider", *SUITES]
-    for node in SKIPPED:
-        args += ["--deselect", node]
     proc = subprocess.run([sys.executable, "-c", FLIPPED_PYTEST, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
