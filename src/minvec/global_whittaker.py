@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import bessel_K_imag
+from .bessel import bessel_K_imag, bessel_K_imag_row
 from .characters import MinimalVectorSpec, chi_value
 from .errors import ConfigError, NumericalError
 from .matgroups import Mat2Local, a_mat, decompose_B1T, torus_extract
@@ -85,8 +85,9 @@ def kappa(y: np.ndarray, arch: ArchParams) -> np.ndarray:
 
     Holomorphic: exp((k/2) log y - 2 pi y - log c_inf), one log-space
     expression, finite at every weight.  Maass: sqrt(y) K_{it}(2 pi y) / c_inf,
-    one Bessel quadrature per y; c_inf comes first, so its NumericalError
-    precedes any quadrature.
+    with the whole array in one bessel_K_imag_row call (each value equal to
+    bessel_K_imag's); c_inf comes first, so its NumericalError precedes any
+    quadrature.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0):
@@ -94,8 +95,7 @@ def kappa(y: np.ndarray, arch: ArchParams) -> np.ndarray:
     if arch.case == "holomorphic":
         return np.exp(0.5 * arch.k * np.log(y) - 2.0 * math.pi * y - log_c_infty(arch))
     c = c_infty(arch)
-    bessel = np.array([bessel_K_imag(arch.t, 2.0 * math.pi * v) for v in y.tolist()])
-    return np.sqrt(y) * bessel / c
+    return np.sqrt(y) * bessel_K_imag_row(arch.t, 2.0 * math.pi * y) / c
 
 
 def c_infty(arch: ArchParams) -> float:

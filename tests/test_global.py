@@ -1,14 +1,16 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
-from minvec.errors import ConfigError, NumericalError
+from minvec.errors import ConfigError, NoSolution, NumericalError
 from minvec.global_whittaker import (PREF, X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
-                                     CoefficientSource, RamifiedData, _cutoff,
+                                     CoefficientSource, RamifiedData,
+                                     _bessel_support_bound, _cutoff,
                                      _ramanujan_bound, _row_coefficients,
                                      _signed_progression, build_D, c_infty,
                                      evaluate_phi, gamma_TD, kappa,
@@ -16,6 +18,7 @@ from minvec.global_whittaker import (PREF, X_STEPS_PER_PERIOD, Y_MIN, ArchParams
                                      lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
 from minvec.matgroups import Mat2Local, TorusSpec
+from test_bessel import reference_row
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,31 @@ def test_c_infty_maass_underflow_raises_without_bessel(monkeypatch):
         with pytest.raises(NumericalError):
             log_c_infty(ArchParams("maass", t=t))
     assert c_infty(ArchParams("maass", t=400.0)) > 0
+
+
+@pytest.mark.parametrize("t", [2.0, 5.0, 10.0])
+def test_maass_kappa_is_one_row_call(monkeypatch, t):
+    # the Maass kernel takes its whole array through bessel_K_imag_row, never
+    # one scalar quadrature per y, and stays bit-identical to that loop
+    arch = ArchParams("maass", t=t)
+    ys = np.exp(np.linspace(math.log(Y_MIN), math.log(12.0), 50))
+    ys_peak = np.exp(np.linspace(math.log(1e-3), math.log(_bessel_support_bound(t) + 1), 400))
+
+    def no_scalar(*args):
+        raise AssertionError("kappa called the scalar Bessel quadrature")
+    monkeypatch.setattr("minvec.global_whittaker.bessel_K_imag", no_scalar)
+    monkeypatch.setattr("minvec.bessel.bessel_K_imag", no_scalar)
+    expected = np.sqrt(ys) * reference_row(t, 2.0 * math.pi * ys) / c_infty(arch)
+    assert np.array_equal(kappa(ys, arch), expected)
+    try:
+        peak = float(np.max(np.abs(np.sqrt(ys_peak) * reference_row(t, 2.0 * math.pi * ys_peak)
+                                   / c_infty(arch))))
+    except NoSolution as err:
+        # K_{10i}(2 pi 10^-3) is below the quadrature's reach
+        with pytest.raises(NoSolution, match=re.escape(str(err))):
+            kernel_peak_ratio(arch)
+    else:
+        assert kernel_peak_ratio(arch) == peak
 
 
 def test_kernel_peak_tracks_h_value():
