@@ -198,21 +198,29 @@ class CoefficientSource:
         if self.kind == "all-ones":
             return 1.0
         if p not in self.prime_values:
-            # theta ~ (2/pi) sin^2 measure via inverse-CDF bisection on a
-            # per-prime deterministic stream
-            rng = np.random.default_rng(self.seed * 1_000_003 + p)
-            u = rng.uniform()
-            lo, hi = 0.0, math.pi
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                # CDF of the (2/pi) sin^2(theta) density on [0, pi]
-                cdf = (mid - 0.5 * math.sin(2 * mid)) / math.pi
-                if cdf < u:
-                    lo = mid
-                else:
-                    hi = mid
-            self.prime_values[p] = 2.0 * math.cos(0.5 * (lo + hi))
+            self._draw([p])
         return self.prime_values[p]
+
+    def _draw(self, primes: list[int]) -> None:
+        """Draw the Sato-Tate lambda(p) = 2 cos theta_p of every p in primes
+        into prime_values.
+
+        theta ~ (2/pi) sin^2 by inverse-CDF bisection: each u comes from the
+        prime's own deterministic stream, and one 60-step bisection of [0, pi]
+        runs over the whole u array.  The expressions are those of a one-prime
+        math loop, elementwise, so every value equals that loop's bit for bit
+        (the loop is the reference in the tests).
+        """
+        u = np.array([np.random.default_rng(self.seed * 1_000_003 + p).uniform()
+                      for p in primes])
+        lo, hi = np.zeros(len(u)), np.full(len(u), math.pi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            # CDF of the (2/pi) sin^2(theta) density on [0, pi]
+            below = (mid - 0.5 * np.sin(2 * mid)) / math.pi < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        self.prime_values.update(zip(primes, (2.0 * np.cos(0.5 * (lo + hi))).tolist()))
 
     def _lambda_ppow(self, p: int, e: int) -> float:
         lam = self._lambda_p(p)
@@ -244,7 +252,9 @@ class CoefficientSource:
         The primes p <= limit are walked in descending order, and lambda(p^e)
         multiplies the multiples of p^e that p^(e+1) does not divide.  So
         lambda(m) for m = p1^e1 ... pk^ek (p1 < ... < pk) is the float product
-        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).
+        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).  A Sato-Tate
+        source first draws every prime p <= limit not yet in prime_values in
+        one array pass (_draw).
         """
         if self.kind == "all-ones":
             return np.ones(limit + 1)
@@ -258,7 +268,9 @@ class CoefficientSource:
         for q in range(2, math.isqrt(limit) + 1):
             if is_prime[q]:
                 is_prime[q * q::q] = False
-        for p in np.flatnonzero(is_prime)[::-1].tolist():
+        primes = np.flatnonzero(is_prime).tolist()
+        self._draw([p for p in primes if p not in self.prime_values])
+        for p in primes[::-1]:
             # f[j] = lambda(p^e) for the multiple (j + 1) p, exactly divisible by p^e
             f = np.full(limit // p, self._lambda_ppow(p, 1))
             e, step = 2, p
@@ -427,7 +439,7 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     vals = []
     for Rc in cutoffs:
         ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
-        c = _row_coefficients(ms, y, ram, arch, lam_all)
+        c = _row_coefficients(ms, y, ram, arch, lam_all, *_progression_factors(ms, ram))
         vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
     val = vals[-1]
     floor = float(np.abs(c).sum()) * np.finfo(float).eps * math.sqrt(len(c))
@@ -450,19 +462,26 @@ def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndar
     return ms if b else ms[ms != 0]
 
 
+def _progression_factors(ms: np.ndarray, ram: RamifiedData) -> tuple[np.ndarray, np.ndarray]:
+    """The row-invariant factors of the coefficients on a progression ms:
+    lambda'(m) and sqrt|m|.  Both are elementwise in m, so the factors of a
+    contiguous slice of ms are the same slice of these arrays."""
+    return lambda_prime_fast(ms, ram), np.sqrt(np.abs(ms))
+
+
 def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
-                      lam_all: np.ndarray) -> np.ndarray:
+                      lam_all: np.ndarray, lp: np.ndarray, root: np.ndarray) -> np.ndarray:
     """The Fourier coefficients of phi on the row y, one per m in ms:
 
-    PREF |m|^{-1/2} kappa(|m| y / N^2) lambda(m) lambda'(m) / c_inf,
+    PREF lambda(m) lambda'(m) kappa(|m| y / N^2) / (c_inf |m|^{1/2}),
 
-    with lambda read from the sieve lam_all (indexed by |m|) and the
-    normalized kernel from one array call.
+    with lambda read from the sieve lam_all (indexed by |m|), lp and root
+    the _progression_factors of ms, and the normalized kernel from one array
+    call.  The sieve read comes first, so a row past the sieve raises
+    IndexError before anything else is evaluated.
     """
     am = np.abs(ms)
-    lam = lam_all[am]
-    kap = kappa(am * y / ram.N**2, arch)
-    return PREF * lam * lambda_prime_fast(ms, ram) * kap / np.sqrt(am)
+    return PREF * lam_all[am] * lp * kappa(am * y / ram.N**2, arch) / root
 
 
 @dataclass
@@ -523,8 +542,14 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     holo = arch.case == "holomorphic"
     base_X = X_STEPS_PER_PERIOD * max(N2, 1)
 
+    # lambda, lambda' and sqrt|m| once per scan, on the progression at the
+    # cutoff of the bottom row.  Each row's progression is a contiguous slice
+    # of it (a prefix if holomorphic), so a row takes slices of the factors.
+    # R_global >= N > b, so ms_global is never empty.
     R_global = _cutoff(N, arch, Y_MIN)
     lam_all = coeffs.values_upto(R_global)
+    ms_global = _signed_progression(ram, R_global, holo)
+    lp_global, root_global = _progression_factors(ms_global, ram)
 
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
@@ -535,7 +560,9 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
         ms = _signed_progression(ram, R, holo)
         if len(ms) == 0:
             continue
-        c = _row_coefficients(ms, yv, ram, arch, lam_all)
+        i = (ms[0] - ms_global[0]) // N
+        sl = slice(i, i + len(ms))
+        c = _row_coefficients(ms, yv, ram, arch, lam_all, lp_global[sl], root_global[sl])
         # row witness: best single Fourier coefficient magnitude
         mags = np.abs(c)
         j = int(np.argmax(mags))

@@ -9,12 +9,12 @@ from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NoSolution, NumericalError
 from minvec.global_whittaker import (PREF, X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
-                                     CoefficientSource, RamifiedData,
+                                     CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff,
-                                     _ramanujan_bound, _row_coefficients,
-                                     _signed_progression, build_D, c_infty,
-                                     evaluate_phi, gamma_TD, kappa,
-                                     kernel_peak_ratio, lambda_prime,
+                                     _progression_factors, _ramanujan_bound,
+                                     _row_coefficients, _signed_progression,
+                                     build_D, c_infty, evaluate_phi, gamma_TD,
+                                     kappa, kernel_peak_ratio, lambda_prime,
                                      lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
 from minvec.matgroups import Mat2Local, TorusSpec
@@ -34,7 +34,7 @@ def mv51():
 
 
 # the minimal vectors (theta index 0) behind each level N of the scan tests
-LEVEL_PRIMES = {1: [], 3: [(3, 1)], 15: [(3, 1), (5, 1)], 21: [(3, 1), (7, 1)]}
+LEVEL_PRIMES = {1: [], 3: [(3, 1)], 5: [(5, 1)], 15: [(3, 1), (5, 1)], 21: [(3, 1), (7, 1)]}
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +251,62 @@ def test_values_upto_matches_per_m_sieve(seed):
         assert np.array_equal(got, _per_m_sieve(CoefficientSource.sato_tate(seed=seed), limit))
 
 
+def reference_lambda_p(seed, p):
+    """The Sato-Tate lambda(p) by a one-prime bisection in math: the reference
+    for CoefficientSource's array draws, which must give the same bits."""
+    u = np.random.default_rng(seed * 1_000_003 + p).uniform()
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        cdf = (mid - 0.5 * math.sin(2 * mid)) / math.pi
+        if cdf < u:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * math.cos(0.5 * (lo + hi))
+
+
+def _primes_upto(limit):
+    return [p for p in range(2, limit + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _assert_draws_match_reference(src, primes):
+    assert sorted(src.prime_values) == primes
+    bad = [p for p in primes if src.prime_values[p] != reference_lambda_p(src.seed, p)]
+    assert not bad, f"{len(bad)} draws differ from the scalar bisection, first at p = {bad[0]}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sato_tate_draws_match_scalar_bisection(seed):
+    src = CoefficientSource.sato_tate(seed=seed)
+    src.values_upto(10**5)
+    _assert_draws_match_reference(src, _primes_upto(10**5))
+
+
+def test_sato_tate_draws_extend_a_partial_cache():
+    # value(m) draws one prime at a time; values_upto then draws only the rest
+    src = CoefficientSource.sato_tate(seed=1)
+    for m in (2 * 3 * 97, 499, 7**3):
+        src.value(m)
+    assert sorted(src.prime_values) == [2, 3, 7, 97, 499]
+    _assert_draws_match_reference(src, [2, 3, 7, 97, 499])
+    got = src.values_upto(500)
+    _assert_draws_match_reference(src, _primes_upto(500))
+    assert np.array_equal(got, CoefficientSource.sato_tate(seed=1).values_upto(500))
+
+
+def test_sato_tate_draws_at_the_smallest_limits():
+    src = CoefficientSource.sato_tate(seed=2)
+    assert np.array_equal(src.values_upto(1), np.ones(2)) and src.prime_values == {}
+    src.value(2)
+    for limit in (1, 2):
+        # no prime <= limit is left to draw
+        got = src.values_upto(limit)
+        assert np.array_equal(got, CoefficientSource.sato_tate(seed=2).values_upto(limit))
+        _assert_draws_match_reference(src, [2])
+    assert src.values_upto(2)[2] == reference_lambda_p(2, 2)
+
+
 def test_values_upto_matches_per_m_sieve_other_kinds(tmp_path):
     src = CoefficientSource.all_ones()
     assert np.array_equal(src.values_upto(500), _per_m_sieve(src, 500))
@@ -411,7 +467,7 @@ def _full_length_row(ram, arch, y, lam_all):
     N2 = ram.N**2
     R = _cutoff(ram.N, arch, y)
     ms = _signed_progression(ram, R, arch.case == "holomorphic")
-    c = _row_coefficients(ms, y, ram, arch, lam_all)
+    c = _row_coefficients(ms, y, ram, arch, lam_all, *_progression_factors(ms, ram))
     X = X_STEPS_PER_PERIOD * N2
     while X <= 2 * R + 1:
         X *= 2
@@ -451,6 +507,88 @@ def test_scan_rows_match_full_length_transform(rams, N, kind):
         # a tie within rounding: |phi| at the new argmax is the reference sup
         direct = abs(evaluate_phi(*rep.argmax, ram, _source(kind, 3), arch))
         assert direct == pytest.approx(ref_sup, rel=1e-12)
+
+
+def reference_scan(ram, coeffs, arch, rows_per_decade):
+    """scan_supnorm with keep_rows, assembling every row from scratch: lambda'
+    and sqrt|m| on the row's own progression, the coefficients as
+    PREF lambda lambda' kappa / sqrt|m| in that order.  The reference for the
+    per-scan factors, which must give the same bits."""
+    N = ram.N
+    N2 = N * N
+    y_max = max(2.0, N2 * arch.T)
+    n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
+    ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
+    holo = arch.case == "holomorphic"
+    base_X = X_STEPS_PER_PERIOD * max(N2, 1)
+    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN))
+    sup, argmax = -1.0, (0.0, ys[0])
+    witness, witness_m = -1.0, 0
+    rows = []
+    terms = fft_points = 0
+    for yv in ys:
+        R = _cutoff(N, arch, float(yv))
+        ms = _signed_progression(ram, R, holo)
+        if len(ms) == 0:
+            continue
+        am = np.abs(ms)
+        lam = lam_all[am]
+        kap = kappa(am * yv / N2, arch)
+        c = PREF * lam * lambda_prime_fast(ms, ram) * kap / np.sqrt(am)
+        mags = np.abs(c)
+        j = int(np.argmax(mags))
+        if mags[j] > witness:
+            witness, witness_m = float(mags[j]), int(ms[j])
+        X = base_X
+        while X <= 2 * R + 1:
+            X *= 2
+        L = X // N
+        F = np.zeros(L, dtype=complex)
+        F[(ms // N) % L] = c
+        av = np.abs(np.fft.ifft(F, norm="forward"))
+        jx = int(np.argmax(av))
+        row_sup = float(av[jx])
+        if row_sup > sup:
+            sup, argmax = row_sup, (jx * N2 / X, float(yv))
+        rows.append((float(yv), row_sup, float(mags[j])))
+        terms += len(ms)
+        fft_points += L
+    C = max(N, 1) ** 4
+    scale = C ** (1.0 / 8.0) * arch.h_value
+    return ScanReport(N, arch, sup, argmax, witness, witness_m, C, sup / scale,
+                      witness / scale, rows, terms=terms, fft_points=fft_points)
+
+
+SCAN_FIELDS = ("sup", "argmax", "witness", "witness_m", "rows", "terms", "fft_points")
+
+
+def _assert_scans_equal(ram, kind, arch):
+    got = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=64, keep_rows=True)
+    ref = reference_scan(ram, _source(kind, 3), arch, 64)
+    for name in SCAN_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("N", [1, 3, 5, 15, 21])
+@pytest.mark.parametrize("k", [12, 120])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+def test_holomorphic_scan_is_bit_identical_to_per_row_assembly(rams, N, k, kind):
+    _assert_scans_equal(rams[N], kind, ArchParams("holomorphic", k=k))
+
+
+@pytest.mark.parametrize("N, t", [(1, 2.0), (3, 2.0), (5, 5.0), (1, 10.0)])
+def test_maass_scan_is_bit_identical_to_per_row_assembly(rams, N, t):
+    _assert_scans_equal(rams[N], "sato-tate", ArchParams("maass", t=t))
+
+
+def test_maass_scan_past_the_sieve_raises_as_per_row_assembly(rams):
+    # a row at N = 3, t = 5 has a larger cutoff than the bottom row, and both
+    # routes fail at its sieve read with the same IndexError
+    arch = ArchParams("maass", t=5.0)
+    with pytest.raises(IndexError) as ref:
+        reference_scan(rams[3], _source("sato-tate", 3), arch, 64)
+    with pytest.raises(IndexError, match=re.escape(str(ref.value))):
+        scan_supnorm(rams[3], _source("sato-tate", 3), arch, rows_per_decade=64)
 
 
 @pytest.mark.parametrize("N", [1, 3, 15, 21])
