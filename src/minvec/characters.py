@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -269,6 +270,11 @@ class MinimalVectorSpec:
         Whittaker function: -a_theta * alpha."""
         p, n = self.p, self.n
         return (-self.a_theta * self.torus.alpha) % p**n
+
+    @cached_property
+    def chi_evaluator(self) -> "ChiEvaluator":
+        """The vectorized chi of this spec, built on first use and kept on the spec."""
+        return ChiEvaluator.build(self)
 
 
 def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:

@@ -5,8 +5,9 @@ and the upper-triangular/torus factorizations used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DiscriminantMismatch
 from .residues import LocalElement, QuadElement, is_square_mod_p
@@ -62,18 +63,15 @@ class Mat2Local:
     b: LocalElement
     c: LocalElement
     d: LocalElement
-    _det: LocalElement = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_det", self.a * self.d - self.b * self.c)
 
     @property
     def p(self) -> int:
         return self.a.p
 
-    @property
+    @cached_property
     def det(self) -> LocalElement:
-        return self._det
+        """ad - bc, computed on first read; not a field, so == and hash ignore it."""
+        return self.a * self.d - self.b * self.c
 
     @classmethod
     def from_rationals(cls, p: int, entries, M: int) -> "Mat2Local":
@@ -109,9 +107,6 @@ class Mat2Local:
 
     def agrees_with(self, o: "Mat2Local") -> bool:
         return all(x.agrees_with(y) for x, y in zip(self.entries(), o.entries()))
-
-    def residues(self, m: int) -> tuple[int, int, int, int]:
-        return tuple(e.residue(m) for e in self.entries())
 
     def transpose(self) -> "Mat2Local":
         return Mat2Local(self.a, self.c, self.b, self.d)
@@ -199,7 +194,7 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
     """
     a, b, c, d = g.entries()
     p = g.p
-    alpha = LocalElement.from_int(p, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
+    alpha = _alpha_for(g, spec)
     det = g.det
     if det.is_zero:
         raise ValueError("matrix is not invertible")
@@ -214,14 +209,32 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
         return u, m, t
     if side == "left":
         den = alpha * det
-        u2 = (c * c + d * d * alpha) / den
-        m2 = -((a * c + alpha * b * d) / den)
+        num, den2 = _left_terms(g, alpha)
+        u2 = den2 / den
+        m2 = -(num / den)
         bmat = Mat2Local(u2, m2, LocalElement.zero(p, u2.M), LocalElement.one(p, u2.M))
         t = bmat * g
         u = u2.inverse()
         m = -(m2 * u)
         return u, m, t
     raise ValueError("side must be 'left' or 'right'")
+
+
+def _alpha_for(g: Mat2Local, spec: TorusSpec) -> LocalElement:
+    return LocalElement.from_int(g.p, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
+
+
+def _left_terms(g: Mat2Local, alpha: LocalElement) -> tuple[LocalElement, LocalElement]:
+    """(ac + alpha bd, c^2 + alpha d^2): their quotient is m of the left factorization."""
+    a, b, c, d = g.entries()
+    return a * c + alpha * b * d, c * c + d * d * alpha
+
+
+def left_m_valuation(g: Mat2Local, spec: TorusSpec) -> float:
+    """v(m) of decompose_B1T(g, spec, side="left") for invertible g, math.inf
+    when m = 0, read off the two valuations of _left_terms without factoring g."""
+    num, den2 = _left_terms(g, _alpha_for(g, spec))
+    return _INF if num.is_zero else num.v - den2.v
 
 
 def reassemble_B1T(u: LocalElement, m: LocalElement, t: Mat2Local, side: str = "left") -> Mat2Local:

@@ -15,7 +15,8 @@ from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
 from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys, mul_mod,
                      product_keys, random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
-from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat, torus_extract
+from .matgroups import (Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat,
+                        torus_extract)
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
@@ -151,6 +152,14 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
     return WhittakerValue(True, mag, phase)
 
 
+def oracle_window(mv: MinimalVectorSpec, g: Mat2Local) -> int:
+    """The default window exponent `low` of whittaker_oracle: -v(m) when the
+    left factorization g = [[u, m], [0, 1]] t has v(m) < -n, and n otherwise
+    (m = 0 included).  Only v(m) is computed, not the factorization."""
+    vm = left_m_valuation(g, mv.torus)
+    return -vm if vm < -mv.n else mv.n
+
+
 def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
                      level: int | None = None, low: int | None = None) -> complex:
     """Independent route: the additive-twist transform of the matrix coefficient,
@@ -177,8 +186,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
         return 0j
     L = level if level is not None else n + 2
     if low is None:
-        _, m, _ = decompose_B1T(g, spec, side="left")
-        low = -int(m.v) if not m.is_zero and m.v < -n else n
+        low = oracle_window(mv, g)
     v_det = 2 * n + int(g.det.v)
     if v_det % 2:
         return 0j
@@ -211,7 +219,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     mats = np.empty((len(keep), 2, 2), dtype=np.int64)
     mats[:, 0, 0], mats[:, 0, 1] = A[keep] // pE, B[keep] // pE
     mats[:, 1, 0], mats[:, 1, 1] = c0 // pE, d0 // pE
-    ev = ChiEvaluator.build(mv)
+    ev = mv.chi_evaluator
     in_kt = kt_membership_mask(mats, spec)
     keep, mats = keep[in_kt], mats[in_kt]
     if not len(keep):

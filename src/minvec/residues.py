@@ -85,7 +85,9 @@ class LocalElement:
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, p: int, M: int) -> "LocalElement":
-        return cls(p, _INF, 0, M)
+        if M < 1:
+            raise ValueError("precision M must be >= 1")
+        return _trusted(p, _INF, 0, M)
 
     @classmethod
     def one(cls, p: int, M: int) -> "LocalElement":
@@ -164,15 +166,15 @@ class LocalElement:
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return LocalElement.zero(self.p, min(self.M, other.M))
         M = min(self.M, other.M)
-        return LocalElement(self.p, self.v + other.v, self.u * other.u % self.p**M, M)
+        if self.v == _INF or other.v == _INF:
+            return _trusted(self.p, _INF, 0, M)
+        return _trusted(self.p, self.v + other.v, self.u * other.u % self.p**M, M)
 
     def inverse(self) -> "LocalElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return LocalElement(self.p, -self.v, pow(self.u, -1, self.p**self.M), self.M)
+        return _trusted(self.p, -self.v, pow(self.u, -1, self.p**self.M), self.M)
 
     def __truediv__(self, other: "LocalElement") -> "LocalElement":
         return self * other.inverse()
@@ -180,14 +182,14 @@ class LocalElement:
     def __neg__(self) -> "LocalElement":
         if self.is_zero:
             return self
-        return LocalElement(self.p, self.v, -self.u % self.p**self.M, self.M)
+        return _trusted(self.p, self.v, -self.u % self.p**self.M, self.M)
 
     def __add__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
-        if self.is_zero:
-            return other if other.M <= self.M else LocalElement(other.p, other.v, other.u, self.M)
-        if other.is_zero:
-            return self if self.M <= other.M else LocalElement(self.p, self.v, self.u, other.M)
+        if self.v == _INF:
+            return other if other.M <= self.M else other._truncate(self.M)
+        if other.v == _INF:
+            return self if self.M <= other.M else self._truncate(other.M)
         a, b = (self, other) if self.v <= other.v else (other, self)
         d = b.v - a.v
         # digits of the sum are known mod p^(a.v + Mk)
@@ -195,14 +197,14 @@ class LocalElement:
         raw = (a.u + b.u * a.p**d) % a.p**Mk
         if raw == 0:
             # cancellation below tracked precision: indistinguishable from zero
-            return LocalElement.zero(a.p, max(1, Mk))
+            return _trusted(a.p, _INF, 0, Mk)
         k = 0
         while raw % a.p == 0:
             raw //= a.p
             k += 1
         if Mk - k < 1:
             raise PrecisionError("additive cancellation consumed all tracked digits")
-        return LocalElement(a.p, a.v + k, raw, Mk - k)
+        return _trusted(a.p, a.v + k, raw, Mk - k)
 
     def __sub__(self, other: "LocalElement") -> "LocalElement":
         return self + (-other)
@@ -211,7 +213,11 @@ class LocalElement:
         """Multiply by p^k (exact)."""
         if self.is_zero:
             return self
-        return LocalElement(self.p, self.v + k, self.u, self.M)
+        return _trusted(self.p, self.v + k, self.u, self.M)
+
+    def _truncate(self, M: int) -> "LocalElement":
+        """The same element known only mod p^(v+M), for 1 <= M <= self.M."""
+        return _trusted(self.p, self.v, self.u % self.p**M, M)
 
     def agrees_with(self, other: "LocalElement") -> bool:
         """Equality to the common tracked precision."""
@@ -223,6 +229,18 @@ class LocalElement:
         if self.is_zero:
             return f"Local({self.p}; 0)"
         return f"Local({self.p}; {self.p}^{self.v}*{self.u} mod {self.p}^{self.v + self.M})"
+
+
+_new = object.__new__
+
+
+def _trusted(p: int, v, u: int, M: int) -> LocalElement:
+    """A LocalElement built without __post_init__, for arithmetic whose result
+    already meets its invariants: M >= 1 and v an int with u a unit in
+    [0, p^M), or v = inf with u = 0."""
+    e = _new(LocalElement)
+    e.__dict__.update(p=p, v=v, u=u, M=M)
+    return e
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from minvec.errors import DiscriminantMismatch
 from minvec.matgroups import (Mat2Local, TorusSpec, a_mat, canonical_alpha,
                               canonicalize_torus, decompose_B1T, hensel_sqrt,
-                              n_mat, reassemble_B1T, subgroup_member,
+                              left_m_valuation, n_mat, reassemble_B1T, subgroup_member,
                               torus_conjugation_matrix, torus_embed,
                               torus_extract, w_alpha)
 from minvec.residues import LocalElement, QuadElement, is_square_mod_p
@@ -38,6 +39,19 @@ def test_w_alpha_squares_to_minus_alpha():
     assert sq.b.is_zero and sq.c.is_zero
 
 
+def test_det_is_cached_and_not_a_field():
+    g = Mat2Local.from_rationals(3, (2, Fraction(5, 3), 7, 1), 8)
+    h = Mat2Local(*g.entries())
+    det = g.det
+    assert det == g.a * g.d - g.b * g.c
+    assert g.det is det
+    assert [f.name for f in dataclasses.fields(Mat2Local)] == ["a", "b", "c", "d"]
+    # h has not read its det: ==, hash and repr must not depend on it
+    assert "det" not in vars(h)
+    assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    assert "det" not in repr(g)
+
+
 def test_det_matches_norm():
     spec = TorusSpec(3, 1)
     z = spec.quad(2, 7)
@@ -56,6 +70,8 @@ def test_decompose_roundtrip_random(side):
         u, m, t = decompose_B1T(g, spec, side)
         torus_extract(t, spec)  # t really lies in the torus
         assert reassemble_B1T(u, m, t, side).agrees_with(g)
+        if side == "left":
+            assert left_m_valuation(g, spec) == m.v
 
 
 def test_decompose_upper_triangular_right_identity():

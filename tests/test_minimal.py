@@ -12,7 +12,7 @@ from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
 from minvec.errors import NumericalError, PrecisionError, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat, torus_embed
 from minvec.minimal import (convolution_check, coefficient_density,
-                            matrix_coefficient, support_profile,
+                            matrix_coefficient, oracle_window, support_profile,
                             whittaker_closed, whittaker_oracle,
                             whittaker_support_scan)
 from minvec.residues import LocalElement, psi
@@ -265,6 +265,33 @@ def _criterion4_samples(mv, count, seed, windows=None, M=16):
         if windows is None or _default_window(mv, g) in windows:
             out.append(g)
     return out
+
+
+def test_oracle_window_matches_the_decomposition(mv31, mv51, mv32):
+    for mv, count, seed in ((mv31, 250, 131), (mv51, 150, 151), (mv32, 100, 132)):
+        windows = set()
+        for g in _criterion4_samples(mv, count, seed):
+            low = _default_window(mv, g)
+            assert oracle_window(mv, g) == low
+            windows.add(low)
+        assert len(windows) > 1, (mv.p, mv.n, windows)
+
+
+def test_oracle_window_is_n_when_m_vanishes(mv31, mv51, mv32):
+    # ac + alpha*bd = 0 on diagonal matrices and on the torus, so m = 0
+    M = 16
+    for mv in (mv31, mv51, mv32):
+        p, n, spec = mv.p, mv.n, mv.torus
+        gs = [Mat2Local.from_rationals(p, (Fraction(2, p**3), 0, 0, 1), M),
+              Mat2Local.from_rationals(p, (1, 0, 0, p), M),
+              a_mat(LocalElement(p, -2 * n, mv.support_unit(), M)),
+              torus_embed(spec.quad(1, 1, M), spec),
+              torus_embed(spec.quad(Fraction(1, p), 2, M), spec).scale_by_power(-1)]
+        for g in gs:
+            _, m, _ = decompose_B1T(g, spec, side="left")
+            assert m.is_zero
+            assert oracle_window(mv, g) == _default_window(mv, g) == n
+            assert whittaker_oracle(mv, g) == whittaker_oracle(mv, g, low=n)
 
 
 def _assert_matches_scalar(mv, g, level=None, low=None):

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minvec.errors import PrecisionError, SizeGuard
 from minvec.residues import (LocalElement, QuadElement, UnitRoot, _require_odd_prime,
@@ -128,3 +130,63 @@ def test_factorize_and_odd_prime_check_against_brute_force():
                 _require_odd_prime(p)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_public_constructors_validate():
+    with pytest.raises(ValueError):
+        LocalElement(3, 1, 6, 4)          # u not a unit
+    with pytest.raises(ValueError):
+        LocalElement(3, 1, 2, 0)          # M < 1
+    for build in (lambda: LocalElement.zero(3, 0), lambda: LocalElement.from_int(3, 0, 0),
+                  lambda: LocalElement.from_int(3, 5, 0),
+                  lambda: LocalElement.from_rational(3, Fraction(0), 0),
+                  lambda: LocalElement.from_rational(3, Fraction(5, 9), 0)):
+        with pytest.raises(ValueError):
+            build()
+
+
+@st.composite
+def _local_pairs(draw):
+    """Two elements over one p in {3, 5, 7} (v in [-6, 6] and M in [1, 8], or exact
+    zeros) and a shift k in [-6, 6]."""
+    p = draw(st.sampled_from([3, 5, 7]))
+
+    def element():
+        M = draw(st.integers(1, 8))
+        if draw(st.integers(0, 5)) == 0:
+            return LocalElement.zero(p, M)
+        u = draw(st.integers(0, p**M - 1)) * p + draw(st.integers(1, p - 1))
+        return LocalElement(p, draw(st.integers(-6, 6)), u, M)
+
+    return element(), element(), draw(st.integers(-6, 6))
+
+
+def _assert_canonical(x):
+    """What the validating constructor would build, with v an int or inf and a
+    canonical unit residue."""
+    assert LocalElement(x.p, x.v, x.u, x.M) == x
+    assert x.M >= 1
+    if x.is_zero:
+        assert x.v == math.inf and x.u == 0
+    else:
+        assert type(x.v) is int
+        assert 0 <= x.u < x.p**x.M and x.u % x.p != 0
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_local_pairs())
+def test_arithmetic_results_are_canonical(pair):
+    # only the shape of each result is checked; what cancellation should
+    # return is not asserted here
+    x, y, k = pair
+    results = [x * y, y * x, -x, -y, x.scale_by_power(k), y.scale_by_power(k)]
+    for op in (lambda: x + y, lambda: y + x, lambda: x - y, lambda: y - x):
+        try:
+            results.append(op())
+        except PrecisionError:
+            pass
+    for a, b in ((x, y), (y, x)):
+        if not b.is_zero:
+            results += [b.inverse(), a / b]
+    for r in results:
+        _assert_canonical(r)
