@@ -85,9 +85,9 @@ def kappa(y: np.ndarray, arch: ArchParams) -> np.ndarray:
 
     Holomorphic: exp((k/2) log y - 2 pi y - log c_inf), one log-space
     expression, finite at every weight.  Maass: sqrt(y) K_{it}(2 pi y) / c_inf,
-    with the whole array in one bessel_K_imag_row call (each value equal to
-    bessel_K_imag's); c_inf comes first, so its NumericalError precedes any
-    quadrature.
+    with the whole array in one bessel_K_imag_row call (each value
+    bessel_K_imag's up to rounding); c_inf comes first, so its NumericalError
+    precedes any quadrature.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0):
