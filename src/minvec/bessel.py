@@ -45,7 +45,15 @@ def _path(t: float, x: float) -> tuple[float, ...]:
     test, and the size of the prefactor where K decays like e^{-x}."""
     a = 0.0 if t == 0 else min(math.asin(min(t / x, 1.0)), math.pi / 2 - min(0.5, 2.0 / t))
     c, s = x * math.cos(a), x * math.sin(a)
-    U = math.acosh(_TAIL_EXPONENT / c + 1.0)
+    z = _TAIL_EXPONENT / c if c > 0 else math.inf
+    if z == math.inf:
+        # 45/c overflows: U = acosh(45/c + 1) = log(90/c), taken in log form,
+        # is past asinh of the largest double, so sinh overflows on the path
+        # before its tail decays
+        U = math.log(2 * _TAIL_EXPONENT) - math.log(x) - math.log(math.cos(a))
+        raise NoSolution(f"Bessel quadrature for K_i{t:g}({x:g}): the integrand decays only "
+                         f"past u = {U:.1f}, where sinh overflows")
+    U = math.acosh(z + 1.0)
     # a step that resolves the strip pi/2 - a above the path (2/t once t > 4)
     # and the width 1/sqrt(c) of the peak at u = 0; U is 0 once x is past
     # 1e17, where K underflows
@@ -120,7 +128,8 @@ def bessel_K_imag_row(t: float, xs, rel_tol: float = 1e-12) -> np.ndarray:
     """K_{it}(x) at an array of x > 0, each distinct x evaluated once.
 
     NoSolution names the first x (in the order given) that does not converge
-    within _MAX_NODES intervals, with its last relative change.
+    within _MAX_NODES intervals, with its last relative change, or that is
+    below the reach of the path (x cos a below about 2.5e-307).
     """
     xs = np.asarray(xs, dtype=float)
     if not ((xs > 0) & (xs < math.inf)).all():
@@ -137,7 +146,8 @@ def bessel_K_imag(t: float, x: float, rel_tol: float = 1e-12) -> float:
 
     The trapezoidal rule on the contour Im u = a, the step halved until two
     levels agree to rel_tol; NoSolution if they still differ at _MAX_NODES
-    intervals.  The one-x case of bessel_K_imag_row.
+    intervals, or if the path's tail lies past the double range of sinh
+    (x cos a below about 2.5e-307).  The one-x case of bessel_K_imag_row.
     """
     if not 0 < x < math.inf:
         raise ValueError("x must be positive and finite")

@@ -46,16 +46,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, args: argparse.Namespace, key: str, default=None):
-    """Flags win over config file entries; both win over the default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
 def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -84,6 +74,10 @@ def _parse_pn_list(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _parse_int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s != ""]
+
+
 def _pair_mode(p: int, n: int) -> str:
     """The pair-scan mode: exhaustive where it fits, random sampling beyond."""
     return "exhaustive" if exhaustive_fits(p, n) else "random"
@@ -98,13 +92,13 @@ def _build_mv(p: int, n: int, theta_index: int) -> MinimalVectorSpec:
 
 
 # -- subcommands --------------------------------------------------------------
+#
+# Each takes its option values (a namespace, see OPTIONS) and the report config.
 
-def cmd_verify(args, cfg) -> int:
-    pn_list = _parse_pn_list(_resolve(cfg, args, "pn", "3,1"))
-    out = Path(_resolve(cfg, args, "out", "report.json"))
-    seed = int(_resolve(cfg, args, "seed", 0))
+def cmd_verify(o, config) -> int:
+    """run the local verification suites"""
     results, ok = [], True
-    for p, n in pn_list:
+    for p, n in o.pn:
         spec = TorusSpec(p, n)
         entry = {"p": p, "n": n}
         try:
@@ -113,7 +107,7 @@ def cmd_verify(args, cfg) -> int:
             mv = MinimalVectorSpec.build(spec, thetas[0])
             entry["a_theta"] = mv.a_theta
             mode = _pair_mode(p, n)
-            rep = convolution_check(mv, mode=mode, seed=seed)
+            rep = convolution_check(mv, mode=mode, seed=o.seed)
             entry["convolution"] = {
                 "mode": mode, "pairs": rep.pairs_checked,
                 "closure_violations": rep.closure_violations,
@@ -127,38 +121,30 @@ def cmd_verify(args, cfg) -> int:
             entry["error"] = str(e)
         ok = ok and entry.get("ok", False)
         results.append(entry)
-    _write_report(out, "verify", {"pn": pn_list, "seed": seed}, {"results": results, "ok": ok})
-    print(f"verify: {'pass' if ok else 'FAIL'} -> {out}")
+    _write_report(o.out, "verify", config, {"results": results, "ok": ok})
+    print(f"verify: {'pass' if ok else 'FAIL'} -> {o.out}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_character_table(args, cfg) -> int:
-    p = int(_resolve(cfg, args, "p", 3))
-    n = int(_resolve(cfg, args, "n", 1))
-    idx = int(_resolve(cfg, args, "theta_index", 0))
-    out = Path(_resolve(cfg, args, "out", "report.json"))
-    samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
-    mv = _build_mv(p, n, idx)
+def cmd_character_table(o, config) -> int:
+    """theta table to CSV"""
+    mv = _build_mv(o.p, o.n, o.theta_index)
     rows = character_table_rows(mv)
-    with samples.open("w", newline="") as fh:
+    with o.samples.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "phase_numerator", "phase_denominator"])
         w.writerows(rows)
-    _write_report(out, "character-table",
-                  {"p": p, "n": n, "theta_index": idx},
+    _write_report(o.out, "character-table", config,
                   {"a_theta": mv.a_theta, "entries": len(rows),
-                   "samples_file": str(samples)})
-    print(f"character-table: {len(rows)} entries -> {samples}")
+                   "samples_file": str(o.samples)})
+    print(f"character-table: {len(rows)} entries -> {o.samples}")
     return EXIT_OK
 
 
-def cmd_whittaker(args, cfg) -> int:
-    p = int(_resolve(cfg, args, "p", 3))
-    n = int(_resolve(cfg, args, "n", 1))
-    idx = int(_resolve(cfg, args, "theta_index", 0))
-    out = Path(_resolve(cfg, args, "out", "report.json"))
-    samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
-    mv = _build_mv(p, n, idx)
+def cmd_whittaker(o, config) -> int:
+    """closed-form Whittaker support profile"""
+    p, n = o.p, o.n
+    mv = _build_mv(p, n, o.theta_index)
     M = mv.torus.precision + 2 * n
     rows = []
     for u in range(1, p**n):
@@ -168,100 +154,130 @@ def cmd_whittaker(args, cfg) -> int:
         w = whittaker_closed(mv, a_mat(y))
         rows.append([u, -2 * n, w.magnitude if w.in_support else 0.0,
                      str(w.phase.r) if w.in_support else ""])
-    with samples.open("w", newline="") as fh:
+    with o.samples.open("w", newline="") as fh:
         wcsv = csv.writer(fh)
         wcsv.writerow(["unit_class", "valuation", "magnitude", "phase"])
         wcsv.writerows(rows)
     support = [r[0] for r in rows if r[2] > 0]
-    _write_report(out, "whittaker", {"p": p, "n": n, "theta_index": idx},
+    _write_report(o.out, "whittaker", config,
                   {"support_unit": mv.support_unit(), "support_classes": support,
                    "magnitude_squared": (p - 1) * p ** (n - 1),
-                   "samples_file": str(samples)})
-    print(f"whittaker: support classes {support} -> {samples}")
+                   "samples_file": str(o.samples)})
+    print(f"whittaker: support classes {support} -> {o.samples}")
     return EXIT_OK if support == [mv.support_unit()] else EXIT_FAIL
 
 
-def cmd_matrix_coeff(args, cfg) -> int:
-    p = int(_resolve(cfg, args, "p", 3))
-    n = int(_resolve(cfg, args, "n", 1))
-    idx = int(_resolve(cfg, args, "theta_index", 0))
-    out = Path(_resolve(cfg, args, "out", "report.json"))
-    seed = int(_resolve(cfg, args, "seed", 0))
-    mv = _build_mv(p, n, idx)
-    mode = _pair_mode(p, n)
-    rep = convolution_check(mv, mode=mode, seed=seed)
+def cmd_matrix_coeff(o, config) -> int:
+    """idempotent matrix coefficient (convolution) report"""
+    mv = _build_mv(o.p, o.n, o.theta_index)
+    mode = _pair_mode(o.p, o.n)
+    rep = convolution_check(mv, mode=mode, seed=o.seed)
     body = {"mode": mode, "pairs": rep.pairs_checked,
             "density": str(rep.density),
             "norm_square": str(rep.norm_square),
             "closure_violations": rep.closure_violations,
             "multiplicativity_violations": rep.multiplicativity_violations,
             "ok": rep.ok}
-    _write_report(out, "matrix-coeff", {"p": p, "n": n, "theta_index": idx, "seed": seed}, body)
+    _write_report(o.out, "matrix-coeff", config, body)
     print(f"matrix-coeff: {'pass' if rep.ok else 'FAIL'} (delta = {rep.density})")
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
 def _coeff_source(text: str) -> CoefficientSource:
-    if text == "all-ones":
-        return CoefficientSource.all_ones()
-    if text.startswith("sato-tate"):
-        seed = int(text.split(":", 1)[1]) if ":" in text else 0
-        return CoefficientSource.sato_tate(seed)
-    if text.startswith("file:"):
-        return CoefficientSource.from_file(text.split(":", 1)[1])
+    kind, _, arg = text.partition(":")
+    try:
+        if text == "all-ones":
+            return CoefficientSource.all_ones()
+        if kind == "sato-tate":
+            return CoefficientSource.sato_tate(int(arg or 0))
+        if kind == "file":
+            return CoefficientSource.from_file(arg)
+    except (ValueError, OSError) as e:
+        raise ConfigError(f"coefficient source {text!r}: {e}") from e
     raise ConfigError(f"unknown coefficient source {text!r}")
 
 
-def cmd_scan_supnorm(args, cfg) -> int:
-    N = int(_resolve(cfg, args, "N", 1))
-    k = _resolve(cfg, args, "k")
-    t = _resolve(cfg, args, "t")
-    coeffs_spec = _resolve(cfg, args, "coeffs", "all-ones")
-    out = Path(_resolve(cfg, args, "out", "report.json"))
-    samples = Path(_resolve(cfg, args, "samples", "samples.csv"))
-    if k is not None:
-        arch = ArchParams("holomorphic", k=int(k))
-    elif t is not None:
-        arch = ArchParams("maass", t=float(t))
+def cmd_scan_supnorm(o, config) -> int:
+    """global sup-norm scan against C^(1/8) k^(1/4)"""
+    if o.k is not None:
+        arch = ArchParams("holomorphic", k=o.k)
+    elif o.t is not None:
+        arch = ArchParams("maass", t=o.t)
     else:
         raise ConfigError("need --k (holomorphic) or --t (maass)")
-    if N == 1:
+    if o.N == 1:
         ram = RamifiedData.unramified()
     else:
         mvs = []
-        for p, e in factorize(N):
+        for p, e in factorize(o.N):
             if p == 2:
                 raise ConfigError("N must be odd")
             mvs.append(_build_mv(p, e, 0))
         ram = RamifiedData.build(mvs)
-    coeffs = _coeff_source(coeffs_spec)
-    rep = scan_supnorm(ram, coeffs, arch, keep_rows=True)
-    with samples.open("w", newline="") as fh:
+    rep = scan_supnorm(ram, _coeff_source(o.coeffs), arch, keep_rows=True)
+    with o.samples.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["y", "row_sup", "row_witness"])
         w.writerows(rep.rows)
-    config = {"N": N, "k": k, "t": t, "coeffs": coeffs_spec}
-    _write_report(out, "scan-supnorm", config, {**rep.as_dict(), "samples_file": str(samples)})
+    _write_report(o.out, "scan-supnorm", config, {**rep.as_dict(), "samples_file": str(o.samples)})
     print(f"scan-supnorm: sup={rep.sup:.6g} ratio={rep.ratio:.4g} witness={rep.witness:.6g}")
     return EXIT_OK
 
 
-def cmd_que(args, cfg) -> int:
-    grid = _parse_pn_list(_resolve(cfg, args, "grid", "3,1;5,1;7,1"))
-    a3_list = [int(s) for s in str(_resolve(cfg, args, "a3", "0,1,2")).split(",") if s != ""]
-    out = Path(_resolve(cfg, args, "out", "report.json"))
+def cmd_que(o, config) -> int:
+    """QUE period normalization table"""
     rows = []
-    for p, n in grid:
+    for p, n in o.grid:
         rep = que_period(TorusSpec(p, n))
-        for a3 in a3_list:
+        for a3 in o.a3:
             rows.append({**rep.as_dict(),
                          "conductor_pair": conductor_pair(p, n),
                          "Ip_times_cond_sqrt": float(rep.normalized),
                          "a3": a3, "distinguished": distinguished(a3, n),
                          "watson_Ip": [watson_Ip(rep.H).real, watson_Ip(rep.H).imag]})
-    _write_report(out, "que", {"grid": grid, "a3": a3_list}, {"rows": rows})
-    print(f"que: {len(rows)} rows -> {out}")
+    _write_report(o.out, "que", config, {"rows": rows})
+    print(f"que: {len(rows)} rows -> {o.out}")
     return EXIT_OK
+
+
+# -- options ------------------------------------------------------------------
+#
+# Every option of every subcommand, declared once as (name, converter,
+# default).  The name is the config-file key and, with '_' written '-', the
+# flag.  The converter turns whichever value wins (the flag, else the config
+# file, else the default) into what the subcommand reads; a default of None
+# stays None.  The report's config is every option but the output paths.
+
+_OUT = ("out", Path, "report.json")
+_SAMPLES = ("samples", Path, "samples.csv")
+_OUTPUT_PATHS = ("out", "samples")
+_LOCAL = [("p", int, 3), ("n", int, 1), ("theta_index", int, 0)]
+
+OPTIONS = {
+    "verify": [("pn", _parse_pn_list, "3,1"), ("seed", int, 0), _OUT],
+    "character-table": [*_LOCAL, _OUT, _SAMPLES],
+    "whittaker": [*_LOCAL, _OUT, _SAMPLES],
+    "matrix-coeff": [*_LOCAL, ("seed", int, 0), _OUT],
+    "scan-supnorm": [("N", int, 1), ("k", int, None), ("t", float, None),
+                     ("coeffs", str, "all-ones"), _OUT, _SAMPLES],
+    "que": [("grid", _parse_pn_list, "3,1;5,1;7,1"), ("a3", _parse_int_list, "0,1,2"), _OUT],
+}
+
+
+def _options(args: argparse.Namespace, cfg: dict) -> dict:
+    """The subcommand's option values in OPTIONS order: flags win over config
+    file entries, both over the default.  A value its converter rejects is a
+    ConfigError naming the option."""
+    values = {}
+    for name, convert, default in OPTIONS[args.command]:
+        raw = getattr(args, name)
+        if raw is None:
+            raw = cfg.get(name, default)
+        try:
+            values[name] = None if raw is None else convert(raw)
+        except ValueError as e:
+            raise ConfigError(f"option {name} = {raw!r}: {e}") from e
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,34 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="local minimal-vector laboratory")
     ap.add_argument("--config", help="key=value configuration file")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("verify", help="run the local verification suites")
-    sp.add_argument("--pn", help="semicolon-separated p,n pairs, e.g. '3,1;5,1'")
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
-
-    for name in ("character-table", "whittaker", "matrix-coeff"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--theta-index", type=int)
-        sp.add_argument("--samples")
-        sp.add_argument("--out")
-        if name == "matrix-coeff":
-            sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("scan-supnorm")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--coeffs")
-    sp.add_argument("--samples")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("que")
-    sp.add_argument("--grid")
-    sp.add_argument("--a3")
-    sp.add_argument("--out")
+    for command, options in OPTIONS.items():
+        sp = sub.add_parser(command, help=_DISPATCH[command].__doc__)
+        for name, _, default in options:
+            sp.add_argument("--" + name.replace("_", "-"), help=f"default: {default}")
     return ap
 
 
@@ -314,8 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _DISPATCH[args.command](args, cfg)
+        values = _options(args, _load_config(args.config))
+        config = {k: v for k, v in values.items() if k not in _OUTPUT_PATHS}
+        return _DISPATCH[args.command](argparse.Namespace(**values), config)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -315,9 +315,7 @@ class RamifiedData:
             raise ConfigError("one minimal vector per prime")
         if cosets is None:
             cosets = [Mat2Local.identity(mv.p, mv.torus.precision + 2) for mv in mvs]
-        N = 1
-        for mv in mvs:
-            N *= mv.p**mv.n
+        N = _level(mvs)
         factors = []
         residues = []
         moduli = []
@@ -342,6 +340,11 @@ class RamifiedData:
     @classmethod
     def unramified(cls) -> "RamifiedData":
         return cls(1, 0, 1.0, [])
+
+
+def _level(mvs: list[MinimalVectorSpec]) -> int:
+    """N = prod p^{n_p} over the local minimal vectors."""
+    return math.prod(mv.p**mv.n for mv in mvs)
 
 
 def _crt(residues, moduli):
@@ -395,16 +398,17 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
 # -- evaluation and the sup-norm scan ----------------------------------------
 
 _MAX_CUTOFF = 10**7
+_CUTOFF_EPS = 0.1
 
 
-def _cutoff(N: int, arch: ArchParams, y: float, eps: float = 0.1) -> int:
-    """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y),
-    extended until the first omitted term of the normalized kernel is below
-    e^{-30} (the decay is exponential past the kernel peak, but the asymptotic
-    constant matters at desk-scale weights).
+def _cutoff(N: int, arch: ArchParams, y: float) -> int:
+    """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y) with
+    eps = _CUTOFF_EPS, extended until the first omitted term of the normalized
+    kernel is below e^{-30} (the decay is exponential past the kernel peak, but
+    the asymptotic constant matters at desk-scale weights).
     Raises NumericalError rather than pass _MAX_CUTOFF terms."""
     T = arch.T
-    R = max(8, math.ceil(N ** (2 + eps) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
+    R = max(8, math.ceil(N ** (2 + _CUTOFF_EPS) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
 
     def log_term(m: int) -> float:
         return log_kappa(m * y / N**2, arch) - 0.5 * math.log(m)
@@ -599,21 +603,16 @@ def build_D(mvs: list[MinimalVectorSpec]) -> int:
     return _crt(residues, moduli)
 
 
-def gamma_TD(gamma, mvs: list[MinimalVectorSpec], N: int | None = None,
-             D: int | None = None):
+def gamma_TD(gamma, mvs: list[MinimalVectorSpec]):
     """Classical congruence test and character: gamma integral with det 1 is a
-    member iff a == d and c == -b D (mod N); the character is the product of
-    the inverse local chi's.  Returns (member, chi or None).
+    member iff a == d and c == -b D (mod N), with N = prod p^{n_p} and
+    D = build_D(mvs); the character is the product of the inverse local chi's.
+    Returns (member, chi or None).
     """
     a, b, c, d = (int(v) for v in np.asarray(gamma).ravel())
     if a * d - b * c != 1:
         raise ConfigError("gamma must have determinant 1")
-    if N is None:
-        N = 1
-        for mv in mvs:
-            N *= mv.p**mv.n
-    if D is None:
-        D = build_D(mvs)
+    N, D = _level(mvs), build_D(mvs)
     if (a - d) % N != 0 or (c + b * D) % N != 0:
         return False, None
     chi = UnitRoot.one()

@@ -48,9 +48,6 @@ class TorusSpec:
         """Default working precision for level-n computations."""
         return 2 * self.n + 4
 
-    def element(self, x, M: int | None = None) -> LocalElement:
-        return LocalElement.from_rational(self.p, Fraction(x), M or self.precision)
-
     def quad(self, a, b, M: int | None = None) -> QuadElement:
         return QuadElement.from_pair(self.p, a, b, self.delta, M or self.precision)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import ChiEvaluator, MinimalVectorSpec, chi_value
+from .characters import MinimalVectorSpec, chi_value
 from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys, mul_mod,
                      product_keys, random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
@@ -81,7 +81,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     if mode == "exhaustive" and not exhaustive_fits(p, n):
         raise SizeGuard(f"exhaustive pair scan for (p, n) = ({p}, {n}) needs p^{8 * n} keys, "
                         "beyond the enumeration bound")
-    ev = ChiEvaluator.build(mv)
+    ev = mv.chi_evaluator
     delta = coefficient_density(mv)
     if mode == "exhaustive":
         supp = kt_support(spec)
@@ -253,7 +253,7 @@ def support_profile(mv: MinimalVectorSpec, k: Mat2Local):
     return b
 
 
-def whittaker_support_scan(mv: MinimalVectorSpec, k: Mat2Local, level: int | None = None):
+def whittaker_support_scan(mv: MinimalVectorSpec, k: Mat2Local):
     """Oracle for support_profile: sweep all unit classes y = p^(-2n) u and
     report which have a nonzero closed-form Whittaker value at a(y) k."""
     p, n = mv.p, mv.n

@@ -122,6 +122,23 @@ def test_positive_x_required():
         bessel_K_imag(1.0, 0.0)
 
 
+@pytest.mark.parametrize("t, x", [(0.0, 1e-306), (2.0, 1e-306), (10.0, 1e-306), (10.0, 5e-324)])
+def test_tiny_x_is_a_value_or_no_solution(t, x):
+    # where 45/(x cos a) overflows, sinh overflows on the path before its tail
+    # decays: NoSolution, never OverflowError, ZeroDivisionError or NaN
+    if t < 10:
+        mpmath = pytest.importorskip("mpmath")
+        ref = float(mpmath.besselk(1j * t, x).real)
+        tol = 1e-12 * max(abs(ref), oscillation_floor(t, x))
+        assert abs(bessel_K_imag(t, x) - ref) <= tol
+        assert abs(bessel_K_imag_row(t, [1.0, x])[1] - ref) <= tol
+        return
+    for call in (lambda: bessel_K_imag(t, x), lambda: bessel_K_imag_row(t, [1.0, x])):
+        with pytest.raises(NoSolution, match="where sinh overflows") as exc:
+            call()
+        assert "nan" not in str(exc.value)
+
+
 @pytest.mark.parametrize("t", MPMATH_T)
 def test_matches_mpmath_on_a_grid(t):
     mpmath = pytest.importorskip("mpmath")

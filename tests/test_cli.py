@@ -133,14 +133,66 @@ def test_maass_normalization_underflow_exits_one(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["character-table"], ["whittaker"],
-                                  ["scan-supnorm", "--N", "1", "--k", "12"], ["que"]])
+# each argv ends in a flag its command does not read, and that flag's value
+@pytest.mark.parametrize("argv", [["character-table", "--seed", "1"], ["whittaker", "--seed", "1"],
+                                  ["scan-supnorm", "--N", "1", "--k", "12", "--seed", "1"],
+                                  ["que", "--seed", "1"], ["matrix-coeff", "--samples", "s.csv"]])
 def test_seed_is_a_usage_error_where_unread(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(argv + ["--seed", "1", "--out", str(tmp_path / "r.json")])
+        run(argv + ["--out", str(tmp_path / "r.json")])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+# runs covering every subcommand, as config-file keys and values: a value
+# from the config file goes through the flag's converter, so the report does
+# not depend on where a value came from
+SAME_RUN = [("verify", {"pn": "3,1", "seed": "2"}),
+            ("character-table", {"p": "3", "n": "1", "theta_index": "1"}),
+            ("whittaker", {"p": "5", "n": "1", "theta_index": "1"}),
+            ("matrix-coeff", {"p": "3", "n": "1", "theta_index": "1", "seed": "3"}),
+            ("scan-supnorm", {"N": "3", "k": "12", "coeffs": "sato-tate:1"}),
+            ("scan-supnorm", {"N": "1", "t": "2"}),
+            ("que", {"grid": "3,1", "a3": "0,2"})]
+
+
+@pytest.mark.parametrize("command, values", SAME_RUN,
+                         ids=[f"{c}-{'-'.join(v)}" for c, v in SAME_RUN])
+def test_flags_and_config_file_give_the_same_report(command, values, tmp_path):
+    samples = [] if command in ("verify", "matrix-coeff", "que") else ["samples"]
+    flags = [command]
+    for key, value in values.items():
+        flags += ["--" + key.replace("_", "-"), value]
+    for name in ["out", *samples]:
+        flags += ["--" + name, str(tmp_path / f"flag_{name}")]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                   + "".join(f"{name} = {tmp_path / f'file_{name}'}\n" for name in ["out", *samples]))
+    assert run(flags) == 0
+    assert run(["--config", str(cfg), command]) == 0
+    by_flag = json.loads((tmp_path / "flag_out").read_text())
+    by_file = json.loads((tmp_path / "file_out").read_text())
+    assert by_flag["config"] == by_file["config"]
+    assert by_flag["config_hash"] == by_file["config_hash"]
+    by_flag.pop("samples_file", None), by_file.pop("samples_file", None)
+    assert by_flag == by_file
+    for name in samples:
+        assert (tmp_path / f"flag_{name}").read_text() == (tmp_path / f"file_{name}").read_text()
+
+
+@pytest.mark.parametrize("config, argv", [("p = x\n", ["character-table"]),
+                                          ("", ["que", "--a3", "x"]),
+                                          ("", ["verify", "--pn", "3"]),
+                                          ("", ["scan-supnorm", "--k", "12", "--coeffs", "sato-tate:x"])],
+                         ids=["config-p", "a3", "pn", "coeffs"])
+def test_malformed_value_exits_config(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "r.json"
+    assert run(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_accepted_by_verify_and_matrix_coeff(tmp_path):
