@@ -87,11 +87,14 @@ def _structure_gens(elements, mul, one):
     for _ in range(d1 - 1):
         powers.append(mul(powers[-1], g1))
     pow_index = {g: k for k, g in enumerate(powers)}
-    # quotient by <g1>, cosets named by their minimal representative
-    rep = {}
+    # quotient by <g1>, cosets named by their minimal representative: elements
+    # ascend, so the first one this pass meets in a coset is its minimum
+    rep, q_elements = {}, []
     for x in elements:
-        rep[x] = min(mul(x, pk) for pk in powers)
-    q_elements = sorted(set(rep.values()))
+        if x not in rep:
+            q_elements.append(x)
+            for pk in powers:
+                rep[mul(x, pk)] = x
     q_mul = lambda a, b: rep[mul(a, b)]
     q_gens, q_orders = _structure_gens(q_elements, q_mul, rep[one])
     gens, orders = [g1], [d1]
@@ -162,12 +165,6 @@ class ThetaChar:
                 zip(self.weights, e, self.presentation.orders))
         return UnitRoot(r)
 
-    def exponent_of(self, z: tuple[int, int], L: int) -> int:
-        """value as an integer exponent in Z/L (L a multiple of the order)."""
-        r = self.value(z).r * L
-        assert r.denominator == 1
-        return int(r) % L
-
     def is_trivial_on(self, z: tuple[int, int]) -> bool:
         return self.value(z).is_one
 
@@ -175,12 +172,12 @@ class ThetaChar:
         return ":".join(str(w) for w in self.weights)
 
 
-def enumerate_theta(spec: TorusSpec, presentation: AbelianPresentation | None = None) -> list[ThetaChar]:
+def enumerate_theta(spec: TorusSpec) -> list[ThetaChar]:
     """All characters of the quadratic unit group mod p^{2n} that are trivial on
     the scalar units and have exact depth 2n (nontrivial one level up)."""
     p, n = spec.p, spec.n
     m = 2 * n
-    pres = presentation or quad_unit_presentation(p, m, spec.delta)
+    pres = quad_unit_presentation(p, m, spec.delta)
     pm = p**m
     # a generator of the cyclic scalar unit group (odd prime power modulus)
     gen0 = _primitive_root_mod_ppow(p, m)
@@ -288,9 +285,9 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
     if g.det.is_zero or g.det.v % 2 != 0:
         raise NotInSupport("determinant valuation is odd or undetermined")
     g0 = g.scale_by_power(-int(g.det.v) // 2)
-    if not subgroup_member(g0, "KT(r)", spec, n):
+    if not subgroup_member(g0, spec, n):
         raise NotInSupport("not in the torus-congruence subgroup at depth n")
-    u, m, t = decompose_B1T(g0, spec, side="left")
+    u, m, t = decompose_B1T(g0, spec)
     z = torus_extract(t, spec)
     pm = p ** (2 * n)
     tval = mv.theta.value((z.a.residue(2 * n), z.b.residue(2 * n)))

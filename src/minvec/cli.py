@@ -22,7 +22,7 @@ from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
 from .matgroups import TorusSpec, a_mat
 from .minimal import convolution_check, exhaustive_fits, whittaker_closed
 from .que import conductor_pair, distinguished, que_period, watson_Ip
-from .residues import LocalElement, factorize
+from .residues import LocalElement, _require_odd_prime, factorize
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
@@ -63,14 +63,31 @@ def _write_report(path: Path, command: str, config: dict, body: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
 
 
+def _odd_prime(text) -> int:
+    p = int(text)
+    _require_odd_prime(p)
+    return p
+
+
+def _depth(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
+    return n
+
+
+def _odd_level(text) -> int:
+    N = int(text)
+    if N < 1 or N % 2 == 0:
+        raise ValueError(f"N must be a positive odd integer, got {N}")
+    return N
+
+
 def _parse_pn_list(text: str) -> list[tuple[int, int]]:
     out = []
     for part in text.split(";"):
         p, n = part.split(",")
-        p, n = int(p), int(n)
-        if p % 2 == 0:
-            raise ConfigError("primes must be odd")
-        out.append((p, n))
+        out.append((_odd_prime(p), _depth(n)))
     return out
 
 
@@ -208,12 +225,7 @@ def cmd_scan_supnorm(o, config) -> int:
     if o.N == 1:
         ram = RamifiedData.unramified()
     else:
-        mvs = []
-        for p, e in factorize(o.N):
-            if p == 2:
-                raise ConfigError("N must be odd")
-            mvs.append(_build_mv(p, e, 0))
-        ram = RamifiedData.build(mvs)
+        ram = RamifiedData.build([_build_mv(p, e, 0) for p, e in factorize(o.N)])
     rep = scan_supnorm(ram, _coeff_source(o.coeffs), arch, keep_rows=True)
     with o.samples.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -245,20 +257,21 @@ def cmd_que(o, config) -> int:
 # Every option of every subcommand, declared once as (name, converter,
 # default).  The name is the config-file key and, with '_' written '-', the
 # flag.  The converter turns whichever value wins (the flag, else the config
-# file, else the default) into what the subcommand reads; a default of None
-# stays None.  The report's config is every option but the output paths.
+# file, else the default) into what the subcommand reads, and raises
+# ValueError for a value out of its range; a default of None stays None.
+# The report's config is every option but the output paths.
 
 _OUT = ("out", Path, "report.json")
 _SAMPLES = ("samples", Path, "samples.csv")
 _OUTPUT_PATHS = ("out", "samples")
-_LOCAL = [("p", int, 3), ("n", int, 1), ("theta_index", int, 0)]
+_LOCAL = [("p", _odd_prime, 3), ("n", _depth, 1), ("theta_index", int, 0)]
 
 OPTIONS = {
     "verify": [("pn", _parse_pn_list, "3,1"), ("seed", int, 0), _OUT],
     "character-table": [*_LOCAL, _OUT, _SAMPLES],
     "whittaker": [*_LOCAL, _OUT, _SAMPLES],
     "matrix-coeff": [*_LOCAL, ("seed", int, 0), _OUT],
-    "scan-supnorm": [("N", int, 1), ("k", int, None), ("t", float, None),
+    "scan-supnorm": [("N", _odd_level, 1), ("k", int, None), ("t", float, None),
                      ("coeffs", str, "all-ones"), _OUT, _SAMPLES],
     "que": [("grid", _parse_pn_list, "3,1;5,1;7,1"), ("a3", _parse_int_list, "0,1,2"), _OUT],
 }

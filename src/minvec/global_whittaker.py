@@ -323,7 +323,7 @@ class RamifiedData:
         for mv, k in zip(mvs, cosets):
             p, n = mv.p, mv.n
             pn, pm = p**n, p ** (2 * n)
-            _, x, t = decompose_B1T(k, mv.torus, side="left")
+            _, x, t = decompose_B1T(k, mv.torus)
             zq = torus_extract(t, mv.torus)
             theta_ph = mv.theta.value((zq.a.residue(2 * n), zq.b.residue(2 * n)))
             b_local = support_profile(mv, k)

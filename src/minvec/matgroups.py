@@ -1,5 +1,6 @@
-"""2x2 matrix groups over truncated p-adics: inert tori, congruence subgroups,
-and the upper-triangular/torus factorizations used throughout.
+"""2x2 matrix groups over truncated p-adics: the canonical inert torus, its
+congruence subgroup K_T(p^r), and the left factorization g = [[y, x], [0, 1]] t
+through the torus that the characters and Whittaker functions are read from.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class Mat2Local:
         one, zero = LocalElement.one(p, M), LocalElement.zero(p, M)
         return cls(one, zero, zero, one)
 
-    @classmethod
-    def upper(cls, p: int, y, x, M: int) -> "Mat2Local":
-        """The matrix [[y, x], [0, 1]]."""
-        return cls.from_rationals(p, (y, x, 0, 1), M)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -96,17 +92,11 @@ class Mat2Local:
         di = self.det.inverse()
         return Mat2Local(self.d * di, -self.b * di, -self.c * di, self.a * di)
 
-    def scale(self, t: LocalElement) -> "Mat2Local":
-        return Mat2Local(self.a * t, self.b * t, self.c * t, self.d * t)
-
     def scale_by_power(self, k: int) -> "Mat2Local":
         return Mat2Local(*(e.scale_by_power(k) for e in self.entries()))
 
     def agrees_with(self, o: "Mat2Local") -> bool:
         return all(x.agrees_with(y) for x, y in zip(self.entries(), o.entries()))
-
-    def transpose(self) -> "Mat2Local":
-        return Mat2Local(self.a, self.c, self.b, self.d)
 
 
 def a_mat(y: LocalElement) -> Mat2Local:
@@ -117,11 +107,6 @@ def a_mat(y: LocalElement) -> Mat2Local:
 def n_mat(x: LocalElement) -> Mat2Local:
     one, zero = LocalElement.one(x.p, x.M), LocalElement.zero(x.p, x.M)
     return Mat2Local(one, x, zero, one)
-
-
-def w_alpha(spec: TorusSpec, M: int | None = None) -> Mat2Local:
-    """The matrix [[0, 1], [-alpha, 0]], image of sqrt(-alpha)."""
-    return Mat2Local.from_rationals(spec.p, (0, 1, -spec.alpha, 0), M or spec.precision)
 
 
 def torus_embed(z: QuadElement, spec: TorusSpec) -> Mat2Local:
@@ -142,79 +127,39 @@ def torus_extract(t: Mat2Local, spec: TorusSpec) -> QuadElement:
     return QuadElement(t.a, t.b, spec.delta)
 
 
-def subgroup_member(g: Mat2Local, which: str, spec: TorusSpec, r: int | None = None) -> bool:
-    """Membership predicate for K and its congruence subgroups, at tracked precision.
-
-    which: one of "K", "K(r)", "K1(r)", "B1(r)", "KT(r)", "ZKT(r)".
-    """
-    p = spec.p
-    if which == "K":
-        return all(e.is_integral() for e in g.entries()) and not g.det.is_zero and g.det.v == 0
-    if r is None:
-        raise ValueError(f"subgroup {which} requires the parameter r")
-    one = LocalElement.one(p, min(e.M for e in g.entries() if not e.is_zero))
-    if which == "K(r)":
-        return (subgroup_member(g, "K", spec)
-                and (g.a - one).in_ideal(r) and (g.d - one).in_ideal(r)
-                and g.b.in_ideal(r) and g.c.in_ideal(r))
-    if which == "K1(r)":
-        return (subgroup_member(g, "K", spec)
-                and (g.a - one).in_ideal(r) and g.c.in_ideal(r))
-    if which == "B1(r)":
-        return (subgroup_member(g, "K", spec)
-                and (g.a - one).in_ideal(r) and g.b.in_ideal(r)
-                and g.c.is_zero and (g.d - one).is_zero)
-    if which == "KT(r)":
-        alpha = LocalElement.from_int(p, spec.alpha, g.a.M if not g.a.is_zero else 4)
-        return (subgroup_member(g, "K", spec)
-                and (g.a - g.d).in_ideal(r)
-                and (g.c + alpha * g.b).in_ideal(r))
-    if which == "ZKT(r)":
-        if g.det.is_zero:
-            return False
-        s2 = g.det.v
-        if s2 % 2 != 0:
-            return False
-        return subgroup_member(g.scale_by_power(-s2 // 2), "KT(r)", spec, r)
-    raise ValueError(f"unknown subgroup {which!r}")
+def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:
+    """Whether g lies in K_T(p^r): integral with unit determinant, a = d and
+    c = -alpha*b mod p^r, to tracked precision (alpha at the entries' precision)."""
+    if not all(e.is_integral() for e in g.entries()) or g.det.is_zero or g.det.v != 0:
+        return False
+    alpha = _alpha_for(g, spec)
+    return (g.a - g.d).in_ideal(r) and (g.c + alpha * g.b).in_ideal(r)
 
 
 def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
-    """Factor g through the canonical inert torus.
+    """Factor g = [[u, m], [0, 1]] * t with t in the canonical inert torus.
 
-    side="left":  g = [[u, m], [0, 1]] * t
-    side="right": g = t * [[u, m], [0, 1]]
-    with t in the torus.  Returns (u, m, t).  Always succeeds for invertible g:
-    -alpha is a non-square, so neither c^2 + alpha*d^2 nor alpha*a^2 + c^2 can
-    cancel (when the two terms share a valuation, the leading digit is
-    u^2 + alpha*w^2, nonzero mod p).
+    Returns (u, m, t).  Always succeeds for invertible g: -alpha is a
+    non-square, so c^2 + alpha*d^2 cannot cancel (when the two terms share a
+    valuation, the leading digit is u^2 + alpha*w^2, nonzero mod p).  The left
+    factorization is the only one; side accepts nothing but "left".
     """
-    a, b, c, d = g.entries()
-    p = g.p
-    alpha = _alpha_for(g, spec)
+    if side != "left":
+        raise ValueError(f"side must be 'left', got {side!r}")
     det = g.det
     if det.is_zero:
         raise ValueError("matrix is not invertible")
-    if side == "right":
-        den = alpha * a * a + c * c
-        u1 = alpha * det / den
-        m1 = -((a * b * alpha + c * d) / den)
-        bmat = Mat2Local(u1, m1, LocalElement.zero(p, u1.M), LocalElement.one(p, u1.M))
-        t = g * bmat
-        u = u1.inverse()
-        m = -(m1 * u)
-        return u, m, t
-    if side == "left":
-        den = alpha * det
-        num, den2 = _left_terms(g, alpha)
-        u2 = den2 / den
-        m2 = -(num / den)
-        bmat = Mat2Local(u2, m2, LocalElement.zero(p, u2.M), LocalElement.one(p, u2.M))
-        t = bmat * g
-        u = u2.inverse()
-        m = -(m2 * u)
-        return u, m, t
-    raise ValueError("side must be 'left' or 'right'")
+    p = g.p
+    alpha = _alpha_for(g, spec)
+    den = alpha * det
+    num, den2 = _left_terms(g, alpha)
+    u2 = den2 / den
+    m2 = -(num / den)
+    bmat = Mat2Local(u2, m2, LocalElement.zero(p, u2.M), LocalElement.one(p, u2.M))
+    t = bmat * g
+    u = u2.inverse()
+    m = -(m2 * u)
+    return u, m, t
 
 
 def _alpha_for(g: Mat2Local, spec: TorusSpec) -> LocalElement:
@@ -228,70 +173,12 @@ def _left_terms(g: Mat2Local, alpha: LocalElement) -> tuple[LocalElement, LocalE
 
 
 def left_m_valuation(g: Mat2Local, spec: TorusSpec) -> float:
-    """v(m) of decompose_B1T(g, spec, side="left") for invertible g, math.inf
+    """v(m) of decompose_B1T(g, spec) for invertible g, math.inf
     when m = 0, read off the two valuations of _left_terms without factoring g."""
     num, den2 = _left_terms(g, _alpha_for(g, spec))
     return _INF if num.is_zero else num.v - den2.v
 
 
-def reassemble_B1T(u: LocalElement, m: LocalElement, t: Mat2Local, side: str = "left") -> Mat2Local:
-    bmat = Mat2Local(u, m, LocalElement.zero(u.p, u.M), LocalElement.one(u.p, u.M))
-    return bmat * t if side == "left" else t * bmat
-
-
-def hensel_sqrt(r: LocalElement) -> LocalElement:
-    """Square root of a unit square by Hensel lifting (p odd)."""
-    if r.is_zero or r.v != 0:
-        raise ValueError("hensel_sqrt expects a unit")
-    p, M = r.p, r.M
-    r0 = r.u % p
-    x = next((x for x in range(1, p) if x * x % p == r0), None)
-    if x is None:
-        raise ValueError("not a square mod p")
-    pM = p**M
-    for _ in range(max(1, math.ceil(math.log2(M))) + 1):
-        x = (x + r.u * pow(x, -1, pM)) * pow(2, -1, pM) % pM
-    assert x * x % pM == r.u
-    return LocalElement(p, 0, x, M)
-
-
-def canonicalize_torus(alpha: Fraction | int, beta: Fraction | int, gamma: Fraction | int,
-                       p: int, M: int = 8):
-    """Conjugate the inert torus of the symmetric matrix S_{alpha,beta,gamma}
-    into canonical form.
-
-    Requires delta = beta^2 - 4*alpha*gamma to be a unit non-square.  Returns
-    (g, alpha_prime) with g * T_S * g^-1 = T_{alpha_prime,0,1}.
-    """
-    al = LocalElement.from_rational(p, Fraction(alpha), M)
-    be = LocalElement.from_rational(p, Fraction(beta), M)
-    ga = LocalElement.from_rational(p, Fraction(gamma), M)
-    delta = be * be - LocalElement.from_int(p, 4, M) * al * ga
-    if delta.is_zero or delta.v != 0 or is_square_mod_p(delta.u, p):
-        raise ValueError("delta must be a unit non-square (inert, desk scope)")
-    target = canonical_alpha(p)
-    if (be.is_zero or be.v >= M) and ga.agrees_with(LocalElement.one(p, ga.M)):
-        # already canonical: leave it alone up to the allowed diagonal freedom
-        return Mat2Local.identity(p, M), al.u % p**M
-    # gamma is forced to be a unit: gamma = 0 mod p would make delta a square mod p
-    if ga.is_zero or ga.v != 0:
-        raise ValueError("gamma must be a unit when delta is a unit non-square")
-    two_inv = LocalElement.from_rational(p, Fraction(1, 2), M)
-    # h kills the cross term: t(h) S h = diag(-delta/(4 gamma), gamma)
-    h = Mat2Local(LocalElement.one(p, M), LocalElement.zero(p, M),
-                  -(be * two_inv / ga), LocalElement.one(p, M))
-    lam1 = -(delta / (LocalElement.from_int(p, 4, M) * ga))
-    lam2 = ga
-    ratio = lam1 / lam2
-    # ratio / target is a unit square: both have non-square negatives
-    nsq = ratio / LocalElement.from_int(p, target, M)
-    nroot = hensel_sqrt(nsq)
-    k = h * a_mat(nroot.inverse())
-    return k.inverse(), target
-
-
-def torus_conjugation_matrix(alpha1: int, alpha2: int, p: int, M: int = 8) -> Mat2Local:
-    """Diagonal a(y), y a unit, conjugating T_{alpha2,0,1} into T_{alpha1,0,1}."""
-    r = LocalElement.from_rational(p, Fraction(alpha2, alpha1), M)
-    y = hensel_sqrt(r)
-    return a_mat(y)
+def reassemble_B1T(u: LocalElement, m: LocalElement, t: Mat2Local) -> Mat2Local:
+    """[[u, m], [0, 1]] * t: the product that decompose_B1T factors."""
+    return Mat2Local(u, m, LocalElement.zero(u.p, u.M), LocalElement.one(u.p, u.M)) * t

@@ -140,7 +140,7 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
     """
     spec = mv.torus
     p, n = mv.p, mv.n
-    y, x, t = decompose_B1T(g, spec, side="left")
+    y, x, t = decompose_B1T(g, spec)
     mag = math.sqrt((p - 1) * p ** (n - 1))
     ys = y.scale_by_power(2 * n)
     if not (ys.is_unit() and y.v == -2 * n):
@@ -244,7 +244,7 @@ def support_profile(mv: MinimalVectorSpec, k: Mat2Local):
     """
     spec = mv.torus
     p, n = mv.p, mv.n
-    z, m, t = decompose_B1T(k, spec, side="left")
+    z, m, t = decompose_B1T(k, spec)
     zs = z
     if not zs.is_unit():
         # k in the maximal compact always yields a unit here

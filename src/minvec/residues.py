@@ -1,9 +1,10 @@
 """Exact arithmetic in Q_p and its unramified quadratic extension at finite precision.
 
 Elements are stored as p^v * u with the unit u tracked modulo p^M, so every
-operation knows exactly which digits of the result are trustworthy.  Additive
-character values are kept as exact roots of unity (rationals mod 1) until a
-caller explicitly complexifies them.
+operation knows exactly which digits of the result are trustworthy.  The
+additive character psi has two routes, psi on elements and psi_numerator on
+integer numerators; its values are kept as exact roots of unity (rationals
+mod 1) until a caller explicitly complexifies them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from fractions import Fraction
 from .errors import DiscriminantMismatch, PrecisionError, SizeGuard
 
 # Sign of the additive character: psi(x) = e^(2*pi*i * PSI_SIGN * frac_p(x)).
-# Only this module reads it, at call time (psi, psi_of_rational,
-# psi_numerator), so a flip conjugates every phase; tests/test_psi_flip.py
-# runs the invariant suites with it flipped.
+# Only this module reads it, at call time: every phase in the library goes
+# through psi (exact elements) or psi_numerator (integer numerators, also as
+# arrays), so a flip conjugates every phase; tests/test_psi_flip.py runs the
+# invariant suites with it flipped.
 PSI_SIGN = -1
 
 # Overflow guard for unit enumerations (desk scale).
@@ -265,9 +267,6 @@ class UnitRoot:
     def inverse(self) -> "UnitRoot":
         return UnitRoot(-self.r)
 
-    def conjugate(self) -> "UnitRoot":
-        return UnitRoot(-self.r)
-
     def __pow__(self, k: int) -> "UnitRoot":
         return UnitRoot(self.r * k)
 
@@ -358,20 +357,6 @@ class QuadElement:
 def psi(x: LocalElement) -> UnitRoot:
     """The fixed additive character of F: trivial on o, nontrivial on p^-1 o."""
     return UnitRoot(PSI_SIGN * x.frac_part())
-
-
-def psi_of_rational(p: int, x: Fraction) -> UnitRoot:
-    """psi evaluated at an exact rational viewed inside Q_p."""
-    den = x.denominator
-    pk = 1
-    while den % p == 0:
-        den //= p
-        pk *= p
-    if pk == 1:
-        return UnitRoot.one()
-    # x = num / (den * pk); p-fractional part is (num * den^-1 mod pk) / pk
-    frac = Fraction(x.numerator * pow(den, -1, pk) % pk, pk)
-    return UnitRoot(PSI_SIGN * frac)
 
 
 def psi_numerator(k):

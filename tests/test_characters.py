@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,12 +10,12 @@ from minvec.characters import (AbelianPresentation, ChiEvaluator,
                                enumerate_theta, quad_unit_mul,
                                quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
-from minvec import minimal
+from minvec import characters, minimal
 from minvec.cosets import (kt_membership_mask, kt_support, mat_keys, mul_mod, product_keys,
                            random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, torus_embed
-from minvec.residues import UnitRoot
+from minvec.residues import UnitRoot, factorize
 
 
 def test_abelian_structure_cyclic():
@@ -52,6 +53,53 @@ def test_quad_unit_presentation_structure():
         ez, ew = pres2.dlog[z], pres2.dlog[w]
         expect = tuple((a + b) % d for a, b, d in zip(ez, ew, pres2.orders))
         assert pres2.dlog[mul(z, w)] == expect
+
+
+def _min_named_structure_gens(elements, mul, one):
+    """Reference for characters._structure_gens: each coset of <g1> is named by
+    the minimum over all its elements, |G| * ord(g1) multiplications."""
+    n = len(elements)
+    if n == 1:
+        return [], []
+    primes = [q for q, _ in factorize(n)]
+    best, best_ord = None, 0
+    for g in elements:
+        o = characters._element_order(g, mul, one, n, primes)
+        if o > best_ord or (o == best_ord and g < best):
+            best, best_ord = g, o
+    g1, d1 = best, best_ord
+    powers = [one]
+    for _ in range(d1 - 1):
+        powers.append(mul(powers[-1], g1))
+    pow_index = {g: k for k, g in enumerate(powers)}
+    rep = {x: min(mul(x, pk) for pk in powers) for x in elements}
+    q_gens, q_orders = _min_named_structure_gens(sorted(set(rep.values())),
+                                                 lambda a, b: rep[mul(a, b)], rep[one])
+    gens, orders = [g1], [d1]
+    for x, d in zip(q_gens, q_orders):
+        c = pow_index[characters._group_pow(x, d, mul, one)]
+        gens.append(mul(x, characters._group_pow(g1, (-(c // d)) % d1, mul, one)))
+        orders.append(d)
+    return gens, orders
+
+
+def _cyclic_product(*ds):
+    els = list(itertools.product(*(range(d) for d in ds)))
+    return abelian_structure(els, lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, ds)),
+                             (0,) * len(ds))
+
+
+# the quadratic unit groups mod p^m at (p, m), with the canonical torus's delta
+@pytest.mark.parametrize("present", [
+    *(lambda p=p, m=m: quad_unit_presentation(p, m, TorusSpec(p, 1).delta)
+      for p, m in [(3, 2), (5, 2), (7, 2), (3, 4)]),
+    lambda: _cyclic_product(12), lambda: _cyclic_product(4, 2), lambda: _cyclic_product(4, 4, 2),
+], ids=["quad(3,2)", "quad(5,2)", "quad(7,2)", "quad(3,4)", "Z/12", "Z/4xZ/2", "Z/4xZ/4xZ/2"])
+def test_coset_naming_matches_min_over_coset(present, monkeypatch):
+    fast = present()
+    monkeypatch.setattr(characters, "_structure_gens", _min_named_structure_gens)
+    ref = present()
+    assert (fast.generators, fast.orders, fast.dlog) == (ref.generators, ref.orders, ref.dlog)
 
 
 def test_theta_counts():

@@ -195,6 +195,44 @@ def test_malformed_value_exits_config(config, argv, tmp_path, capsys):
     assert not out.exists()
 
 
+# values that parse but lie outside their option's range: p an odd prime, n and
+# each level of pn and grid at least 1, N a positive odd integer
+@pytest.mark.parametrize("config, argv", [("", ["character-table", "--n", "0"]),
+                                          ("", ["character-table", "--p", "4"]),
+                                          ("", ["character-table", "--p", "9"]),
+                                          ("n = 0\n", ["whittaker"]),
+                                          ("", ["verify", "--pn", "3,0"]),
+                                          ("", ["que", "--grid", "3,0"]),
+                                          ("", ["que", "--grid", "3,1;9,1"]),
+                                          ("", ["scan-supnorm", "--N", "0", "--k", "12"]),
+                                          ("", ["scan-supnorm", "--N", "-3", "--k", "12"]),
+                                          ("", ["scan-supnorm", "--N", "6", "--k", "12"])],
+                         ids=["n0", "p4", "p9", "config-n0", "pn-n0", "grid-n0", "grid-p9",
+                              "N0", "N-3", "N6"])
+def test_out_of_range_value_exits_config(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out, samples = tmp_path / "r.json", tmp_path / "s.csv"
+    paths = ["--out", str(out)]
+    if any(name == "samples" for name, _, _ in cli.OPTIONS[argv[0]]):
+        paths += ["--samples", str(samples)]
+    assert run(["--config", str(cfg), *argv, *paths]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists() and not samples.exists()
+
+
+@pytest.mark.parametrize("argv, config_hash", [
+    (["character-table", "--p", "3", "--n", "1"], "39a6cf313bfb9d55"),
+    (["verify", "--pn", "3,1;5,1;3,2"], "3db741cc10c114e0"),
+    (["que"], "7d0af2516b0dfff1"),
+    (["scan-supnorm", "--N", "15", "--k", "12"], "e42e365bac3146b7"),
+], ids=["character-table", "verify", "que", "scan-supnorm"])
+def test_range_checked_options_keep_the_config_hash(argv, config_hash):
+    values = cli._options(cli.build_parser().parse_args(argv), {})
+    config = {k: v for k, v in values.items() if k not in cli._OUTPUT_PATHS}
+    assert cli._config_hash(config) == config_hash
+
+
 def test_seed_accepted_by_verify_and_matrix_coeff(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--pn", "3,1", "--seed", "5", "--out", str(out)]) == 0

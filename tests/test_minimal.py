@@ -243,7 +243,7 @@ def _scalar_oracle(mv, g, level, low):
 
 
 def _default_window(mv, g):
-    _, m, _ = decompose_B1T(g, mv.torus, side="left")
+    _, m, _ = decompose_B1T(g, mv.torus)
     return -int(m.v) if not m.is_zero and m.v < -mv.n else mv.n
 
 
@@ -288,7 +288,7 @@ def test_oracle_window_is_n_when_m_vanishes(mv31, mv51, mv32):
               torus_embed(spec.quad(1, 1, M), spec),
               torus_embed(spec.quad(Fraction(1, p), 2, M), spec).scale_by_power(-1)]
         for g in gs:
-            _, m, _ = decompose_B1T(g, spec, side="left")
+            _, m, _ = decompose_B1T(g, spec)
             assert m.is_zero
             assert oracle_window(mv, g) == _default_window(mv, g) == n
             assert whittaker_oracle(mv, g) == whittaker_oracle(mv, g, low=n)
@@ -370,7 +370,9 @@ def test_chi_evaluator_theta_table(pn):
         ev = ChiEvaluator.build(MinimalVectorSpec.build(spec, theta))
         want = np.full(pm * pm, -1, dtype=np.int64)
         for z in theta.presentation.dlog:
-            want[z[0] * pm + z[1]] = theta.exponent_of(z, ev.L)
+            r = theta.value(z).r * ev.L
+            assert r.denominator == 1  # L is a multiple of theta's order
+            want[z[0] * pm + z[1]] = int(r)
         assert np.array_equal(ev.theta_table, want)
 
 

@@ -26,10 +26,11 @@ import pytest
 
 from minvec import residues
 
-before = residues.psi_of_rational(3, Fraction(1, 3))
+third = residues.LocalElement.from_rational(3, Fraction(1, 3), 4)
+before = residues.psi(third)
 residues.PSI_SIGN = -residues.PSI_SIGN
-after = residues.psi_of_rational(3, Fraction(1, 3))
-assert after != before and after == before.conjugate(), (before, after)
+after = residues.psi(third)
+assert after != before and after == before.inverse(), (before, after)
 sys.exit(pytest.main(sys.argv[1:]))
 """
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from minvec.errors import PrecisionError, SizeGuard
 from minvec.residues import (LocalElement, QuadElement, UnitRoot, _require_odd_prime,
-                             factorize, is_square_mod_p, psi, psi_E, psi_of_rational,
-                             unit_enumeration)
+                             factorize, is_square_mod_p, psi, psi_E, unit_enumeration)
 
 
 def test_from_rational_roundtrip():
@@ -60,13 +59,6 @@ def test_frac_part():
 def test_psi_trivial_on_integers_nontrivial_on_p_inverse():
     assert psi(LocalElement.from_int(3, 7, 4)).is_one
     assert not psi(LocalElement.from_rational(3, Fraction(1, 3), 4)).is_one
-
-
-def test_psi_of_rational_matches_element_route():
-    x = Fraction(7, 45)  # 3^-2 * 7/5
-    a = psi_of_rational(3, x)
-    b = psi(LocalElement.from_rational(3, x, 8))
-    assert a.r == b.r
 
 
 def test_unit_root_algebra():
