@@ -6,7 +6,7 @@ like the inverse square root of the pair conductor q^(4n).
 """
 
 from minvec.matgroups import TorusSpec
-from minvec.que import conductor_pair, distinguished, que_period, watson_Ip
+from minvec.que import conductor_pair, distinguished, que_period
 
 print(f"{'p':>3} {'n':>3} {'cond':>8} {'vol':>12} {'q^2n * H':>10}")
 for p in (3, 5, 7):
@@ -18,6 +18,3 @@ for p in (3, 5, 7):
 print("\nparity predicate for the third conductor exponent a3:")
 for a3 in (0, 1, 2):
     print(f"  a3 = {a3}: distinguished = {distinguished(a3, n=1)}")
-
-rep = que_period(TorusSpec(3, 1))
-print("\nWatson local factor (trivial adjoint ratio):", watson_Ip(rep.H))

@@ -3,13 +3,13 @@ representations of GL(2) over p-adic fields, and the global sup-norm and
 QUE-period experiments they drive.
 """
 
-from .residues import LocalElement, QuadElement, UnitRoot, psi, psi_E
+from .residues import LocalElement, UnitRoot, psi
 from .matgroups import Mat2Local, TorusSpec, canonical_alpha, decompose_B1T
 from .characters import (MinimalVectorSpec, ThetaChar, abelian_structure,
                          chi_value, enumerate_theta, solve_a_theta)
 from .minimal import (convolution_check, matrix_coefficient, support_profile,
                       whittaker_closed, whittaker_oracle)
-from .que import conductor_pair, distinguished, que_period, watson_Ip
+from .que import conductor_pair, distinguished, que_period
 from .bessel import bessel_K_imag
 from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                c_infty, evaluate_phi, gamma_TD, kappa,

@@ -206,8 +206,8 @@ def _primitive_root_mod_ppow(p: int, m: int) -> int:
 # -- a_theta and the minimal-vector character -------------------------------
 
 def _pairing_root(spec: TorusSpec, a: int, u0: int, u1: int) -> UnitRoot:
-    """psi_E of p^{-n} * a*sqrt(delta) * (u0 + u1*sqrt(delta)):
-    the trace is 2*a*u1*delta / p^n."""
+    """The additive character psi(Tr z) of E at z = p^{-n} * a*sqrt(delta) *
+    (u0 + u1*sqrt(delta)), whose trace is 2*a*u1*delta / p^n."""
     p, n = spec.p, spec.n
     return UnitRoot(Fraction(psi_numerator(2 * a * u1 * spec.delta) % p**n, p**n))
 
@@ -268,6 +268,13 @@ class MinimalVectorSpec:
         p, n = self.p, self.n
         return (-self.a_theta * self.torus.alpha) % p**n
 
+    def theta_at(self, t: Mat2Local) -> UnitRoot:
+        """theta at the torus matrix t = [[x, y], [-alpha*y, x]], read from
+        (x, y) mod p^{2n}; raises ValueError if t is not a torus matrix."""
+        x, y = torus_extract(t, self.torus)
+        m = 2 * self.n
+        return self.theta.value((x.residue(m), y.residue(m)))
+
     @cached_property
     def chi_evaluator(self) -> "ChiEvaluator":
         """The vectorized chi of this spec, built on first use and kept on the spec."""
@@ -288,9 +295,7 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
     if not subgroup_member(g0, spec, n):
         raise NotInSupport("not in the torus-congruence subgroup at depth n")
     u, m, t = decompose_B1T(g0, spec)
-    z = torus_extract(t, spec)
-    pm = p ** (2 * n)
-    tval = mv.theta.value((z.a.residue(2 * n), z.b.residue(2 * n)))
+    tval = mv.theta_at(t)
     m_res = m.residue(2 * n)
     assert m_res % p**n == 0
     bd = m_res // p**n

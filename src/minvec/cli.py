@@ -21,7 +21,7 @@ from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                scan_supnorm)
 from .matgroups import TorusSpec, a_mat
 from .minimal import convolution_check, exhaustive_fits, whittaker_closed
-from .que import conductor_pair, distinguished, que_period, watson_Ip
+from .que import conductor_pair, distinguished, que_period
 from .residues import LocalElement, _require_odd_prime, factorize
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
@@ -245,8 +245,7 @@ def cmd_que(o, config) -> int:
             rows.append({**rep.as_dict(),
                          "conductor_pair": conductor_pair(p, n),
                          "Ip_times_cond_sqrt": float(rep.normalized),
-                         "a3": a3, "distinguished": distinguished(a3, n),
-                         "watson_Ip": [watson_Ip(rep.H).real, watson_Ip(rep.H).imag]})
+                         "a3": a3, "distinguished": distinguished(a3, n)})
     _write_report(o.out, "que", config, {"rows": rows})
     print(f"que: {len(rows)} rows -> {o.out}")
     return EXIT_OK

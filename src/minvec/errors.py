@@ -9,10 +9,6 @@ class PrecisionError(MinvecError):
     """A result is not determined by the tracked p-adic digits."""
 
 
-class DiscriminantMismatch(MinvecError):
-    """Quadratic elements with different discriminant tags were combined."""
-
-
 class NotInSupport(MinvecError):
     """A character or matrix coefficient was evaluated outside its support."""
 

@@ -15,7 +15,7 @@ import numpy as np
 from .bessel import bessel_K_imag, bessel_K_imag_row
 from .characters import MinimalVectorSpec, chi_value
 from .errors import ConfigError, NumericalError
-from .matgroups import Mat2Local, a_mat, decompose_B1T, torus_extract
+from .matgroups import Mat2Local, a_mat, decompose_B1T
 from .minimal import support_profile, whittaker_closed
 from .residues import LocalElement, UnitRoot, factorize, psi_numerator
 
@@ -324,8 +324,7 @@ class RamifiedData:
             p, n = mv.p, mv.n
             pn, pm = p**n, p ** (2 * n)
             _, x, t = decompose_B1T(k, mv.torus)
-            zq = torus_extract(t, mv.torus)
-            theta_ph = mv.theta.value((zq.a.residue(2 * n), zq.b.residue(2 * n)))
+            theta_ph = mv.theta_at(t)
             b_local = support_profile(mv, k)
             cof = N // pn
             b_adj = b_local * pow(cof % pn, 2, pn) % pn

@@ -1,6 +1,9 @@
 """2x2 matrix groups over truncated p-adics: the canonical inert torus, its
 congruence subgroup K_T(p^r), and the left factorization g = [[y, x], [0, 1]] t
 through the torus that the characters and Whittaker functions are read from.
+
+The torus is read as matrices only: x + y*sqrt(-alpha) is [[x, y], [-alpha*y, x]],
+and torus_extract returns the pair (x, y) of such a matrix.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DiscriminantMismatch
-from .residues import LocalElement, QuadElement, is_square_mod_p
+from .residues import LocalElement, is_square_mod_p
 
 _INF = math.inf
 
@@ -48,9 +50,6 @@ class TorusSpec:
     def precision(self) -> int:
         """Default working precision for level-n computations."""
         return 2 * self.n + 4
-
-    def quad(self, a, b, M: int | None = None) -> QuadElement:
-        return QuadElement.from_pair(self.p, a, b, self.delta, M or self.precision)
 
 
 @dataclass(frozen=True)
@@ -109,22 +108,13 @@ def n_mat(x: LocalElement) -> Mat2Local:
     return Mat2Local(one, x, zero, one)
 
 
-def torus_embed(z: QuadElement, spec: TorusSpec) -> Mat2Local:
-    """x + y*sqrt(-alpha) |-> [[x, y], [-alpha*y, x]]."""
-    if z.is_zero:
-        raise ValueError("cannot embed zero")
-    if z.delta % spec.p != (-spec.alpha) % spec.p:
-        raise DiscriminantMismatch("quadratic element does not match the torus discriminant")
-    alpha = LocalElement.from_int(spec.p, spec.alpha, max(z.a.M, z.b.M))
-    return Mat2Local(z.a, z.b, -(alpha * z.b), z.a)
-
-
-def torus_extract(t: Mat2Local, spec: TorusSpec) -> QuadElement:
-    """Inverse of torus_embed; validates the torus shape to tracked precision."""
+def torus_extract(t: Mat2Local, spec: TorusSpec) -> tuple[LocalElement, LocalElement]:
+    """The pair (x, y) of a torus matrix [[x, y], [-alpha*y, x]]; raises
+    ValueError unless t has that shape to tracked precision."""
     alpha = LocalElement.from_int(spec.p, spec.alpha, t.a.M)
     if not t.d.agrees_with(t.a) or not t.c.agrees_with(-(alpha * t.b)):
         raise ValueError("matrix is not in the canonical torus")
-    return QuadElement(t.a, t.b, spec.delta)
+    return t.a, t.b
 
 
 def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:

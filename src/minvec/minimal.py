@@ -15,8 +15,7 @@ from .characters import MinimalVectorSpec, chi_value
 from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys, mul_mod,
                      product_keys, random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
-from .matgroups import (Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat,
-                        torus_extract)
+from .matgroups import Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
@@ -147,8 +146,7 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
         return WhittakerValue(False, 0.0, None)
     if (ys.residue(n) - mv.support_unit()) % p**n != 0:
         return WhittakerValue(False, 0.0, None)
-    z = torus_extract(t, spec)
-    phase = psi(x) * mv.theta.value((z.a.residue(2 * n), z.b.residue(2 * n)))
+    phase = psi(x) * mv.theta_at(t)
     return WhittakerValue(True, mag, phase)
 
 

@@ -1,5 +1,5 @@
-"""Local QUE period: exact volumes, conductor normalization, the parity
-predicate for distinguished triples, and the Watson local factor.
+"""Local QUE period: exact volumes, conductor normalization, and the parity
+predicate for distinguished triples.
 """
 
 from __future__ import annotations
@@ -58,9 +58,3 @@ def distinguished(a3: int, n: int) -> bool:
     if 4 * n < 2 * a3:
         raise ConfigError(f"hypothesis 4n >= 2*a3 violated: n={n}, a3={a3}")
     return a3 % 2 == 0
-
-
-def watson_Ip(H: complex) -> complex:
-    """Watson local factor I_p = H / L_ratio with L_ratio = 1: the adjoint
-    factor is trivial at the ramified primes."""
-    return H

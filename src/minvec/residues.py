@@ -1,10 +1,14 @@
-"""Exact arithmetic in Q_p and its unramified quadratic extension at finite precision.
+"""Exact arithmetic in Q_p at finite precision.
 
 Elements are stored as p^v * u with the unit u tracked modulo p^M, so every
 operation knows exactly which digits of the result are trustworthy.  The
 additive character psi has two routes, psi on elements and psi_numerator on
 integer numerators; its values are kept as exact roots of unity (rationals
 mod 1) until a caller explicitly complexifies them.
+
+The unramified quadratic extension E has no element type: its units mod p^m
+are the integer pairs of unit_enumeration, and E^x acts as the torus
+matrices of matgroups.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DiscriminantMismatch, PrecisionError, SizeGuard
+from .errors import PrecisionError, SizeGuard
 
 # Sign of the additive character: psi(x) = e^(2*pi*i * PSI_SIGN * frac_p(x)).
 # Only this module reads it, at call time: every phase in the library goes
@@ -267,9 +271,6 @@ class UnitRoot:
     def inverse(self) -> "UnitRoot":
         return UnitRoot(-self.r)
 
-    def __pow__(self, k: int) -> "UnitRoot":
-        return UnitRoot(self.r * k)
-
     @property
     def is_one(self) -> bool:
         return self.r == 0
@@ -281,79 +282,6 @@ class UnitRoot:
         return f"UnitRoot({self.r})"
 
 
-@dataclass(frozen=True)
-class QuadElement:
-    """An element a + b*sqrt(delta) of the unramified quadratic extension E.
-
-    delta is a unit non-square of F, carried as an integer tag; combining
-    elements with different tags is an error.
-    """
-
-    a: LocalElement
-    b: LocalElement
-    delta: int
-
-    def __post_init__(self):
-        if self.a.p != self.b.p:
-            raise ValueError("mixed primes in quadratic element")
-        if self.delta % self.a.p == 0 or is_square_mod_p(self.delta, self.a.p):
-            raise ValueError("delta must be a unit non-square mod p")
-
-    @property
-    def p(self) -> int:
-        return self.a.p
-
-    @classmethod
-    def from_pair(cls, p: int, a: int | Fraction, b: int | Fraction, delta: int, M: int) -> "QuadElement":
-        return cls(LocalElement.from_rational(p, Fraction(a), M),
-                   LocalElement.from_rational(p, Fraction(b), M), delta)
-
-    def _check(self, other: "QuadElement") -> None:
-        if self.delta % self.p != other.delta % self.p or self.p != other.p:
-            raise DiscriminantMismatch("incompatible quadratic elements")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a.is_zero and self.b.is_zero
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.a, -self.b, self.delta)
-
-    def trace(self) -> LocalElement:
-        return self.a + self.a
-
-    def norm(self) -> LocalElement:
-        d = LocalElement.from_int(self.p, self.delta, max(self.a.M, self.b.M))
-        return self.a * self.a - d * self.b * self.b
-
-    def valuation(self) -> float:
-        return min(self.a.v, self.b.v)
-
-    def __add__(self, other: "QuadElement") -> "QuadElement":
-        self._check(other)
-        return QuadElement(self.a + other.a, self.b + other.b, self.delta)
-
-    def __neg__(self) -> "QuadElement":
-        return QuadElement(-self.a, -self.b, self.delta)
-
-    def __sub__(self, other: "QuadElement") -> "QuadElement":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadElement") -> "QuadElement":
-        self._check(other)
-        d = LocalElement.from_int(self.p, self.delta, max(self.a.M, self.b.M))
-        return QuadElement(self.a * other.a + d * self.b * other.b,
-                           self.a * other.b + self.b * other.a, self.delta)
-
-    def inverse(self) -> "QuadElement":
-        n = self.norm().inverse()
-        c = self.conjugate()
-        return QuadElement(c.a * n, c.b * n, self.delta)
-
-    def scale(self, c: LocalElement) -> "QuadElement":
-        return QuadElement(self.a * c, self.b * c, self.delta)
-
-
 def psi(x: LocalElement) -> UnitRoot:
     """The fixed additive character of F: trivial on o, nontrivial on p^-1 o."""
     return UnitRoot(PSI_SIGN * x.frac_part())
@@ -363,11 +291,6 @@ def psi_numerator(k):
     """The numerator of psi's phase at k/d: psi(k/d) = e(psi_numerator(k)/d) for
     a p-power d and an integer (or integer array) k; the caller reduces mod d."""
     return PSI_SIGN * k
-
-
-def psi_E(z: QuadElement) -> UnitRoot:
-    """The additive character of E obtained by composing psi with the trace."""
-    return psi(z.trace())
 
 
 def unit_enumeration(p: int, m: int, quadratic: bool = False,

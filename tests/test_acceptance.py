@@ -29,7 +29,7 @@ BESSEL_REFINE_TOL = 1e-10
 BESSEL_ASYMP_TOL = 1e-3
 PHI_STABILITY_TOL = 1e-8  # enforced inside evaluate_phi(check_stability=True)
 WITNESS_SPREAD_MAX = 20.0
-SLOPE_WINDOW = 0.15       # around the exponent 1/8
+SLOPE_WINDOW = 0.15       # around the exponent: 1/8 in C, 1/4 in k
 CONV_BUDGET = 300.0       # seconds, criteria 1 and 3 share the pair scans
 SCAN_BUDGET = 1800.0      # seconds
 
@@ -239,6 +239,33 @@ def test_criterion_7_supnorm_exponent(mv31, mv51):
           and elapsed < SCAN_BUDGET)
     _line(7, ok, f"witness spread {spread:.3f} <= 20, slopes "
                  f"{ {k: round(s, 3) for k, s in slopes.items()} }, {elapsed:.1f}s")
+    assert ok
+
+
+def test_criterion_7_weight_exponent(mv51):
+    """The weight half of C^(1/8) k^(1/4): at fixed level the slope of log sup
+    against log k is 1/4, for N = 1, 5 and 9 (depth 2, C = 3^8)."""
+    spec32 = TorusSpec(3, 2)
+    mv32 = MinimalVectorSpec.build(spec32, enumerate_theta(spec32)[0])
+    rams = {1: RamifiedData.unramified(), 5: RamifiedData.build([mv51]),
+            9: RamifiedData.build([mv32])}
+    weights = (12, 48, 192, 480)
+    slopes, ratios, sup_ok = {}, [], True
+    for kind, src in (("sato-tate", CoefficientSource.sato_tate(seed=0)),
+                      ("all-ones", CoefficientSource.all_ones())):
+        for N, ram in rams.items():
+            sups = []
+            for k in weights:
+                rep = scan_supnorm(ram, src, ArchParams("holomorphic", k=k), rows_per_decade=64)
+                sup_ok = sup_ok and rep.sup >= rep.witness
+                ratios.append(rep.witness_ratio)
+                sups.append(rep.sup)
+            slopes[(kind, N)] = float(np.polyfit(np.log(weights), np.log(sups), 1)[0])
+    spread = max(ratios) / min(ratios)
+    slope_ok = all(abs(s - 0.25) <= SLOPE_WINDOW for s in slopes.values())
+    ok = spread <= WITNESS_SPREAD_MAX and slope_ok and sup_ok
+    _line(7, ok, f"weight slopes { {key: round(s, 3) for key, s in slopes.items()} }, "
+                 f"witness spread {spread:.3f} <= 20")
     assert ok
 
 

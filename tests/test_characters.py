@@ -14,8 +14,9 @@ from minvec import characters, minimal
 from minvec.cosets import (kt_membership_mask, kt_support, mat_keys, mul_mod, product_keys,
                            random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
-from minvec.matgroups import Mat2Local, TorusSpec, torus_embed
+from minvec.matgroups import Mat2Local, TorusSpec
 from minvec.residues import UnitRoot, factorize
+from test_matgroups import torus_matrix
 
 
 def test_abelian_structure_cyclic():
@@ -143,7 +144,7 @@ def test_chi_restricts_to_theta_on_torus():
     spec = TorusSpec(3, 1)
     mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
     for (x, y) in [(1, 1), (2, 3), (4, 5), (1, 8)]:
-        t = torus_embed(spec.quad(x, y), spec)
+        t = torus_matrix(spec, x, y)
         assert chi_value(mv, t).r == mv.theta.value((x % 9, y % 9)).r
 
 

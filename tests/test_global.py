@@ -222,7 +222,8 @@ def test_ramanujan_bound_divisor_count():
 def _per_m_sieve(src, limit):
     """values_upto as a per-m recursion lambda(m) = lambda(p^e) lambda(m / p^e),
     p the smallest prime of m: the reference for the prime-power sieve, which
-    must give the same bits."""
+    must give the same bits.  A Sato-Tate source gets its lambda(p) from the
+    scalar reference_lambda_p, not from the array draws under test."""
     if src.kind == "all-ones":
         return np.ones(limit + 1)
     out = np.ones(limit + 1)
@@ -234,6 +235,7 @@ def _per_m_sieve(src, limit):
     for p in range(2, limit + 1):
         if smallest[p] == 0:
             smallest[p::p] = np.where(smallest[p::p] == 0, p, smallest[p::p])
+            src.prime_values[p] = reference_lambda_p(src.seed, p)
     for m in range(2, limit + 1):
         p = int(smallest[m])
         e, r = 0, m

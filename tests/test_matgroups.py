@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from minvec.errors import DiscriminantMismatch
+from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.matgroups import (Mat2Local, TorusSpec, canonical_alpha, decompose_B1T,
                               left_m_valuation, reassemble_B1T, subgroup_member,
-                              torus_embed, torus_extract)
-from minvec.residues import LocalElement, QuadElement, is_square_mod_p
+                              torus_extract)
+from minvec.residues import LocalElement, is_square_mod_p
+
+
+def torus_matrix(spec, x, y, M=None):
+    """x + y*sqrt(-alpha) as the torus matrix [[x, y], [-alpha*y, x]]."""
+    return Mat2Local.from_rationals(spec.p, (x, y, -spec.alpha * y, x), M or spec.precision)
 
 
 def test_canonical_alpha_values():
@@ -19,13 +24,22 @@ def test_canonical_alpha_values():
         assert not is_square_mod_p(-canonical_alpha(p) % p, p)
 
 
-def test_torus_embed_multiplicative_and_extract():
+def test_torus_products_extract_and_theta_is_multiplicative():
     spec = TorusSpec(5, 1)
-    z1, z2 = spec.quad(2, 3), spec.quad(4, 1)
-    m = torus_embed(z1, spec) * torus_embed(z2, spec)
-    assert m.agrees_with(torus_embed(z1 * z2, spec))
-    back = torus_extract(torus_embed(z1, spec), spec)
-    assert back.a.agrees_with(z1.a) and back.b.agrees_with(z1.b)
+    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+    t1, t2 = torus_matrix(spec, 2, 3), torus_matrix(spec, 4, 1)
+    x, y = torus_extract(t1 * t2, spec)
+    # (2 + 3s)(4 + s) = (8 - 3 alpha) + 14 s for s^2 = -alpha
+    assert x.agrees_with(LocalElement.from_int(5, 8 - 3 * spec.alpha, spec.precision))
+    assert y.agrees_with(LocalElement.from_int(5, 14, spec.precision))
+    assert mv.theta_at(t1 * t2) == mv.theta_at(t1) * mv.theta_at(t2)
+
+
+def test_theta_at_rejects_a_matrix_off_the_torus():
+    spec = TorusSpec(3, 1)
+    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+    with pytest.raises(ValueError, match="not in the canonical torus"):
+        mv.theta_at(Mat2Local.from_rationals(3, (1, 1, 0, 1), spec.precision))
 
 
 def test_det_is_cached_and_not_a_field():
@@ -39,12 +53,6 @@ def test_det_is_cached_and_not_a_field():
     assert "det" not in vars(h)
     assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
     assert "det" not in repr(g)
-
-
-def test_det_matches_norm():
-    spec = TorusSpec(3, 1)
-    z = spec.quad(2, 7)
-    assert torus_embed(z, spec).det.agrees_with(z.norm())
 
 
 # side="left" is the one value the keyword accepts; perfbench/workloads.py passes it
@@ -96,7 +104,7 @@ def test_subgroup_predicates():
 
 def test_KT_contains_torus_and_block_and_products():
     spec = TorusSpec(3, 1)
-    t = torus_embed(spec.quad(2, 5), spec)
+    t = torus_matrix(spec, 2, 5)
     assert subgroup_member(t, spec, 1)
     b = Mat2Local.from_rationals(3, (4, 3, 0, 1), 8)
     assert subgroup_member(b, spec, 1)
@@ -112,10 +120,3 @@ def test_KT_alpha_takes_the_entries_precision():
     g = Mat2Local.from_rationals(3, (0, 1, -spec.alpha + 3**4, 3**5), 12)
     assert not subgroup_member(g, spec, 5)
     assert subgroup_member(g, spec, 4)
-
-
-def test_discriminant_mismatch_raises():
-    spec = TorusSpec(5, 1)  # alpha = 2
-    z = QuadElement.from_pair(5, 1, 1, -3, 6)
-    with pytest.raises(DiscriminantMismatch):
-        torus_embed(z, spec)

@@ -10,13 +10,14 @@ from minvec import minimal
 from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
 from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
 from minvec.errors import NumericalError, PrecisionError, SizeGuard
-from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat, torus_embed
+from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat
 from minvec.minimal import (convolution_check, coefficient_density,
                             matrix_coefficient, oracle_window, support_profile,
                             whittaker_closed, whittaker_oracle,
                             whittaker_support_scan)
 from minvec.residues import LocalElement, psi
 from test_acceptance import RATIO_TOL
+from test_matgroups import torus_matrix
 
 
 def _mv(p, n):
@@ -46,7 +47,7 @@ def test_matrix_coefficient_identity_and_outside(mv31):
 
 
 def test_matrix_coefficient_magnitude_one_on_support(mv31):
-    t = torus_embed(mv31.torus.quad(2, 1), mv31.torus)
+    t = torus_matrix(mv31.torus, 2, 1)
     assert abs(abs(matrix_coefficient(mv31, t)) - 1.0) < 1e-15
 
 
@@ -156,15 +157,12 @@ def test_whittaker_right_eigenvector_law(mv31):
         if k.det.is_zero or k.det.v != 0:
             continue
         g = a_mat(y) * k
-        t = torus_embed(spec.quad(random.choice([1, 2, 4]), random.randrange(9)), spec)
+        t = torus_matrix(spec, random.choice([1, 2, 4]), random.randrange(9))
         w_g = whittaker_closed(mv31, g)
         w_gt = whittaker_closed(mv31, g * t)
         assert w_g.in_support == w_gt.in_support
         if w_g.in_support:
-            from minvec.matgroups import torus_extract
-            z = torus_extract(t, spec)
-            th = mv31.theta.value((z.a.residue(2), z.b.residue(2)))
-            assert (w_gt.phase / w_g.phase).r == th.r
+            assert (w_gt.phase / w_g.phase).r == mv31.theta_at(t).r
 
 
 def test_oracle_on_diagonal_support_constant(mv31):
@@ -285,8 +283,8 @@ def test_oracle_window_is_n_when_m_vanishes(mv31, mv51, mv32):
         gs = [Mat2Local.from_rationals(p, (Fraction(2, p**3), 0, 0, 1), M),
               Mat2Local.from_rationals(p, (1, 0, 0, p), M),
               a_mat(LocalElement(p, -2 * n, mv.support_unit(), M)),
-              torus_embed(spec.quad(1, 1, M), spec),
-              torus_embed(spec.quad(Fraction(1, p), 2, M), spec).scale_by_power(-1)]
+              torus_matrix(spec, 1, 1, M),
+              torus_matrix(spec, Fraction(1, p), 2, M).scale_by_power(-1)]
         for g in gs:
             _, m, _ = decompose_B1T(g, spec)
             assert m.is_zero

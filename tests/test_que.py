@@ -4,8 +4,7 @@ import pytest
 
 from minvec.errors import ConfigError
 from minvec.matgroups import TorusSpec
-from minvec.que import (QueReport, conductor_pair, distinguished, que_period,
-                        vol_KT, watson_Ip)
+from minvec.que import QueReport, conductor_pair, distinguished, que_period, vol_KT
 
 
 def test_conductor_pair_values():
@@ -44,10 +43,10 @@ def test_distinguished_parity():
         distinguished(3, 1)  # violates 4n >= 2 a3
 
 
-def test_watson_Ip():
+def test_period_times_conductor_sqrt():
     r = que_period(TorusSpec(3, 1))
-    assert watson_Ip(r.H) == pytest.approx(1 / 6)
-    # I_p * Cond^{1/2} = q^{2n} H = q/(q-1)
-    assert watson_Ip(r.H) * conductor_pair(3, 1) ** 0.5 == pytest.approx(3 / 2)
+    assert r.H == pytest.approx(1 / 6)
+    # H * Cond^{1/2} = q^{2n} H = q/(q-1)
+    assert r.H * conductor_pair(3, 1) ** 0.5 == pytest.approx(3 / 2)
     r7 = que_period(TorusSpec(7, 1))
-    assert watson_Ip(r7.H) * 49 == pytest.approx(7 / 6)
+    assert r7.H * 49 == pytest.approx(7 / 6)

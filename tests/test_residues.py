@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minvec.errors import PrecisionError, SizeGuard
-from minvec.residues import (LocalElement, QuadElement, UnitRoot, _require_odd_prime,
-                             factorize, is_square_mod_p, psi, psi_E, unit_enumeration)
+from minvec.residues import (LocalElement, UnitRoot, _require_odd_prime, factorize,
+                             is_square_mod_p, psi, unit_enumeration)
 
 
 def test_from_rational_roundtrip():
@@ -64,28 +64,7 @@ def test_psi_trivial_on_integers_nontrivial_on_p_inverse():
 def test_unit_root_algebra():
     z = UnitRoot(Fraction(1, 3))
     assert (z * z * z).is_one
-    assert (z ** 2).r == Fraction(2, 3)
     assert abs(z.to_complex() - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
-
-
-def test_quad_element_norm_trace_conjugate():
-    z = QuadElement.from_pair(3, 2, 5, -1, 6)
-    n = z.norm()
-    assert n.agrees_with(LocalElement.from_int(3, 4 + 25, 6))
-    assert z.trace().agrees_with(LocalElement.from_int(3, 4, 6))
-    prod = z * z.conjugate()
-    assert prod.b.is_zero and prod.a.agrees_with(n)
-
-
-def test_quad_inverse():
-    z = QuadElement.from_pair(5, 2, 3, -2, 6)
-    w = z * z.inverse()
-    assert w.a.agrees_with(LocalElement.one(5, 6)) and w.b.is_zero
-
-
-def test_psi_E_uses_trace():
-    z = QuadElement.from_pair(3, Fraction(1, 3), 5, -1, 6)
-    assert psi_E(z).r == psi(LocalElement.from_rational(3, Fraction(2, 3), 6)).r
 
 
 def test_unit_enumeration_counts():
