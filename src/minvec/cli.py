@@ -8,6 +8,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
 from importlib import metadata
@@ -81,6 +82,13 @@ def _odd_level(text) -> int:
     if N < 1 or N % 2 == 0:
         raise ValueError(f"N must be a positive odd integer, got {N}")
     return N
+
+
+def _finite(text) -> float:
+    t = float(text)
+    if not math.isfinite(t):
+        raise ValueError(f"must be finite, got {t}")
+    return t
 
 
 def _parse_pn_list(text: str) -> list[tuple[int, int]]:
@@ -216,6 +224,8 @@ def _coeff_source(text: str) -> CoefficientSource:
 
 def cmd_scan_supnorm(o, config) -> int:
     """global sup-norm scan against C^(1/8) k^(1/4)"""
+    if o.k is not None and o.t is not None:
+        raise ConfigError("give --k (holomorphic) or --t (maass), not both")
     if o.k is not None:
         arch = ArchParams("holomorphic", k=o.k)
     elif o.t is not None:
@@ -270,7 +280,7 @@ OPTIONS = {
     "character-table": [*_LOCAL, _OUT, _SAMPLES],
     "whittaker": [*_LOCAL, _OUT, _SAMPLES],
     "matrix-coeff": [*_LOCAL, ("seed", int, 0), _OUT],
-    "scan-supnorm": [("N", _odd_level, 1), ("k", int, None), ("t", float, None),
+    "scan-supnorm": [("N", _odd_level, 1), ("k", int, None), ("t", _finite, None),
                      ("coeffs", str, "all-ones"), _OUT, _SAMPLES],
     "que": [("grid", _parse_pn_list, "3,1;5,1;7,1"), ("a3", _parse_int_list, "0,1,2"), _OUT],
 }

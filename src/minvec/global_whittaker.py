@@ -42,8 +42,8 @@ class ArchParams:
             if self.k is None or self.k < 2 or self.k % 2 != 0:
                 raise ConfigError("holomorphic case needs even weight k >= 2")
         elif self.case == "maass":
-            if self.t is None:
-                raise ConfigError("maass case needs spectral parameter t")
+            if self.t is None or math.isnan(self.t):
+                raise ConfigError(f"maass case needs spectral parameter t, got {self.t}")
         else:
             raise ConfigError(f"unknown archimedean case {self.case!r}")
 
@@ -146,6 +146,77 @@ def kernel_peak_ratio(arch: ArchParams) -> float:
 
 # -- Hecke-like coefficient sources ------------------------------------------
 
+_M32, _M64 = 2**32 - 1, 2**64 - 1
+# NumPy's SeedSequence hash and mix constants (uint32), and the PCG64 multiplier
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _mul_add_128(a: list, c: int, d: list) -> list:
+    """(a c + d) mod 2^128 for a constant c, on four 32-bit limbs (uint64
+    arrays, least significant first).  Each limb sums the low halves of its
+    products and the high halves of the limb below; no sum passes 2^36."""
+    out, carry, high = [], 0, [0] * 4
+    for k in range(4):
+        acc = carry + d[k] + high[k]
+        for i in range(k + 1):
+            prod = a[i] * ((c >> 32 * (k - i)) & _M32)
+            acc = acc + (prod & _M32)
+            if k < 3:
+                high[k + 1] = high[k + 1] + (prod >> 32)
+        out.append(acc & _M32)
+        carry = acc >> 32
+    return out
+
+
+def _first_uniforms(words: list[np.ndarray]) -> np.ndarray:
+    """np.random.default_rng(e).uniform() for many entropies e < 2^128, each
+    given as its four uint32 words (arrays, least significant first).
+
+    SeedSequence(e) hashes the words into a pool of four (a word e lacks is
+    a zero word, as NumPy pads the pool), mixes every pool word into every
+    other, and expands the pool to eight words: the PCG64 state seed and its
+    stream.  PCG64 seeds with two LCG steps, the first draw takes one more,
+    and its XSL-RR output x gives the uniform (x >> 11) 2^-53.  All of it is
+    uint32 and 128-bit arithmetic, elementwise over the arrays.
+    """
+    h = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _SS_MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashmix(pool[src])
+                pool[dst] = r ^ (r >> 16)
+    state, h = [], _SS_INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _SS_MULT_B & _M32
+        v = v * h
+        state.append((v ^ (v >> 16)).astype(np.uint64))
+    # the eight words are the uint64s (s_hi, s_lo, i_hi, i_lo) of the 128-bit
+    # seed s and stream i; the increment is 2 i + 1
+    seed = state[2:4] + state[0:2]
+    stream = state[6:8] + state[4:6]
+    inc = [((stream[k] << 1) | (stream[k - 1] >> 31 if k else 1)) & _M32 for k in range(4)]
+    x = _mul_add_128(inc, 1, seed)           # the step from state 0 is inc; add s
+    for _ in range(2):                       # the second seeding step, the draw's step
+        x = _mul_add_128(x, _PCG64_MULT, inc)
+    hi, lo = x[2] | (x[3] << 32), x[0] | (x[1] << 32)
+    rot = x[3] >> 26
+    out = (hi ^ lo) >> rot | (hi ^ lo) << ((64 - rot) & 63)
+    return (out >> 11).astype(float) * 2.0**-53
+
+
 def _ramanujan_bound(m: int, delta: float) -> float:
     """d(m) m^delta, with the divisor count d(m) = prod (e + 1) over m = prod p^e."""
     return math.prod(e + 1 for _, e in factorize(m)) * m**delta
@@ -167,6 +238,10 @@ class CoefficientSource:
 
     @classmethod
     def sato_tate(cls, seed: int, delta: float = 0.0) -> "CoefficientSource":
+        """lambda(p) drawn from the stream np.random.default_rng(seed 1_000_003 + p);
+        the seed must be a non-negative integer, as the stream's entropy is."""
+        if seed < 0:
+            raise ConfigError(f"Sato-Tate seed must be >= 0, got {seed}")
         return cls(f"sato-tate({seed})", delta, seed=seed)
 
     @classmethod
@@ -205,14 +280,24 @@ class CoefficientSource:
         """Draw the Sato-Tate lambda(p) = 2 cos theta_p of every p in primes
         into prime_values.
 
-        theta ~ (2/pi) sin^2 by inverse-CDF bisection: each u comes from the
-        prime's own deterministic stream, and one 60-step bisection of [0, pi]
-        runs over the whole u array.  The expressions are those of a one-prime
-        math loop, elementwise, so every value equals that loop's bit for bit
-        (the loop is the reference in the tests).
+        theta ~ (2/pi) sin^2 by inverse-CDF bisection: each u is the first
+        uniform of the prime's own stream default_rng(seed 1_000_003 + p),
+        computed for all primes at once by _first_uniforms (or one Generator
+        per prime once that entropy reaches 2^128), and one 60-step bisection
+        of [0, pi] runs over the whole u array.  The expressions are those of a
+        one-prime math loop on default_rng, elementwise, so every value equals
+        that loop's bit for bit (the loop is the reference in the tests).
         """
-        u = np.array([np.random.default_rng(self.seed * 1_000_003 + p).uniform()
-                      for p in primes])
+        base = self.seed * 1_000_003
+        if primes and (base + max(primes)) >> 128:
+            u = np.array([np.random.default_rng(base + p).uniform() for p in primes])
+        else:
+            # the entropy base + p as two uint64 halves, carrying out of the low one
+            ps = np.array(primes, dtype=np.uint64)
+            lo = np.uint64(base & _M64) + ps
+            hi = np.uint64(base >> 64) + (lo < ps)
+            u = _first_uniforms([(half >> shift & _M32).astype(np.uint32)
+                                 for half in (lo, hi) for shift in (0, 32)])
         lo, hi = np.zeros(len(u)), np.full(len(u), math.pi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -412,10 +497,17 @@ def _cutoff(N: int, arch: ArchParams, y: float) -> int:
     def log_term(m: int) -> float:
         return log_kappa(m * y / N**2, arch) - 0.5 * math.log(m)
 
+    R0 = R
     while True:
         if R > _MAX_CUTOFF:
-            raise NumericalError(f"tail cutoff would pass {_MAX_CUTOFF} terms at y = {y:g}; "
-                                 f"log of the omitted term is {log_term(R):.1f}, not yet -30")
+            lt = log_term(R)
+            if lt > -30.0:
+                why = f"log of the omitted term is {lt:.1f}, not yet -30"
+            elif R == R0:
+                why = f"the starting cutoff R = {R} itself passes it"
+            else:
+                why = f"the tail needs R = {R}"
+            raise NumericalError(f"tail cutoff would pass {_MAX_CUTOFF} terms at y = {y:g}; {why}")
         if log_term(R) <= -30.0:
             return R
         R = math.ceil(1.3 * R)
@@ -518,6 +610,10 @@ class ScanReport:
 # least X_STEPS_PER_PERIOD points per unit of x.
 Y_MIN = math.sqrt(3) / 2.0
 X_STEPS_PER_PERIOD = 64
+# Consecutive rows that share one transform length L are scanned as one
+# block, whose (rows, L) complex array holds at most this many elements; a
+# row longer than that is a block of its own.
+_SCAN_BLOCK_ELEMENTS = 2**14
 
 
 def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
@@ -536,6 +632,14 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     period N in x, every grid point keeps its exact modulus, and the row sup
     and its first argmax come from |G| alone.  The unscaled transform keeps
     each row sup at or above its largest single term (discrete Parseval).
+
+    lambda (the sieve up to the bottom row's cutoff), lambda' and sqrt|m| are
+    computed once per scan; each row's progression is a contiguous slice of
+    the bottom row's.  The rows go in blocks of consecutive rows that share
+    X/N (_row_blocks): a block gathers its rows' coefficients, scatters them
+    into one (rows, X/N) array and takes one inverse FFT along its rows
+    (_scan_block).  Every value is elementwise, so it equals the one-row
+    assembly of evaluate_phi's _row_coefficients bit for bit.
     """
     N = ram.N
     N2 = N * N
@@ -543,54 +647,103 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
     holo = arch.case == "holomorphic"
-    base_X = X_STEPS_PER_PERIOD * max(N2, 1)
 
-    # lambda, lambda' and sqrt|m| once per scan, on the progression at the
-    # cutoff of the bottom row.  Each row's progression is a contiguous slice
-    # of it (a prefix if holomorphic), so a row takes slices of the factors.
     # R_global >= N > b, so ms_global is never empty.
     R_global = _cutoff(N, arch, Y_MIN)
     lam_all = coeffs.values_upto(R_global)
     ms_global = _signed_progression(ram, R_global, holo)
-    lp_global, root_global = _progression_factors(ms_global, ram)
+    factors = _progression_factors(ms_global, ram)
 
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
     terms = fft_points = 0
-    for yv in ys:
-        R = _cutoff(N, arch, float(yv))
-        ms = _signed_progression(ram, R, holo)
-        if len(ms) == 0:
-            continue
-        i = (ms[0] - ms_global[0]) // N
-        sl = slice(i, i + len(ms))
-        c = _row_coefficients(ms, yv, ram, arch, lam_all, lp_global[sl], root_global[sl])
-        # row witness: best single Fourier coefficient magnitude
-        mags = np.abs(c)
-        j = int(np.argmax(mags))
-        if mags[j] > witness:
-            witness, witness_m = float(mags[j]), int(ms[j])
-        X = base_X
-        while X <= 2 * R + 1:
-            X *= 2
-        L = X // N
-        F = np.zeros(L, dtype=complex)
-        F[(ms // N) % L] = c        # m = b + N j' puts c_m at j' mod L
-        av = np.abs(np.fft.ifft(F, norm="forward"))    # |phi| at x = jx N^2 / X, jx mod L
-        jx = int(np.argmax(av))
-        row_sup = float(av[jx])
-        if row_sup > sup:
-            sup, argmax = row_sup, (jx * N2 / X, float(yv))
+    for L, block in _row_blocks(ram, arch, ys):
+        yb, row_sup, jx, row_w, row_m, lens = _scan_block(L, block, ram, arch, lam_all,
+                                                          ms_global, factors)
+        # the first maximum of the block, as a row-by-row strict > keeps it
+        r = int(np.argmax(row_w))
+        if row_w[r] > witness:
+            witness, witness_m = float(row_w[r]), int(row_m[r])
+        r = int(np.argmax(row_sup))
+        if row_sup[r] > sup:
+            sup, argmax = float(row_sup[r]), (int(jx[r]) * N2 / (L * N), float(yb[r]))
         if keep_rows:
-            rows.append((float(yv), row_sup, float(mags[j])))
-        terms += len(ms)
-        fft_points += L
+            rows.extend(zip(yb.tolist(), row_sup.tolist(), row_w.tolist()))
+        terms += int(lens.sum())
+        fft_points += L * len(block)
     C = max(N, 1) ** 4
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C,
                       sup / scale, witness / scale, rows,
                       terms=terms, fft_points=fft_points)
+
+
+def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
+    """The scan rows with a nonempty progression, as (L, [(y, ms), ...]):
+    runs of consecutive rows with one transform length L = X/N, each cut to
+    at most max(1, _SCAN_BLOCK_ELEMENTS // L) rows.  The cutoff R of each row
+    is the scalar _cutoff at its y."""
+    N = ram.N
+    block, L = [], 0
+    for yv in ys:
+        R = _cutoff(N, arch, float(yv))
+        ms = _signed_progression(ram, R, arch.case == "holomorphic")
+        if len(ms) == 0:
+            continue
+        X = X_STEPS_PER_PERIOD * N * N
+        while X <= 2 * R + 1:
+            X *= 2
+        if block and (X // N != L or (len(block) + 1) * L > _SCAN_BLOCK_ELEMENTS):
+            yield L, block
+            block = []
+        block.append((yv, ms))
+        L = X // N
+    if block:
+        yield L, block
+
+
+def _scan_block(L: int, block: list, ram: RamifiedData, arch: ArchParams,
+                lam_all: np.ndarray, ms_global: np.ndarray, factors: tuple):
+    """One block of _row_blocks: per row its y, sup of |G|, first argmax jx,
+    witness (largest |c_m|) and the witness's m, and its number of terms.
+
+    The rows' progressions are gathered end to end, unpadded.  The sieve
+    read comes first, so a row past the sieve raises its IndexError before
+    anything else is read; then the slices of lambda' and sqrt|m| at the
+    scan's factors.  The coefficients PREF lambda lambda' kappa / sqrt|m| are
+    one array expression: the holomorphic kernel one kappa call on the
+    block, the Maass kernel one kappa call per row (a quadrature row's
+    refinement depends on all its x's).
+    """
+    N = ram.N
+    n = len(block)
+    yb = np.array([y for y, _ in block])
+    lens = np.array([len(ms) for _, ms in block])
+    ms = np.concatenate([ms for _, ms in block])
+    am = np.abs(ms)
+    lam = lam_all[am]
+    starts = np.cumsum(lens) - lens
+    row = np.repeat(np.arange(n), lens)
+    col = np.arange(len(ms)) - starts[row]
+    # row r is the slice of ms_global from the index of its first m
+    at = col + ((ms[starts] - ms_global[0]) // N)[row]
+    lp, root = factors[0][at], factors[1][at]
+    if arch.case == "holomorphic":
+        kap = kappa(am * yb[row] / N**2, arch)
+    else:
+        kap = np.concatenate([kappa(np.abs(m) * y / N**2, arch) for y, m in block])
+    c = PREF * lam * lp * kap / root
+    del am, lam, at, lp, root, kap     # freed before the (rows, L) arrays exist
+    F = np.zeros((n, L), dtype=complex)
+    F[row, (ms // N) % L] = c        # m = b + N j' puts c_m at j' mod L
+    av = np.abs(np.fft.ifft(F, axis=1, norm="forward", out=F))  # |phi| at x = jx N^2 / X
+    jx = np.argmax(av, axis=1)
+    mags = np.full((n, int(lens.max())), -1.0)
+    mags[row, col] = np.abs(c)
+    j = np.argmax(mags, axis=1)
+    r = np.arange(n)
+    return yb, av[r, jx], jx, mags[r, j], ms[starts + j], lens
 
 
 # -- classical congruence group ----------------------------------------------

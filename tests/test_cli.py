@@ -221,6 +221,20 @@ def test_out_of_range_value_exits_config(config, argv, tmp_path, capsys):
     assert not out.exists() and not samples.exists()
 
 
+# scan inputs that the option converters accept but the scan cannot use: a
+# non-finite t, both --k and --t, a negative Sato-Tate seed
+@pytest.mark.parametrize("argv", [["--t", "nan"], ["--t", "inf"], ["--t=-inf"],
+                                  ["--k", "12", "--t", "3"],
+                                  ["--k", "12", "--coeffs", "sato-tate:-1"]],
+                         ids=["t-nan", "t-inf", "t-minus-inf", "k-and-t", "negative-seed"])
+def test_unusable_scan_input_exits_config(argv, tmp_path, capsys):
+    out, samples = tmp_path / "r.json", tmp_path / "s.csv"
+    assert run(["scan-supnorm", "--N", "1", *argv, "--out", str(out),
+                "--samples", str(samples)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists() and not samples.exists()
+
+
 @pytest.mark.parametrize("argv, config_hash", [
     (["character-table", "--p", "3", "--n", "1"], "39a6cf313bfb9d55"),
     (["verify", "--pn", "3,1;5,1;3,2"], "3db741cc10c114e0"),

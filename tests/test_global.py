@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NumericalError
-from minvec.global_whittaker import (PREF, X_STEPS_PER_PERIOD, Y_MIN, ArchParams,
-                                     CoefficientSource, RamifiedData, ScanReport,
+from minvec import global_whittaker
+from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PERIOD, Y_MIN,
+                                     ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff,
                                      _progression_factors, _ramanujan_bound,
                                      _row_coefficients, _signed_progression,
@@ -56,6 +58,12 @@ def test_arch_params_validation():
         ArchParams("maass")
     assert ArchParams("holomorphic", k=12).T == 12
     assert ArchParams("maass", t=3.0).T == 4.0
+
+
+def test_arch_params_rejects_nan_t():
+    # an infinite t is a form whose normalization underflows (NumericalError)
+    with pytest.raises(ConfigError, match="spectral parameter t, got nan"):
+        ArchParams("maass", t=math.nan)
 
 
 def test_kappa_holomorphic_peak_and_decay():
@@ -309,6 +317,30 @@ def test_sato_tate_draws_at_the_smallest_limits():
     assert src.values_upto(2)[2] == reference_lambda_p(2, 2)
 
 
+def _primes_between(lo, hi):
+    return [p for p in range(max(lo, 2), hi) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+# seeds whose entropy seed 1_000_003 + p carries across 2^32 words: past 2^64
+# from p = 350687, up to just below 2^128 at p <= 1_003_028, and past 2^128
+# from p = 3026, where each prime gets its own Generator
+ENTROPY_EDGES = {2**64 // 1_000_003: _primes_between(350_000, 351_400),
+                 2**128 // 1_000_003 - 1: _primes_between(1_002_000, 1_003_100),
+                 2**128 // 1_000_003: _primes_between(2_900, 3_200)}
+
+
+@pytest.mark.parametrize("seed", sorted(ENTROPY_EDGES))
+def test_sato_tate_draws_match_default_rng_at_entropy_word_edges(seed):
+    src = CoefficientSource.sato_tate(seed=seed)
+    src._draw(ENTROPY_EDGES[seed])
+    _assert_draws_match_reference(src, ENTROPY_EDGES[seed])
+
+
+def test_sato_tate_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        CoefficientSource.sato_tate(seed=-1)
+
+
 def test_values_upto_matches_per_m_sieve_other_kinds(tmp_path):
     src = CoefficientSource.all_ones()
     assert np.array_equal(src.values_upto(500), _per_m_sieve(src, 500))
@@ -396,6 +428,18 @@ def test_cutoff_past_the_cap_raises():
     with pytest.raises(NumericalError, match="tail cutoff"):
         evaluate_phi(0.1, 3e-7, RamifiedData.unramified(), CoefficientSource.all_ones(),
                      ArchParams("holomorphic", k=12))
+
+
+@pytest.mark.parametrize("k, y, why", [
+    (12, 1e-7, "log of the omitted term is -11.4, not yet -30"),
+    (12, 5e-7, "the tail needs R = 12990881"),
+    (10**8, Y_MIN, "the starting cutoff R = 18377716 itself passes it")])
+def test_cutoff_cap_message_says_why(k, y, why):
+    # the cap is checked before the term: past it, the term may be short of
+    # e^-30, or below it at a grown R or already at the starting R
+    with pytest.raises(NumericalError) as exc:
+        _cutoff(1, ArchParams("holomorphic", k=k), y)
+    assert str(exc.value).endswith("; " + why)
 
 
 def test_evaluate_phi_cancellation_below_rounding_floor(rams):
@@ -619,6 +663,69 @@ def test_maass_scan_past_the_sieve_raises_as_per_row_assembly(rams):
         reference_scan(rams[3], _source("sato-tate", 3), arch, 64)
     with pytest.raises(IndexError, match=re.escape(str(ref.value))):
         scan_supnorm(rams[3], _source("sato-tate", 3), arch, rows_per_decade=64)
+
+
+def _scan_with_blocks(monkeypatch, ram, kind, arch):
+    """scan_supnorm at the CLI default of 256 rows per decade, and the
+    (L, rows) of every block it transforms."""
+    blocks = []
+    scan_block = global_whittaker._scan_block
+
+    def spy(L, block, *args):
+        blocks.append((L, len(block)))
+        return scan_block(L, block, *args)
+
+    monkeypatch.setattr(global_whittaker, "_scan_block", spy)
+    return scan_supnorm(ram, _source(kind, 3), arch, keep_rows=True), blocks
+
+
+def _assert_blocks_split_at_the_cap(blocks, rows):
+    assert sum(n for _, n in blocks) == rows
+    assert all(L * n <= _SCAN_BLOCK_ELEMENTS or n == 1 for L, n in blocks)
+    # some run of one transform length goes on past a full block
+    assert any(L == L_next and L * (n + 1) > _SCAN_BLOCK_ELEMENTS
+               for (L, n), (L_next, _) in zip(blocks, blocks[1:]))
+
+
+# at k <= 120 every row of these scans has the shortest transform length
+# X_STEPS_PER_PERIOD N; at k = 600 the bottom rows need longer ones
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("k", [12, 120, 600])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+def test_scan_blocks_are_bit_identical_to_per_row_assembly(rams, monkeypatch, N, k, kind):
+    arch = ArchParams("holomorphic", k=k)
+    got, blocks = _scan_with_blocks(monkeypatch, rams[N], kind, arch)
+    ref = reference_scan(rams[N], _source(kind, 3), arch, 256)
+    for name in SCAN_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
+    _assert_blocks_split_at_the_cap(blocks, len(ref.rows))
+    lengths = [L for L, _ in blocks]
+    assert (lengths[0] > lengths[-1]) == (k == 600)
+
+
+def test_maass_scan_blocks_are_bit_identical_to_per_row_assembly(rams, monkeypatch):
+    arch = ArchParams("maass", t=2.0)
+    got, blocks = _scan_with_blocks(monkeypatch, rams[3], "sato-tate", arch)
+    ref = reference_scan(rams[3], _source("sato-tate", 3), arch, 256)
+    for name in SCAN_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
+    _assert_blocks_split_at_the_cap(blocks, len(ref.rows))
+
+
+def test_scan_memory_stays_within_the_block_cap(rams):
+    # the CLI-default scan at N = 21, k = 120: 1226 rows (759 with the psi
+    # sign flipped, which moves b), all of transform length 1344; as one
+    # (rows, L) array they would take 16 to 26 MB
+    tracemalloc.start()
+    try:
+        rep = scan_supnorm(rams[21], CoefficientSource.all_ones(),
+                           ArchParams("holomorphic", k=120), keep_rows=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) > 700
+    # a block of 2^14 complex elements (256 KiB), and 2 MiB for everything else
+    assert peak <= 16 * 2**14 + 2 * 2**20
 
 
 @pytest.mark.parametrize("N", [1, 3, 15, 21])
