@@ -144,7 +144,7 @@ def quad_unit_mul(p: int, m: int, delta: int):
 
 def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
     """Structure of the unit group of the quadratic extension's residue ring mod p^m."""
-    elements = unit_enumeration(p, m, quadratic=True, delta=delta)
+    elements = unit_enumeration(p, m, quadratic=True)
     return abelian_structure(elements, quad_unit_mul(p, m, delta), (1, 0))
 
 

@@ -144,6 +144,7 @@ def cmd_verify(o, config) -> int:
         except MinvecError as e:
             entry["ok"] = False
             entry["error"] = str(e)
+            entry["error_type"] = type(e).__name__
         ok = ok and entry.get("ok", False)
         results.append(entry)
     _write_report(o.out, "verify", config, {"results": results, "ok": ok})

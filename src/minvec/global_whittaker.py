@@ -337,9 +337,11 @@ class CoefficientSource:
         The primes p <= limit are walked in descending order, and lambda(p^e)
         multiplies the multiples of p^e that p^(e+1) does not divide.  So
         lambda(m) for m = p1^e1 ... pk^ek (p1 < ... < pk) is the float product
-        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).  A Sato-Tate
-        source first draws every prime p <= limit not yet in prime_values in
-        one array pass (_draw).
+        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).  The primes above
+        isqrt(limit) come first and touch only m with pk = p, ek = 1, so one
+        scatter writes their lambda(p) in place of that part of the walk.  A
+        Sato-Tate source first draws every prime p <= limit not yet in
+        prime_values in one array pass (_draw).
         """
         if self.kind == "all-ones":
             return np.ones(limit + 1)
@@ -355,7 +357,15 @@ class CoefficientSource:
                 is_prime[q * q::q] = False
         primes = np.flatnonzero(is_prime).tolist()
         self._draw([p for p in primes if p not in self.prime_values])
-        for p in primes[::-1]:
+        # a multiple p j <= limit of a prime p > isqrt(limit) has j < p, so p is
+        # its largest prime and lambda(p) its first factor: one scatter sets them
+        small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+        big = np.array(primes[small:], dtype=np.int64)
+        counts = limit // big
+        p_of = np.repeat(big, counts)
+        j = np.arange(len(p_of)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        out[p_of * j] = np.repeat([self.prime_values[p] for p in primes[small:]], counts)
+        for p in primes[:small][::-1]:
             # f[j] = lambda(p^e) for the multiple (j + 1) p, exactly divisible by p^e
             f = np.full(limit // p, self._lambda_ppow(p, 1))
             e, step = 2, p
@@ -483,34 +493,74 @@ def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
 
 _MAX_CUTOFF = 10**7
 _CUTOFF_EPS = 0.1
+# _cutoffs decides a probe within this distance of -30 by the scalar
+# _log_term, as np.log and math.log may differ in the last ulp.
+_GUARD = 1e-6
+
+
+def _start_cutoff(N: int, arch: ArchParams, y):
+    """The asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y), eps = _CUTOFF_EPS,
+    before its ceil: at one y or, elementwise, at an array of them."""
+    T = arch.T
+    return N ** (2 + _CUTOFF_EPS) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)
+
+
+def _log_term(N: int, arch: ArchParams, y: float, m: int) -> float:
+    """log of the normalized term at m on the row y, without its lambda's."""
+    return log_kappa(m * y / N**2, arch) - 0.5 * math.log(m)
+
+
+def _cap_error(N: int, arch: ArchParams, y: float, R: int, R0: int) -> NumericalError:
+    """The error of the row y whose cutoff, from R0, has grown to R > _MAX_CUTOFF."""
+    lt = _log_term(N, arch, y, R)
+    if lt > -30.0:
+        why = f"log of the omitted term is {lt:.1f}, not yet -30"
+    elif R == R0:
+        why = f"the starting cutoff R = {R} itself passes it"
+    else:
+        why = f"the tail needs R = {R}"
+    return NumericalError(f"tail cutoff would pass {_MAX_CUTOFF} terms at y = {y:g}; {why}")
 
 
 def _cutoff(N: int, arch: ArchParams, y: float) -> int:
-    """Tail cutoff: the asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y) with
-    eps = _CUTOFF_EPS, extended until the first omitted term of the normalized
+    """Tail cutoff: the asymptotic shape (_start_cutoff, at least 8), extended
+    by steps R -> ceil(1.3 R) until the first omitted term of the normalized
     kernel is below e^{-30} (the decay is exponential past the kernel peak, but
     the asymptotic constant matters at desk-scale weights).
     Raises NumericalError rather than pass _MAX_CUTOFF terms."""
-    T = arch.T
-    R = max(8, math.ceil(N ** (2 + _CUTOFF_EPS) * (T + T ** (1.0 / 3.0)) / (2 * math.pi * y)))
-
-    def log_term(m: int) -> float:
-        return log_kappa(m * y / N**2, arch) - 0.5 * math.log(m)
-
-    R0 = R
+    R = R0 = max(8, math.ceil(_start_cutoff(N, arch, y)))
     while True:
         if R > _MAX_CUTOFF:
-            lt = log_term(R)
-            if lt > -30.0:
-                why = f"log of the omitted term is {lt:.1f}, not yet -30"
-            elif R == R0:
-                why = f"the starting cutoff R = {R} itself passes it"
-            else:
-                why = f"the tail needs R = {R}"
-            raise NumericalError(f"tail cutoff would pass {_MAX_CUTOFF} terms at y = {y:g}; {why}")
-        if log_term(R) <= -30.0:
+            raise _cap_error(N, arch, y, R, R0)
+        if _log_term(N, arch, y, R) <= -30.0:
             return R
         R = math.ceil(1.3 * R)
+
+
+def _cutoffs(N: int, arch: ArchParams, ys: np.ndarray) -> np.ndarray:
+    """[_cutoff(N, arch, y) for y in ys] in one array pass: the same starts
+    and steps, with each step's probes of the still-open rows in one kappa
+    call, as log|kappa(R y / N^2)| - log(R) / 2.  A probe within _GUARD of -30
+    is decided by the scalar _log_term, so every R equals _cutoff's.  Past
+    _MAX_CUTOFF, raises _cutoff's NumericalError for the first such row."""
+    R0 = np.maximum(8, np.ceil(_start_cutoff(N, arch, ys))).astype(np.int64)
+    R = R0.copy()
+    open_ = np.flatnonzero(R <= _MAX_CUTOFF)
+    while open_.size:
+        Ro, yo = R[open_], ys[open_]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lt = np.log(np.abs(kappa(Ro * yo / N**2, arch))) - 0.5 * np.log(Ro)
+        done = lt <= -30.0
+        for i in np.flatnonzero(np.abs(lt + 30.0) <= _GUARD).tolist():
+            done[i] = _log_term(N, arch, float(yo[i]), int(Ro[i])) <= -30.0
+        open_ = open_[~done]
+        R[open_] = np.ceil(1.3 * R[open_])
+        open_ = open_[R[open_] <= _MAX_CUTOFF]
+    capped = np.flatnonzero(R > _MAX_CUTOFF)     # a finished row is never past the cap
+    if capped.size:
+        i = capped[0]
+        raise _cap_error(N, arch, float(ys[i]), int(R[i]), int(R0[i]))
+    return R
 
 
 def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSource,
@@ -635,11 +685,15 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
 
     lambda (the sieve up to the bottom row's cutoff), lambda' and sqrt|m| are
     computed once per scan; each row's progression is a contiguous slice of
-    the bottom row's.  The rows go in blocks of consecutive rows that share
-    X/N (_row_blocks): a block gathers its rows' coefficients, scatters them
-    into one (rows, X/N) array and takes one inverse FFT along its rows
-    (_scan_block).  Every value is elementwise, so it equals the one-row
-    assembly of evaluate_phi's _row_coefficients bit for bit.
+    the bottom row's.  The rows are planned before any is scanned
+    (_row_blocks): the cutoffs of all rows are probed at once, in one array
+    pass with a scalar guard band (_cutoffs), and each row's first m, term
+    count and X/N follow from its R by arithmetic.  The rows go in blocks of
+    consecutive rows that share X/N: a block builds its rows' progressions,
+    gathers their coefficients, scatters them into one (rows, X/N) array and
+    takes one inverse FFT along its rows (_scan_block).  Every value is
+    elementwise, so it equals the one-row assembly of evaluate_phi's
+    _row_coefficients bit for bit.
     """
     N = ram.N
     N2 = N * N
@@ -654,13 +708,13 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     ms_global = _signed_progression(ram, R_global, holo)
     factors = _progression_factors(ms_global, ram)
 
+    plan, blocks = _row_blocks(ram, arch, ys)
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
-    terms = fft_points = 0
-    for L, block in _row_blocks(ram, arch, ys):
-        yb, row_sup, jx, row_w, row_m, lens = _scan_block(L, block, ram, arch, lam_all,
-                                                          ms_global, factors)
+    for L, block in blocks:
+        yb, row_sup, jx, row_w, row_m = _scan_block(L, block, plan, ram, arch, lam_all,
+                                                    ms_global, factors)
         # the first maximum of the block, as a row-by-row strict > keeps it
         r = int(np.argmax(row_w))
         if row_w[r] > witness:
@@ -670,69 +724,86 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
             sup, argmax = float(row_sup[r]), (int(jx[r]) * N2 / (L * N), float(yb[r]))
         if keep_rows:
             rows.extend(zip(yb.tolist(), row_sup.tolist(), row_w.tolist()))
-        terms += int(lens.sum())
-        fft_points += L * len(block)
+    _, _, lens, Ls = plan
     C = max(N, 1) ** 4
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C,
                       sup / scale, witness / scale, rows,
-                      terms=terms, fft_points=fft_points)
+                      terms=int(lens.sum()), fft_points=int(Ls.sum()))
 
 
 def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
-    """The scan rows with a nonempty progression, as (L, [(y, ms), ...]):
-    runs of consecutive rows with one transform length L = X/N, each cut to
-    at most max(1, _SCAN_BLOCK_ELEMENTS // L) rows.  The cutoff R of each row
-    is the scalar _cutoff at its y."""
-    N = ram.N
-    block, L = [], 0
-    for yv in ys:
-        R = _cutoff(N, arch, float(yv))
-        ms = _signed_progression(ram, R, arch.case == "holomorphic")
-        if len(ms) == 0:
-            continue
-        X = X_STEPS_PER_PERIOD * N * N
-        while X <= 2 * R + 1:
-            X *= 2
-        if block and (X // N != L or (len(block) + 1) * L > _SCAN_BLOCK_ELEMENTS):
-            yield L, block
-            block = []
-        block.append((yv, ms))
-        L = X // N
-    if block:
-        yield L, block
+    """The scan plan and its blocks.  The plan holds the rows with a nonempty
+    progression as arrays (y, first m, terms, L = X/N); a block is
+    (L, range of plan rows), a run of consecutive rows with one L cut to at
+    most max(1, _SCAN_BLOCK_ELEMENTS // L) rows.
+
+    The cutoffs R of all rows are probed at once (_cutoffs, equal to the
+    scalar _cutoff at each y).  A row's progression is _signed_progression's
+    at its R: from b or N (holomorphic) or -R + (b + R) % N (Maass) up to R
+    in steps of N, less m = 0 where the Maass b is 0.  X is the first
+    X_STEPS_PER_PERIOD N^2 2^i above 2R + 1, by array doubling."""
+    N, b = ram.N, ram.b % ram.N
+    holo = arch.case == "holomorphic"
+    R = _cutoffs(N, arch, ys)
+    start = np.full(len(R), b or N) if holo else -R + (b + R) % N
+    lens = (R - start) // N + (holo or b != 0)
+    keep = lens > 0
+    R, start, lens = R[keep], start[keep], lens[keep]
+    X = np.full(len(R), X_STEPS_PER_PERIOD * N * N)
+    while (short := X <= 2 * R + 1).any():
+        X[short] *= 2
+    L = X // N
+    blocks = []
+    edges = np.flatnonzero(np.diff(L, prepend=0, append=0)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        size = max(1, _SCAN_BLOCK_ELEMENTS // int(L[lo]))
+        blocks.extend((int(L[lo]), range(i, min(i + size, hi))) for i in range(lo, hi, size))
+    return (ys[keep], start, lens, L), blocks
 
 
-def _scan_block(L: int, block: list, ram: RamifiedData, arch: ArchParams,
+def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
+                      lens: np.ndarray):
+    """The progressions of plan rows (first m, terms) end to end: each m, its
+    row, its column in the row, and each row's first position.  A row is
+    m = start + N col, stepping over m = 0 where the Maass b is 0."""
+    starts = np.cumsum(lens) - lens
+    row = np.repeat(np.arange(len(lens)), lens)
+    col = np.arange(len(row)) - starts[row]
+    ms = start[row] + ram.N * col
+    if arch.case != "holomorphic" and ram.b % ram.N == 0:
+        ms[ms >= 0] += ram.N
+    return ms, row, col, starts
+
+
+def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: ArchParams,
                 lam_all: np.ndarray, ms_global: np.ndarray, factors: tuple):
     """One block of _row_blocks: per row its y, sup of |G|, first argmax jx,
-    witness (largest |c_m|) and the witness's m, and its number of terms.
+    witness (largest |c_m|) and the witness's m.
 
-    The rows' progressions are gathered end to end, unpadded.  The sieve
-    read comes first, so a row past the sieve raises its IndexError before
-    anything else is read; then the slices of lambda' and sqrt|m| at the
-    scan's factors.  The coefficients PREF lambda lambda' kappa / sqrt|m| are
-    one array expression: the holomorphic kernel one kappa call on the
-    block, the Maass kernel one kappa call per row (a quadrature row's
-    refinement depends on all its x's).
+    The rows' progressions are built end to end, unpadded
+    (_row_progressions).  The sieve read comes first, so a row past the
+    sieve raises its IndexError before anything else is read; then the
+    slices of lambda' and sqrt|m| at the scan's factors.  The coefficients
+    PREF lambda lambda' kappa / sqrt|m| are one array expression: the
+    holomorphic kernel one kappa call on the block, the Maass kernel one
+    kappa call per row (a quadrature row's refinement depends on all its
+    x's).
     """
     N = ram.N
+    yb, start, lens = (a[block.start:block.stop] for a in plan[:3])
     n = len(block)
-    yb = np.array([y for y, _ in block])
-    lens = np.array([len(ms) for _, ms in block])
-    ms = np.concatenate([ms for _, ms in block])
+    ms, row, col, starts = _row_progressions(ram, arch, start, lens)
     am = np.abs(ms)
     lam = lam_all[am]
-    starts = np.cumsum(lens) - lens
-    row = np.repeat(np.arange(n), lens)
-    col = np.arange(len(ms)) - starts[row]
     # row r is the slice of ms_global from the index of its first m
-    at = col + ((ms[starts] - ms_global[0]) // N)[row]
+    at = col + ((start - ms_global[0]) // N)[row]
     lp, root = factors[0][at], factors[1][at]
     if arch.case == "holomorphic":
         kap = kappa(am * yb[row] / N**2, arch)
     else:
-        kap = np.concatenate([kappa(np.abs(m) * y / N**2, arch) for y, m in block])
+        kap = np.concatenate([kappa(a * y / N**2, arch)
+                              for y, a in zip(yb, np.split(am, starts[1:]))])
     c = PREF * lam * lp * kap / root
     del am, lam, at, lp, root, kap     # freed before the (rows, L) arrays exist
     F = np.zeros((n, L), dtype=complex)
@@ -743,7 +814,7 @@ def _scan_block(L: int, block: list, ram: RamifiedData, arch: ArchParams,
     mags[row, col] = np.abs(c)
     j = np.argmax(mags, axis=1)
     r = np.arange(n)
-    return yb, av[r, jx], jx, mags[r, j], ms[starts + j], lens
+    return yb, av[r, jx], jx, mags[r, j], ms[starts + j]
 
 
 # -- classical congruence group ----------------------------------------------

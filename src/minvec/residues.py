@@ -293,9 +293,9 @@ def psi_numerator(k):
     return PSI_SIGN * k
 
 
-def unit_enumeration(p: int, m: int, quadratic: bool = False,
-                     delta: int | None = None) -> list:
-    """All units of o/p^m (ints) or o_E/p^m (pairs (a, b) meaning a + b*sqrt(delta))."""
+def unit_enumeration(p: int, m: int, quadratic: bool = False) -> list:
+    """All units of o/p^m (ints) or o_E/p^m (pairs (a, b) meaning a + b*sqrt(delta),
+    for the delta of the quadratic extension)."""
     _require_odd_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -26,6 +26,16 @@ def test_verify_pass_and_report(tmp_path):
     assert doc["versions"]["numpy"] == np.__version__
 
 
+def test_verify_error_entries_name_their_type(tmp_path):
+    # a size guard reads apart from a failed check; passing entries carry no type
+    out = tmp_path / "r.json"
+    assert run(["verify", "--pn", "3,1;3,5", "--out", str(out)]) == 1
+    passed, guarded = json.loads(out.read_text())["results"]
+    assert passed["ok"] and "error_type" not in passed
+    assert not guarded["ok"] and guarded["error_type"] == "SizeGuard"
+    assert "exceeds configured bound" in guarded["error"]
+
+
 def test_invalid_even_prime_exits_config(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--pn", "2,1", "--out", str(out)]) == 2

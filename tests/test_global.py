@@ -12,7 +12,7 @@ from minvec.errors import ConfigError, NumericalError
 from minvec import global_whittaker
 from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PERIOD, Y_MIN,
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
-                                     _bessel_support_bound, _cutoff,
+                                     _bessel_support_bound, _cutoff, _cutoffs,
                                      _progression_factors, _ramanujan_bound,
                                      _row_coefficients, _signed_progression,
                                      build_D, c_infty, evaluate_phi, gamma_TD,
@@ -256,9 +256,11 @@ def _per_m_sieve(src, limit):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_values_upto_matches_per_m_sieve(seed):
-    for limit in (1, 2, 60, 13729, 20000):
-        got = CoefficientSource.sato_tate(seed=seed).values_upto(limit)
-        assert np.array_equal(got, _per_m_sieve(CoefficientSource.sato_tate(seed=seed), limit))
+    # 48 to 50, 120, 121 and 169 put a prime on either side of isqrt(limit),
+    # the edge between the one-scatter primes and the prime-power walk
+    for limit in (1, 2, 48, 49, 50, 60, 120, 121, 169, 13729, 20000):
+        for source in (lambda: CoefficientSource.sato_tate(seed=seed), CoefficientSource.all_ones):
+            assert np.array_equal(source().values_upto(limit), _per_m_sieve(source(), limit))
 
 
 def reference_lambda_p(seed, p):
@@ -504,6 +506,89 @@ def test_signed_progression_matches_filter(mv31, mv51):
                 all_m = np.arange(1, R + 1) if holo else np.arange(-R, R + 1)
                 expect = all_m[(all_m != 0) & (all_m % ram.N == ram.b % ram.N)]
                 assert np.array_equal(_signed_progression(ram, R, holo), expect)
+
+
+def _scan_ys(N, arch, rows_per_decade):
+    """The y of every scan_supnorm row."""
+    y_max = max(2.0, N * N * arch.T)
+    n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
+    return np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
+
+
+@pytest.mark.parametrize("rows_per_decade", [64, 256])
+def test_cutoffs_equal_the_scalar_cutoff_on_every_scan_row(rows_per_decade):
+    # the holo-scan levels and weights (and k = 600), and the five maass-scan jobs
+    archs = [(N, ArchParams("holomorphic", k=k)) for N in (1, 3, 5, 15, 21)
+             for k in (12, 40, 120, 600)]
+    archs += [(N, ArchParams("maass", t=t)) for N, t in
+              [(1, 2.0), (3, 2.0), (5, 5.0), (3, 5.0), (1, 10.0)]]
+    cutoffs = {}
+    for N, arch in archs:
+        ys = _scan_ys(N, arch, rows_per_decade)
+        cutoffs[N, arch] = _cutoffs(N, arch, ys).tolist()
+        assert cutoffs[N, arch] == [_cutoff(N, arch, float(y)) for y in ys], (N, arch)
+    # the N = 3, t = 5 row whose cutoff passes the bottom row's 60
+    assert max(cutoffs[3, ArchParams("maass", t=5.0)]) == 67
+
+
+@pytest.mark.parametrize("scalar_done", [True, False])
+def test_cutoffs_let_the_scalar_probe_decide_in_the_guard_band(monkeypatch, scalar_done):
+    # a kernel whose probes at the starting R land within _GUARD of -30 on
+    # opposite sides, the array one and the scalar one; past that R both
+    # read -31.  _cutoffs follows the scalar probe, as _cutoff does, and
+    # would follow the array one without the guard band.
+    y = 2.0
+    arch = ArchParams("holomorphic", k=12)
+    R0 = _cutoff(1, arch, y)
+    side = 0.1 * global_whittaker._GUARD
+    scalar, array = (-30 - side, -30 + side) if scalar_done else (-30 + side, -30 - side)
+
+    def fake_log_kappa(u, arch):          # at N = 1, u = m y
+        return 0.5 * math.log(u / y) + (scalar if u / y < R0 + 0.5 else -31.0)
+
+    def fake_kappa(u, arch):
+        return np.exp(0.5 * np.log(u / y) + np.where(u / y < R0 + 0.5, array, -31.0))
+
+    monkeypatch.setattr(global_whittaker, "log_kappa", fake_log_kappa)
+    monkeypatch.setattr(global_whittaker, "kappa", fake_kappa)
+    step = math.ceil(1.3 * R0)
+    assert _cutoff(1, arch, y) == (R0 if scalar_done else step)
+    assert _cutoffs(1, arch, np.array([y])).tolist() == [R0 if scalar_done else step]
+    monkeypatch.setattr(global_whittaker, "_GUARD", 0.0)
+    assert _cutoffs(1, arch, np.array([y])).tolist() == [step if scalar_done else R0]
+
+
+@pytest.mark.parametrize("k, y", [(12, 1e-7), (12, 5e-7), (10**8, Y_MIN)])
+def test_cutoffs_raise_the_scalar_cap_error(k, y):
+    # among the rows past the cap, the first is reported; the row 10^4 y
+    # stays below it, and at k = 12 the row y / 2 passes it in fewer steps
+    # than the row y
+    arch = ArchParams("holomorphic", k=k)
+    assert _cutoff(1, arch, 1e4 * y) < 10**7
+    with pytest.raises(NumericalError) as ref:
+        _cutoff(1, arch, y)
+    with pytest.raises(NumericalError, match=re.escape(str(ref.value))):
+        _cutoffs(1, arch, np.array([1e4 * y, y, y / 2]))
+
+
+@pytest.mark.parametrize("arch", [ArchParams("holomorphic", k=12), ArchParams("maass", t=2.0)])
+def test_row_plan_progressions_match_signed_progression(mv31, mv51, monkeypatch, arch):
+    # each plan row's progression, by arithmetic on R and b, is
+    # _signed_progression's at its R, and rows with an empty one are left
+    # out; N = 1 and the last ram have b = 0, where Maass skips m = 0
+    Rs = np.array([1, 2, 8, 14, 15, 16, 100])
+    monkeypatch.setattr(global_whittaker, "_cutoffs", lambda N, arch, ys: Rs.copy())
+    ys = np.arange(1.0, len(Rs) + 1)
+    holo = arch.case == "holomorphic"
+    for ram in (RamifiedData.unramified(), RamifiedData.build([mv31]),
+                RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
+                RamifiedData(15, 0, 1.0, [])):
+        expect = [_signed_progression(ram, int(R), holo) for R in Rs]
+        (y_plan, start, lens, _), _ = global_whittaker._row_blocks(ram, arch, ys)
+        ms, row, _, _ = global_whittaker._row_progressions(ram, arch, start, lens)
+        assert y_plan.tolist() == [y for y, e in zip(ys, expect) if len(e)]
+        assert np.array_equal(ms, np.concatenate(expect))
+        assert np.array_equal(row, np.repeat(np.arange(len(y_plan)), [len(e) for e in expect if len(e)]))
 
 
 def _full_length_row(ram, arch, y, lam_all):
