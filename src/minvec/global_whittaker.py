@@ -85,9 +85,9 @@ def kappa(y: np.ndarray, arch: ArchParams) -> np.ndarray:
 
     Holomorphic: exp((k/2) log y - 2 pi y - log c_inf), one log-space
     expression, finite at every weight.  Maass: sqrt(y) K_{it}(2 pi y) / c_inf,
-    with the whole array in one bessel_K_imag_row call (each value
-    bessel_K_imag's up to rounding); c_inf comes first, so its NumericalError
-    precedes any quadrature.
+    with the whole array in one bessel_K_imag_row call, whose value at each y
+    depends on that y alone (and is bessel_K_imag's up to rounding); c_inf
+    comes first, so its NumericalError precedes any quadrature.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y > 0):
@@ -690,9 +690,10 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     pass with a scalar guard band (_cutoffs), and each row's first m, term
     count and X/N follow from its R by arithmetic.  The rows go in blocks of
     consecutive rows that share X/N: a block builds its rows' progressions,
-    gathers their coefficients, scatters them into one (rows, X/N) array and
-    takes one inverse FFT along its rows (_scan_block).  Every value is
-    elementwise, so it equals the one-row assembly of evaluate_phi's
+    gathers their coefficients with one kappa call, scatters them into one
+    (rows, X/N) array and takes one inverse FFT along its rows
+    (_scan_block).  Every value is elementwise (a Maass kernel value depends
+    on its x alone), so it equals the one-row assembly of evaluate_phi's
     _row_coefficients bit for bit.
     """
     N = ram.N
@@ -785,10 +786,9 @@ def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: Arch
     (_row_progressions).  The sieve read comes first, so a row past the
     sieve raises its IndexError before anything else is read; then the
     slices of lambda' and sqrt|m| at the scan's factors.  The coefficients
-    PREF lambda lambda' kappa / sqrt|m| are one array expression: the
-    holomorphic kernel one kappa call on the block, the Maass kernel one
-    kappa call per row (a quadrature row's refinement depends on all its
-    x's).
+    PREF lambda lambda' kappa / sqrt|m| are one array expression, with the
+    kernel of the whole block in one kappa call (for a Maass form one Bessel
+    quadrature, whose value at each x does not depend on the block).
     """
     N = ram.N
     yb, start, lens = (a[block.start:block.stop] for a in plan[:3])
@@ -799,13 +799,8 @@ def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: Arch
     # row r is the slice of ms_global from the index of its first m
     at = col + ((start - ms_global[0]) // N)[row]
     lp, root = factors[0][at], factors[1][at]
-    if arch.case == "holomorphic":
-        kap = kappa(am * yb[row] / N**2, arch)
-    else:
-        kap = np.concatenate([kappa(a * y / N**2, arch)
-                              for y, a in zip(yb, np.split(am, starts[1:]))])
-    c = PREF * lam * lp * kap / root
-    del am, lam, at, lp, root, kap     # freed before the (rows, L) arrays exist
+    c = PREF * lam * lp * kappa(am * yb[row] / N**2, arch) / root
+    del am, lam, at, lp, root          # freed before the (rows, L) arrays exist
     F = np.zeros((n, L), dtype=complex)
     F[row, (ms // N) % L] = c        # m = b + N j' puts c_m at j' mod L
     av = np.abs(np.fft.ifft(F, axis=1, norm="forward", out=F))  # |phi| at x = jx N^2 / X

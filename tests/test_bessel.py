@@ -4,10 +4,13 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minvec import bessel
 from minvec.bessel import bessel_K_imag, bessel_K_imag_row
@@ -125,16 +128,20 @@ def test_positive_x_required():
 @pytest.mark.parametrize("t, x", [(0.0, 1e-306), (2.0, 1e-306), (10.0, 1e-306), (10.0, 5e-324)])
 def test_tiny_x_is_a_value_or_no_solution(t, x):
     # where 45/(x cos a) overflows, sinh overflows on the path before its tail
-    # decays: NoSolution, never OverflowError, ZeroDivisionError or NaN
+    # decays: NoSolution, never OverflowError, ZeroDivisionError or NaN, and
+    # neither route lets a RuntimeWarning out
     if t < 10:
         mpmath = pytest.importorskip("mpmath")
         ref = float(mpmath.besselk(1j * t, x).real)
         tol = 1e-12 * max(abs(ref), oscillation_floor(t, x))
-        assert abs(bessel_K_imag(t, x) - ref) <= tol
-        assert abs(bessel_K_imag_row(t, [1.0, x])[1] - ref) <= tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(bessel_K_imag(t, x) - ref) <= tol
+            assert abs(bessel_K_imag_row(t, [1.0, x])[1] - ref) <= tol
         return
     for call in (lambda: bessel_K_imag(t, x), lambda: bessel_K_imag_row(t, [1.0, x])):
-        with pytest.raises(NoSolution, match="where sinh overflows") as exc:
+        with warnings.catch_warnings(), pytest.raises(NoSolution, match="where sinh overflows") as exc:
+            warnings.simplefilter("error")
             call()
         assert "nan" not in str(exc.value)
 
@@ -198,8 +205,9 @@ def scan_rows():
 
 @pytest.mark.parametrize("t", CHECK_T)
 def test_row_matches_one_x_on_scan_rows(scan_rows, t):
-    # each x of a row starts from the smallest starting count of the row
-    # rather than its own, so the sums differ only in rounding
+    # both routes refine each x from its own starting count with the same
+    # node sums; the row route takes the contour (a, U, floor, prefactor) in
+    # NumPy and the one-x route in math, so the values differ only in rounding
     for N in (1, 3, 5):
         for xs in scan_rows[N, t]:
             row = bessel_K_imag_row(t, xs)
@@ -219,19 +227,36 @@ def test_row_matches_reference_on_a_log_grid(t):
 
 
 def test_row_evaluates_each_distinct_x_once(monkeypatch):
-    # at N = 1 every |m| of a scan row comes twice
+    # at N = 1 every |m| of a scan row comes twice; the contours of the
+    # distinct x's are taken in one array pass, in first-appearance order
     xs = np.array([3.0, 0.5, 3.0, 7.0, 0.5, 3.0])
-    paths = []
-    path = bessel._path
+    calls = []
+    contour = bessel._contour
 
-    def counting(t, x):
-        paths.append(x)
-        return path(t, x)
-    monkeypatch.setattr(bessel, "_path", counting)
+    def counting(t, xs):
+        calls.append(xs.tolist())
+        return contour(t, xs)
+    monkeypatch.setattr(bessel, "_contour", counting)
     got = bessel_K_imag_row(2.0, xs)
-    assert paths == [3.0, 0.5, 7.0]
+    assert calls == [[3.0, 0.5, 7.0]]
     assert np.array_equal(got, bessel_K_imag_row(2.0, [3.0, 0.5, 7.0])[[0, 1, 0, 2, 1, 0]])
     assert bessel_K_imag_row(2.0, xs.reshape(2, 3)).shape == (2, 3)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(t=st.floats(0.0, 40.0),
+       logs=st.lists(st.floats(math.log(1e-2), math.log(300.0)), min_size=1, max_size=12),
+       data=st.data())
+def test_row_values_do_not_depend_on_the_batch(t, logs, data):
+    # the value at an x is the same bits alone, among other x's, and in any order
+    xs = np.exp(logs)
+    row = bessel_K_imag_row(t, xs)
+    alone = np.array([bessel_K_imag_row(t, [x])[0] for x in xs.tolist()])
+    assert np.array_equal(row, alone)
+    perm = np.array(data.draw(st.permutations(range(len(xs)))))
+    assert np.array_equal(bessel_K_imag_row(t, xs[perm]), row[perm])
+    part = perm[:data.draw(st.integers(1, len(xs)))]
+    assert np.array_equal(bessel_K_imag_row(t, xs[part]), row[part])
 
 
 def test_row_edge_cases(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError, NumericalError
-from minvec import global_whittaker
+from minvec import bessel, global_whittaker
 from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PERIOD, Y_MIN,
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff, _cutoffs,
@@ -811,6 +811,58 @@ def test_scan_memory_stays_within_the_block_cap(rams):
     assert len(rep.rows) > 700
     # a block of 2^14 complex elements (256 KiB), and 2 MiB for everything else
     assert peak <= 16 * 2**14 + 2 * 2**20
+
+
+def test_maass_scan_memory_stays_within_the_quadrature_pass_cap(rams):
+    # the CLI-default Maass scan at N = 5, t = 5: 574 rows, whose kernels go
+    # into one Bessel quadrature per block
+    tracemalloc.start()
+    try:
+        rep = scan_supnorm(rams[5], CoefficientSource.all_ones(), ArchParams("maass", t=5.0),
+                           keep_rows=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) > 500
+    # eight float arrays of one quadrature pass, and 2 MiB for everything else
+    assert peak <= 8 * 8 * bessel._PASS_ELEMENTS + 2 * 2**20
+
+
+def test_maass_scan_makes_one_row_quadrature_per_block(rams, monkeypatch):
+    # the Maass kernel of a block is one bessel_K_imag_row call, and each
+    # x1.3 step of the cutoff probe one more: never one per row
+    stage, entered, row_calls, probe_steps = [None], [], [], []
+    row_quadrature, kernel = global_whittaker.bessel_K_imag_row, global_whittaker.kappa
+
+    def staged(name, f):
+        def call(*args):
+            entered.append(name)
+            stage.append(name)
+            try:
+                return f(*args)
+            finally:
+                stage.pop()
+        return call
+
+    def counting_row(t, xs):
+        row_calls.append(stage[-1])
+        return row_quadrature(t, xs)
+
+    def counting_kernel(y, arch):
+        if stage[-1] == "cutoffs":
+            probe_steps.append(len(y))
+        return kernel(y, arch)
+
+    monkeypatch.setattr(global_whittaker, "bessel_K_imag_row", counting_row)
+    monkeypatch.setattr(global_whittaker, "kappa", counting_kernel)
+    monkeypatch.setattr(global_whittaker, "_cutoffs", staged("cutoffs", global_whittaker._cutoffs))
+    monkeypatch.setattr(global_whittaker, "_scan_block", staged("block", global_whittaker._scan_block))
+    rep = scan_supnorm(rams[3], _source("sato-tate", 3), ArchParams("maass", t=2.0), keep_rows=True)
+    blocks = entered.count("block")
+    assert row_calls.count("block") == blocks
+    assert row_calls.count("cutoffs") == len(probe_steps) > 0
+    assert len(row_calls) == blocks + len(probe_steps)
+    assert len(rep.rows) > 4 * blocks
 
 
 @pytest.mark.parametrize("N", [1, 3, 15, 21])
