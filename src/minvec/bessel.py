@@ -16,7 +16,7 @@ trapezoidal rule converges exponentially (Trefethen and Weideman, SIAM Review
 
 bessel_K_imag_row takes the contours of an array of x in one array pass and
 refines every x from its own starting node count, so the value at x depends
-on (t, x, rel_tol) alone, never on the other x's of the call.  The x's at one
+on (t, x) alone, never on the other x's of the call.  The x's at one
 node count share one 2-D integrand pass, split so that no pass holds more
 than _PASS_ELEMENTS integrand values.  bessel_K_imag is the scalar route: the
 same refinement and node sums for one x, with the contour and the bookkeeping
@@ -37,6 +37,8 @@ _TAIL_EXPONENT = 45.0
 _MAX_NODES = 2**20
 # integrand values one 2-D pass holds at once (a few MB with NumPy temporaries)
 _PASS_ELEMENTS = 1 << 16
+# relative change between two levels at which the refinement stops
+_REL_TOL = 1e-12
 
 
 def _reach_error(t: float, x: float, a: float) -> NoSolution:
@@ -142,13 +144,13 @@ def _nonconvergence(t: float, x: float, change: float) -> NoSolution:
                       f"within {_MAX_NODES} intervals: last relative change {change:.3g}")
 
 
-def _trapezoid(t: float, xs: np.ndarray, rel_tol: float) -> np.ndarray:
+def _trapezoid(t: float, xs: np.ndarray) -> np.ndarray:
     """K_{it}(x) at distinct x > 0 (t >= 0), each refined from its own
     starting count.
 
     An x of starting count n0 first takes every node of 2 n0: the even ones
     give its sum S_n0, the odd ones S_2n0 = S_n0/2 + h_2n0 sum_odd f.  Each
-    later level adds only its odd nodes, until two levels agree to rel_tol.
+    later level adds only its odd nodes, until two levels agree to _REL_TOL.
     An x carries one float from a level to the next and its sums read its own
     contour alone, so its value does not depend on the other x's.  The
     levels of all x's advance together, with one array mask per level for
@@ -168,7 +170,7 @@ def _trapezoid(t: float, xs: np.ndarray, rel_tol: float) -> np.ndarray:
         new = 0.5 * last + U / n * odd
         rel = np.abs(new - last) / np.maximum(np.abs(new), floor)
         # a level counts once it is at or past the x's own starting count
-        done = (rel <= rel_tol) & (start <= n // 2)
+        done = (rel <= _REL_TOL) & (start <= n // 2)
         value[live[done]] = new[done] * np.exp(log_pref[done])
         go_on = ~done & (2 * n <= _MAX_NODES)
         capped = np.flatnonzero(~(done | go_on))
@@ -184,7 +186,7 @@ def _trapezoid(t: float, xs: np.ndarray, rel_tol: float) -> np.ndarray:
         odd = _level_sums(t, P, n, False)[0]
 
 
-def bessel_K_imag_row(t: float, xs, rel_tol: float = 1e-12) -> np.ndarray:
+def bessel_K_imag_row(t: float, xs) -> np.ndarray:
     """K_{it}(x) at an array of x > 0, each distinct x evaluated once.  The
     value at x is the same bits whatever other x's share the call, and
     bessel_K_imag's up to rounding.
@@ -199,11 +201,11 @@ def bessel_K_imag_row(t: float, xs, rel_tol: float = 1e-12) -> np.ndarray:
     distinct, first, where = np.unique(xs.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)       # the distinct x's as they first appear
     value = np.empty(len(order))
-    value[order] = _trapezoid(abs(t), distinct[order], rel_tol)
+    value[order] = _trapezoid(abs(t), distinct[order])
     return value[where].reshape(xs.shape)
 
 
-def bessel_K_imag(t: float, x: float, rel_tol: float = 1e-12) -> float:
+def bessel_K_imag(t: float, x: float, rel_tol: float = _REL_TOL) -> float:
     """K_{it}(x) = int_0^inf e^{-x cosh u} cos(tu) du (real for real t, x > 0).
 
     The trapezoidal rule on the contour Im u = a, the step halved until two

@@ -151,11 +151,9 @@ def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
 @dataclass(frozen=True)
 class ThetaChar:
     """A character of the quadratic unit group mod p^{2n}, given by its weights
-    against the invariant-factor generators."""
+    against the invariant-factor generators.  Equality compares the weights
+    alone, so it means something only within one torus's presentation."""
 
-    p: int
-    m: int          # modulus exponent: elements live mod p^m, m = 2n
-    delta: int
     weights: tuple[int, ...]
     presentation: AbelianPresentation = field(compare=False, hash=False)
 
@@ -185,7 +183,7 @@ def enumerate_theta(spec: TorusSpec) -> list[ThetaChar]:
     probe_depth = (1 % pm, p ** (m - 1) % pm)
     out = []
     for w in itertools.product(*(range(d) for d in pres.orders)):
-        th = ThetaChar(p, m, spec.delta, tuple(w), pres)
+        th = ThetaChar(tuple(w), pres)
         if th.is_trivial_on(probe_scalar) and not th.is_trivial_on(probe_depth):
             out.append(th)
     return out

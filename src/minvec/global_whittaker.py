@@ -15,9 +15,9 @@ import numpy as np
 from .bessel import bessel_K_imag, bessel_K_imag_row
 from .characters import MinimalVectorSpec, chi_value
 from .errors import ConfigError, NumericalError
-from .matgroups import Mat2Local, a_mat, decompose_B1T
+from .matgroups import Mat2Local, a_mat
 from .minimal import support_profile, whittaker_closed
-from .residues import LocalElement, UnitRoot, factorize, psi_numerator
+from .residues import LocalElement, UnitRoot, factorize
 
 ZETA2 = math.pi**2 / 6
 # The adjoint L-value in the normalization sqrt(2 zeta(2) / L(1, Ad)) of phi,
@@ -233,16 +233,16 @@ class CoefficientSource:
     seed: int | None = None                            # Sato-Tate stream (sato-tate kind)
 
     @classmethod
-    def all_ones(cls, delta: float = 0.0) -> "CoefficientSource":
-        return cls("all-ones", delta)
+    def all_ones(cls) -> "CoefficientSource":
+        return cls("all-ones", 0.0)
 
     @classmethod
-    def sato_tate(cls, seed: int, delta: float = 0.0) -> "CoefficientSource":
+    def sato_tate(cls, seed: int) -> "CoefficientSource":
         """lambda(p) drawn from the stream np.random.default_rng(seed 1_000_003 + p);
         the seed must be a non-negative integer, as the stream's entropy is."""
         if seed < 0:
             raise ConfigError(f"Sato-Tate seed must be >= 0, got {seed}")
-        return cls(f"sato-tate({seed})", delta, seed=seed)
+        return cls(f"sato-tate({seed})", 0.0, seed=seed)
 
     @classmethod
     def from_file(cls, path: str) -> "CoefficientSource":
@@ -384,52 +384,40 @@ class CoefficientSource:
 # -- ramified data and the progression-supported expansion -------------------
 
 @dataclass
-class LocalRamifiedFactor:
-    mv: MinimalVectorSpec
-    coset: Mat2Local            # k_p in the maximal compact
-    theta_phase: UnitRoot       # theta(t_p) from the coset decomposition
-    x_residue: int              # upper-triangular part of k_p mod p^{2n}
-    cofactor_sq_inv: int        # ((N/p^n)^2)^{-1} mod p^{2n}
-
-
-@dataclass
 class RamifiedData:
     """Everything the global expansion needs from the finite places: the
-    modulus N, the progression residue b mod N, amplitude sqrt(phi(N)), and
-    per-prime phase data."""
+    modulus N, the progression residue b mod N, the amplitude sqrt(phi(N)),
+    and the local minimal vectors behind them (read by lambda_prime alone).
+
+    The form is read at the identity translate, where each local Whittaker
+    function W(a(y)) is supported on one unit class of y with constant value
+    sqrt(phi(p^n)): so lambda'(m) is the amplitude on m == b (mod N) and 0
+    elsewhere.
+    """
 
     N: int
     b: int
     amplitude: float
-    locals: list[LocalRamifiedFactor]
+    mvs: list[MinimalVectorSpec]
 
     @classmethod
-    def build(cls, mvs: list[MinimalVectorSpec], cosets: list[Mat2Local] | None = None) -> "RamifiedData":
+    def build(cls, mvs: list[MinimalVectorSpec]) -> "RamifiedData":
         primes = [mv.p for mv in mvs]
         if len(set(primes)) != len(primes):
             raise ConfigError("one minimal vector per prime")
-        if cosets is None:
-            cosets = [Mat2Local.identity(mv.p, mv.torus.precision + 2) for mv in mvs]
         N = _level(mvs)
-        factors = []
         residues = []
         moduli = []
         amp = 1.0
-        for mv, k in zip(mvs, cosets):
+        for mv in mvs:
             p, n = mv.p, mv.n
-            pn, pm = p**n, p ** (2 * n)
-            _, x, t = decompose_B1T(k, mv.torus)
-            theta_ph = mv.theta_at(t)
-            b_local = support_profile(mv, k)
-            cof = N // pn
-            b_adj = b_local * pow(cof % pn, 2, pn) % pn
-            factors.append(LocalRamifiedFactor(
-                mv, k, theta_ph, x.residue(2 * n), pow(cof % pm, -2, pm)))
-            residues.append(b_adj)
+            pn = p**n
+            b_local = support_profile(mv, Mat2Local.identity(p, mv.torus.precision + 2))
+            # y = m / N^2 lies in the local class b_local iff m = b_local (N/p^n)^2 mod p^n
+            residues.append(b_local * pow(N // pn % pn, 2, pn) % pn)
             moduli.append(pn)
             amp *= math.sqrt((p - 1) * p ** (n - 1))
-        b = _crt(residues, moduli)
-        return cls(N, b, amp, factors)
+        return cls(N, _crt(residues, moduli), amp, list(mvs))
 
     @classmethod
     def unramified(cls) -> "RamifiedData":
@@ -450,21 +438,18 @@ def _crt(residues, moduli):
 
 
 def lambda_prime(m: int, ram: RamifiedData) -> complex:
-    """Exact product of the local Whittaker values at a(m/N^2) k_p.
+    """Exact product of the local Whittaker values at a(m/N^2).
 
-    Supported exactly on m == b (mod N) with magnitude sqrt(phi(N)).
+    Supported exactly on m == b (mod N) with value sqrt(phi(N)).
     """
-    if ram.N == 1:
-        return 1.0 + 0.0j
     out = 1.0 + 0.0j
-    for f in ram.locals:
-        mv = f.mv
+    for mv in ram.mvs:
         p, n = mv.p, mv.n
         M = mv.torus.precision + 2 * n + 2
         y = LocalElement.from_rational(p, Fraction(m, ram.N**2), M)
         if y.is_zero:
             return 0.0
-        w = whittaker_closed(mv, a_mat(y) * f.coset)
+        w = whittaker_closed(mv, a_mat(y))
         if not w.in_support:
             return 0.0
         out *= w.to_complex()
@@ -473,19 +458,9 @@ def lambda_prime(m: int, ram: RamifiedData) -> complex:
 
 def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
     """Vectorized lambda', cross-checked against lambda_prime in the tests:
-    amplitude on the progression, with per-prime unit-root phases."""
-    if ram.N == 1:
-        return np.ones(len(ms), dtype=complex)
-    mask = (ms % ram.N) == ram.b
+    the amplitude on m == b (mod N) and 0 elsewhere, as complex."""
     out = np.zeros(len(ms), dtype=complex)
-    phases = np.zeros(len(ms))
-    for f in ram.locals:
-        p, n = f.mv.p, f.mv.n
-        pm = p ** (2 * n)
-        # psi_p(m * x_p / N^2): p-part of the fractional part
-        num = (ms % pm) * (f.x_residue * f.cofactor_sq_inv % pm) % pm
-        phases = phases + psi_numerator(num) / pm + float(f.theta_phase.r)
-    out[mask] = ram.amplitude * np.exp(2j * np.pi * phases[mask])
+    out[ms % ram.N == ram.b] = ram.amplitude
     return out
 
 
@@ -584,7 +559,7 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     vals = []
     for Rc in cutoffs:
         ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
-        c = _row_coefficients(ms, y, ram, arch, lam_all, *_progression_factors(ms, ram))
+        c = _row_coefficients(ms, y, ram, arch, lam_all)
         vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
     val = vals[-1]
     floor = float(np.abs(c).sum()) * np.finfo(float).eps * math.sqrt(len(c))
@@ -607,26 +582,22 @@ def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndar
     return ms if b else ms[ms != 0]
 
 
-def _progression_factors(ms: np.ndarray, ram: RamifiedData) -> tuple[np.ndarray, np.ndarray]:
-    """The row-invariant factors of the coefficients on a progression ms:
-    lambda'(m) and sqrt|m|.  Both are elementwise in m, so the factors of a
-    contiguous slice of ms are the same slice of these arrays."""
-    return lambda_prime_fast(ms, ram), np.sqrt(np.abs(ms))
-
-
-def _row_coefficients(ms: np.ndarray, y: float, ram: RamifiedData, arch: ArchParams,
-                      lam_all: np.ndarray, lp: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The Fourier coefficients of phi on the row y, one per m in ms:
+def _row_coefficients(ms: np.ndarray, y, ram: RamifiedData, arch: ArchParams,
+                      lam_all: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients of phi at the terms ms, on the row y (one y,
+    or one per m):
 
     PREF lambda(m) lambda'(m) kappa(|m| y / N^2) / (c_inf |m|^{1/2}),
 
-    with lambda read from the sieve lam_all (indexed by |m|), lp and root
-    the _progression_factors of ms, and the normalized kernel from one array
-    call.  The sieve read comes first, so a row past the sieve raises
-    IndexError before anything else is evaluated.
+    with lambda read from the sieve lam_all (indexed by |m|), lambda' from
+    lambda_prime_fast and the normalized kernel from one array call.  Every
+    factor is elementwise in m, so a term's value does not depend on the
+    other terms of the call.  The sieve read comes first, so a term past the
+    sieve raises IndexError before anything else is evaluated.
     """
     am = np.abs(ms)
-    return PREF * lam_all[am] * lp * kappa(am * y / ram.N**2, arch) / root
+    return (PREF * lam_all[am] * lambda_prime_fast(ms, ram) * kappa(am * y / ram.N**2, arch)
+            / np.sqrt(am))
 
 
 @dataclass
@@ -683,39 +654,31 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     and its first argmax come from |G| alone.  The unscaled transform keeps
     each row sup at or above its largest single term (discrete Parseval).
 
-    lambda (the sieve up to the bottom row's cutoff), lambda' and sqrt|m| are
-    computed once per scan; each row's progression is a contiguous slice of
-    the bottom row's.  The rows are planned before any is scanned
-    (_row_blocks): the cutoffs of all rows are probed at once, in one array
-    pass with a scalar guard band (_cutoffs), and each row's first m, term
-    count and X/N follow from its R by arithmetic.  The rows go in blocks of
+    lambda is sieved once per scan, up to the bottom row's cutoff.  The rows
+    are planned before any is scanned (_row_blocks): the cutoffs of all rows
+    are probed at once, in one array pass with a scalar guard band
+    (_cutoffs), and each row's first m, term count and X/N follow from its R
+    by arithmetic.  The rows go in blocks of
     consecutive rows that share X/N: a block builds its rows' progressions,
-    gathers their coefficients with one kappa call, scatters them into one
+    takes their coefficients from one _row_coefficients call (evaluate_phi's
+    assembly, with one kappa call per block), scatters them into one
     (rows, X/N) array and takes one inverse FFT along its rows
-    (_scan_block).  Every value is elementwise (a Maass kernel value depends
-    on its x alone), so it equals the one-row assembly of evaluate_phi's
-    _row_coefficients bit for bit.
+    (_scan_block).  Every coefficient is elementwise (a Maass kernel value
+    depends on its x alone), so it equals the one-row assembly bit for bit.
     """
     N = ram.N
     N2 = N * N
     y_max = max(2.0, N2 * arch.T)
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
-    holo = arch.case == "holomorphic"
-
-    # R_global >= N > b, so ms_global is never empty.
-    R_global = _cutoff(N, arch, Y_MIN)
-    lam_all = coeffs.values_upto(R_global)
-    ms_global = _signed_progression(ram, R_global, holo)
-    factors = _progression_factors(ms_global, ram)
+    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN))
 
     plan, blocks = _row_blocks(ram, arch, ys)
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
     for L, block in blocks:
-        yb, row_sup, jx, row_w, row_m = _scan_block(L, block, plan, ram, arch, lam_all,
-                                                    ms_global, factors)
+        yb, row_sup, jx, row_w, row_m = _scan_block(L, block, plan, ram, arch, lam_all)
         # the first maximum of the block, as a row-by-row strict > keeps it
         r = int(np.argmax(row_w))
         if row_w[r] > witness:
@@ -778,31 +741,23 @@ def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
 
 
 def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: ArchParams,
-                lam_all: np.ndarray, ms_global: np.ndarray, factors: tuple):
+                lam_all: np.ndarray):
     """One block of _row_blocks: per row its y, sup of |G|, first argmax jx,
     witness (largest |c_m|) and the witness's m.
 
     The rows' progressions are built end to end, unpadded
-    (_row_progressions).  The sieve read comes first, so a row past the
-    sieve raises its IndexError before anything else is read; then the
-    slices of lambda' and sqrt|m| at the scan's factors.  The coefficients
-    PREF lambda lambda' kappa / sqrt|m| are one array expression, with the
-    kernel of the whole block in one kappa call (for a Maass form one Bessel
+    (_row_progressions), and their coefficients come from one
+    _row_coefficients call at each m's own row y: a row past the sieve
+    raises its IndexError before anything else is read, and the kernel of
+    the whole block is one kappa call (for a Maass form one Bessel
     quadrature, whose value at each x does not depend on the block).
     """
-    N = ram.N
     yb, start, lens = (a[block.start:block.stop] for a in plan[:3])
     n = len(block)
     ms, row, col, starts = _row_progressions(ram, arch, start, lens)
-    am = np.abs(ms)
-    lam = lam_all[am]
-    # row r is the slice of ms_global from the index of its first m
-    at = col + ((start - ms_global[0]) // N)[row]
-    lp, root = factors[0][at], factors[1][at]
-    c = PREF * lam * lp * kappa(am * yb[row] / N**2, arch) / root
-    del am, lam, at, lp, root          # freed before the (rows, L) arrays exist
+    c = _row_coefficients(ms, yb[row], ram, arch, lam_all)
     F = np.zeros((n, L), dtype=complex)
-    F[row, (ms // N) % L] = c        # m = b + N j' puts c_m at j' mod L
+    F[row, (ms // ram.N) % L] = c        # m = b + N j' puts c_m at j' mod L
     av = np.abs(np.fft.ifft(F, axis=1, norm="forward", out=F))  # |phi| at x = jx N^2 / X
     jx = np.argmax(av, axis=1)
     mags = np.full((n, int(lens.max())), -1.0)

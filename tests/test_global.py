@@ -13,13 +13,13 @@ from minvec import bessel, global_whittaker
 from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PERIOD, Y_MIN,
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff, _cutoffs,
-                                     _progression_factors, _ramanujan_bound,
-                                     _row_coefficients, _signed_progression,
+                                     _ramanujan_bound, _row_coefficients,
+                                     _signed_progression,
                                      build_D, c_infty, evaluate_phi, gamma_TD,
                                      kappa, kernel_peak_ratio, lambda_prime,
                                      lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
-from minvec.matgroups import Mat2Local, TorusSpec
+from minvec.matgroups import TorusSpec
 from test_bessel import oscillation_floor, reference_K_imag, reference_row
 
 
@@ -361,10 +361,11 @@ def test_lambda_prime_law_exhaustive(mv31, mv51):
         phiN = 1
         for mv in mvs:
             phiN *= (mv.p - 1) * mv.p ** (mv.n - 1)
+        assert abs(ram.amplitude - math.sqrt(phiN)) < 1e-12
         for m in range(1, ram.N**2 + 1):
-            lp = lambda_prime(m, ram)
-            expect = math.sqrt(phiN) if m % ram.N == ram.b else 0.0
-            assert abs(abs(lp) - expect) < 1e-12
+            # at the identity translate every local phase is 1: the value is
+            # the amplitude itself on the progression
+            assert lambda_prime(m, ram) == (ram.amplitude if m % ram.N == ram.b else 0.0)
 
 
 def test_lambda_prime_crt_consistency(mv31, mv51):
@@ -376,13 +377,17 @@ def test_lambda_prime_crt_consistency(mv31, mv51):
     assert ram15.b % 5 == ram5.b * pow(3, 2, 5) % 5
 
 
-def test_lambda_prime_fast_matches_exact(mv31):
-    k = Mat2Local.from_rationals(3, (2, 1, 1, 1), mv31.torus.precision + 2)
-    ram = RamifiedData.build([mv31], [k])
-    ms = np.concatenate([np.arange(-40, 0), np.arange(1, 41)])
-    fast = lambda_prime_fast(ms, ram)
-    slow = np.array([lambda_prime(int(m), ram) for m in ms])
-    assert np.abs(fast - slow).max() < 1e-12
+def test_lambda_prime_fast_matches_exact():
+    # the amplitude on m = b (mod N) is the product of the closed-form local
+    # values to the last bit, over m in [-N^2, N^2], theta indices 0 and 1
+    for pns in ([(3, 1)], [(5, 1)], [(3, 2)], [(3, 1), (5, 1)]):
+        for index in (0, 1):
+            mvs = [MinimalVectorSpec.build(TorusSpec(p, n), enumerate_theta(TorusSpec(p, n))[index])
+                   for p, n in pns]
+            ram = RamifiedData.build(mvs)
+            ms = np.arange(-ram.N**2, ram.N**2 + 1)
+            slow = np.array([lambda_prime(int(m), ram) for m in ms], dtype=complex)
+            assert np.array_equal(lambda_prime_fast(ms, ram), slow), (pns, index)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -456,7 +461,7 @@ def test_evaluate_phi_cancellation_below_rounding_floor(rams):
 
 def test_evaluate_phi_maass_runs():
     v = evaluate_phi(0.1, 1.3, RamifiedData.unramified(),
-                     CoefficientSource.all_ones(delta=7 / 64),
+                     CoefficientSource.all_ones(),
                      ArchParams("maass", t=1.0))
     assert np.isfinite(abs(v))
 
@@ -598,7 +603,7 @@ def _full_length_row(ram, arch, y, lam_all):
     N2 = ram.N**2
     R = _cutoff(ram.N, arch, y)
     ms = _signed_progression(ram, R, arch.case == "holomorphic")
-    c = _row_coefficients(ms, y, ram, arch, lam_all, *_progression_factors(ms, ram))
+    c = _row_coefficients(ms, y, ram, arch, lam_all)
     X = X_STEPS_PER_PERIOD * N2
     while X <= 2 * R + 1:
         X *= 2

@@ -1,8 +1,9 @@
 """Every name a module imports is used somewhere in that module, every import
-sits at module level, and every function, class and method is used outside
-the tests."""
+sits at module level, every function, class and method is used outside the
+tests, and every parameter with a default is set outside the tests."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,16 @@ TEST_ONLY = {
     "kernel_peak_ratio": "sup of the normalized kernel, checked against h(pi_inf)",
     "CoefficientSource.check_ramanujan": "bound check on the coefficient models",
     "reassemble_B1T": "inverse of decompose_B1T for its round-trip test",
+}
+
+# Defaulted parameters that only tests set, each a deliberate test hook.
+TEST_HOOKS = {
+    "evaluate_phi.cutoff": "a short explicit tail, to trip the stability check",
+    "evaluate_phi.check_stability": "doubles the cutoff to show the tail has converged",
+    "bessel_K_imag.rel_tol": "a tighter tolerance, for the self-convergence checks",
+    "whittaker_oracle.low": "an explicit window, to show the value does not depend on it",
+    "abelian_structure.bound": "a small bound, to trip the SizeGuard",
+    "main.argv": "CLI tests pass the argument list instead of sys.argv",
 }
 
 
@@ -65,13 +76,17 @@ def _definitions() -> dict[str, str]:
     return out
 
 
+def _callers() -> list[Path]:
+    """The code outside the tests: MODULES, demos/ and perfbench/."""
+    return [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
 def _references() -> set[str]:
-    """Every Name, Attribute and import alias in MODULES, demos/ and perfbench/
-    (re-exports in __init__.py are not uses), plus each part of the dotted paths
-    that perfbench/tracing.py's TIMED wraps by name."""
-    files = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    """Every Name, Attribute and import alias in _callers() (re-exports in
+    __init__.py are not uses), plus each part of the dotted paths that
+    perfbench/tracing.py's TIMED wraps by name."""
     out = set()
-    for path in files:
+    for path in _callers():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -93,3 +108,73 @@ def test_every_definition_is_used_outside_tests():
     assert not dead, f"defined but used only by tests (or not at all): {dead}"
     stale = sorted(q for q in TEST_ONLY if q not in defined or defined[q] in used)
     assert not stale, f"TEST_ONLY entries that are gone or now used outside tests: {stale}"
+
+
+def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """'function.parameter' (or 'Class.method.parameter') -> (function or
+    'Class.method', parameter, position at a call) of every parameter with a
+    default of the module-level functions and methods in MODULES, less
+    TEST_ONLY.  The position is None for a keyword-only parameter; a method's
+    position does not count self or cls."""
+    out = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            funcs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+            for qual, func in funcs:
+                if qual in TEST_ONLY:
+                    continue
+                a = func.args
+                bound = "." in qual and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+                positional = a.posonlyargs + a.args
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    out[f"{qual}.{positional[i].arg}"] = (qual, positional[i].arg, i - bound)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out[f"{qual}.{arg.arg}"] = (qual, arg.arg, None)
+    return out
+
+
+def _set_at_calls() -> tuple[set[tuple[str, str]], dict[str, float]]:
+    """From every call in _callers(): the (callee, keyword) pairs it passes,
+    with '**' for a ** argument, and per callee the most positional arguments
+    any call passes (inf past a *).  The callee of C.f(...) for a class C of
+    MODULES is 'C.f'; of any other f(...) or x.f(...), the bare 'f'."""
+    classes = {q.split(".")[0] for q in _definitions() if "." in q}   # those with methods
+    keywords, positions = set(), {}
+    for path in _callers():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                owner = getattr(func.value, "id", getattr(func.value, "attr", None))
+                name = f"{owner}.{func.attr}" if owner in classes else func.attr
+            else:
+                continue
+            keywords.update((name, kw.arg or "**") for kw in node.keywords)
+            count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def test_every_default_is_set_outside_tests():
+    keywords, positions = _set_at_calls()
+    defaulted = _defaulted_parameters()
+
+    def is_set(qual, param, pos):
+        # a method is also reached as x.f(...) on an instance, under its bare name
+        return any((name, param) in keywords or (name, "**") in keywords
+                   or (pos is not None and positions.get(name, 0) > pos)
+                   for name in {qual, qual.split(".")[-1]})
+
+    unset = sorted(q for q, entry in defaulted.items() if not is_set(*entry) and q not in TEST_HOOKS)
+    assert not unset, f"parameters with a default that only tests set (or none): {unset}"
+    stale = sorted(q for q in TEST_HOOKS if q not in defaulted or is_set(*defaulted[q]))
+    assert not stale, f"TEST_HOOKS entries that are gone or now set outside tests: {stale}"
