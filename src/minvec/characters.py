@@ -320,21 +320,25 @@ class ChiEvaluator:
         zs = pres.elements
         steps = np.array([w * (L // d) for w, d in zip(mv.theta.weights, pres.orders)],
                          dtype=np.int64)
-        table = np.full(pm * pm, -1, dtype=np.int64)
+        table = np.full(pm * pm, -1, dtype=np.int32)
         table[zs[:, 0] * pm + zs[:, 1]] = pres.logs @ steps % L
         return cls(mv, L, table, inverse_table(pm, p))
 
     def exponents(self, mats: np.ndarray) -> np.ndarray:
-        """chi as an exponent in Z/L.  Only valid on support rows."""
+        """chi as an exponent in Z/L, in the dtype of mats (int32 or int64).
+        Only valid on support rows."""
         p, n = self.mv.p, self.mv.n
         alpha = self.mv.torus.alpha
         pm, pn = p ** (2 * n), p**n
+        # every factor below is reduced mod pm first (and alpha < p), so no
+        # intermediate reaches 2 pm^2 = 2 p^(4n) <= 2 ENUMERATION_BOUND
+        # (quad_unit_presentation enumerates o_E/p^(2n)): int32 holds them all
         a, b = mats[:, 0, 0] % pm, mats[:, 0, 1] % pm
         c, d = mats[:, 1, 0] % pm, mats[:, 1, 1] % pm
         det = (a * d - b * c) % pm
         den_inv = self.inv[(alpha * det) % pm]
-        u2 = (c * c + alpha * d * d) % pm * den_inv % pm
-        m2 = (-(a * c + alpha * b * d)) % pm * den_inv % pm
+        u2 = (c * c + alpha * (d * d % pm)) % pm * den_inv % pm
+        m2 = (-(a * c + alpha * (b * d % pm))) % pm * den_inv % pm
         x = (u2 * a + m2 * c) % pm
         y = (u2 * b + m2 * d) % pm
         m = (-m2) % pm * self.inv[u2] % pm

@@ -1,6 +1,12 @@
 """Finite residue models: the order of GL2 over Z/p^m, and the compact support
 set used by the distinguished matrix coefficient, materialized as an integer
 matrix array.
+
+The support arrays are int32 and entry-major: an (N, 2, 2) view of a (4, N)
+array, so each entry column mats[:, i, j] is contiguous.  Both builders keep
+p^(4n) <= ENUMERATION_BOUND < 2^30, as every buildable minimal vector does
+(its unit group mod p^(2n) is enumerated), so int32 holds every sum of two
+products of entries mod p^(2n).
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ def product_keys(left: np.ndarray, right: np.ndarray, pm: int) -> np.ndarray:
 
 def inverse_table(pm: int, p: int) -> np.ndarray:
     """inv[u] = u^-1 mod pm for units u; 0 elsewhere."""
-    inv = np.zeros(pm, dtype=np.int64)
+    inv = np.zeros(pm, dtype=np.int32)
     for u in range(1, pm):
         if u % p != 0:
             inv[u] = pow(u, -1, pm)
@@ -70,26 +76,34 @@ def _block_entries(aa, bb, pn: int, pm: int):
     return (1 + pn * aa) % pm, (pn * bb) % pm, 0, 1
 
 
+def entry_major(entries) -> np.ndarray:
+    """The (N, 2, 2) matrices with entries (a, b, c, d), each entry column contiguous."""
+    return np.stack(entries).reshape(4, -1).T.reshape(-1, 2, 2)
+
+
 def kt_support(spec: TorusSpec) -> np.ndarray:
     """The support of the distinguished matrix coefficient inside GL2(Z/p^{2n})
-    as an (S, 2, 2) array of matrices mod p^{2n}: the bijective product
-    (torus units mod p^{2n}) x (depth-n upper-triangular block mod p^n).
+    as an entry-major int32 (S, 2, 2) array of matrices mod p^{2n}: the
+    bijective product (torus units mod p^{2n}) x (depth-n upper-triangular
+    block mod p^n).
     """
     p, n, alpha = spec.p, spec.n, spec.alpha
     pm, pn = p ** (2 * n), p**n
     n_torus = pm * pm - (pm // p) ** 2
     if n_torus * pn * pn > 2 * ENUMERATION_BOUND:
         raise SizeGuard(f"support for (p, n) = ({p}, {n}) exceeds the configured bound")
-    xs, ys = np.meshgrid(np.arange(pm, dtype=np.int64), np.arange(pm, dtype=np.int64),
+    xs, ys = np.meshgrid(np.arange(pm, dtype=np.int32), np.arange(pm, dtype=np.int32),
                          indexing="ij")
     unit = (xs % p != 0) | (ys % p != 0)
-    aa, bb = np.meshgrid(np.arange(pn, dtype=np.int64), np.arange(pn, dtype=np.int64),
+    aa, bb = np.meshgrid(np.arange(pn, dtype=np.int32), np.arange(pn, dtype=np.int32),
                          indexing="ij")
     # products t * b over the full grid: torus units down, block elements across
     torus = _torus_entries(xs[unit][:, None], ys[unit][:, None], alpha, pm)
     block = _block_entries(aa.ravel()[None, :], bb.ravel()[None, :], pn, pm)
-    mats = np.stack(mul_mod(torus, block, pm), axis=-1).reshape(-1, 2, 2)
+    mats = entry_major(mul_mod(torus, block, pm))
     S = len(mats)
+    # the size guard admits (3,1), (5,1), (7,1), (11,1), (13,1) and (3,2): every
+    # key is below p^(8n) <= 13^8 < 2^31
     keys = mat_keys(mats, pm)
     assert len(np.unique(keys)) == S, "torus x block product failed to be injective"
     return mats
@@ -104,9 +118,14 @@ def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
 
 
 def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random support elements mod p^{2n}, as a (size, 2, 2) array."""
+    """Uniform random support elements mod p^{2n}, as an entry-major int32
+    (size, 2, 2) array.  Raises SizeGuard, before drawing, beyond
+    p^(4n) = ENUMERATION_BOUND, where int32 could not hold the products."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     pm, pn = p ** (2 * n), p**n
+    if pm * pm > ENUMERATION_BOUND:
+        raise SizeGuard(f"random support draws for (p, n) = ({p}, {n}) need p^{4 * n} "
+                        "beyond the enumeration bound")
     tx = np.empty(size, dtype=np.int64)
     ty = np.empty(size, dtype=np.int64)
     filled = 0
@@ -120,5 +139,6 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
         filled += take
     aa = rng.integers(0, pn, size=size, dtype=np.int64)
     bb = rng.integers(0, pn, size=size, dtype=np.int64)
+    tx, ty, aa, bb = (v.astype(np.int32) for v in (tx, ty, aa, bb))
     prod = mul_mod(_torus_entries(tx, ty, alpha, pm), _block_entries(aa, bb, pn, pm), pm)
-    return np.stack(prod, axis=-1).reshape(-1, 2, 2)
+    return entry_major(prod)

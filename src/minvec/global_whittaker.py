@@ -16,7 +16,7 @@ from .bessel import bessel_K_imag, bessel_K_imag_row
 from .characters import MinimalVectorSpec, chi_value
 from .errors import ConfigError, NumericalError
 from .matgroups import Mat2Local, a_mat
-from .minimal import support_profile, whittaker_closed
+from .minimal import whittaker_closed
 from .residues import LocalElement, UnitRoot, factorize
 
 ZETA2 = math.pi**2 / 6
@@ -412,9 +412,9 @@ class RamifiedData:
         for mv in mvs:
             p, n = mv.p, mv.n
             pn = p**n
-            b_local = support_profile(mv, Mat2Local.identity(p, mv.torus.precision + 2))
-            # y = m / N^2 lies in the local class b_local iff m = b_local (N/p^n)^2 mod p^n
-            residues.append(b_local * pow(N // pn % pn, 2, pn) % pn)
+            # W(a(y)) is supported on y = p^(-2n) b (1 + p^n o) with b the
+            # support unit, so y = m / N^2 lies there iff m = b (N/p^n)^2 mod p^n
+            residues.append(mv.support_unit() * pow(N // pn % pn, 2, pn) % pn)
             moduli.append(pn)
             amp *= math.sqrt((p - 1) * p ** (n - 1))
         return cls(N, _crt(residues, moduli), amp, list(mvs))

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import MinimalVectorSpec, chi_value
-from .cosets import (gl2_order, kt_membership_mask, kt_support, mat_keys, mul_mod,
-                     product_keys, random_kt_elements)
+from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys,
+                     mul_mod, product_keys, random_kt_elements)
 from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
 from .matgroups import Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
@@ -90,7 +90,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         # below p^(4n) < 2^12, so int16 holds every sum of two exponents
         key_to_exp = np.full(pm**4, -1, dtype=np.int16)
         key_to_exp[mat_keys(supp, pm)] = exps
-        supp, exps = supp.astype(np.int32), exps.astype(np.int16)
+        exps = exps.astype(np.int16)
         S = len(supp)
         block = max(1, PAIR_BLOCK_BYTES // (S * supp.itemsize))
         closure_bad = mismatched = 0
@@ -106,8 +106,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         rng = np.random.default_rng(seed)
         g1 = random_kt_elements(spec, pairs, rng)
         g2 = random_kt_elements(spec, pairs, rng)
-        prod = np.stack(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm),
-                        axis=-1).reshape(-1, 2, 2)
+        prod = entry_major(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm))
         in_supp = kt_membership_mask(prod, spec)
         closure_bad = int((~in_supp).sum())
         want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
@@ -214,7 +213,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     xi = np.arange(window, dtype=np.int64)
     A, B = (a0 + a1 * xi) % P, (b0 + b1 * xi) % P
     keep = np.flatnonzero((A % pE == 0) & (B % pE == 0))
-    mats = np.empty((len(keep), 2, 2), dtype=np.int64)
+    mats = np.empty((len(keep), 2, 2), dtype=np.int32)
     mats[:, 0, 0], mats[:, 0, 1] = A[keep] // pE, B[keep] // pE
     mats[:, 1, 0], mats[:, 1, 1] = c0 // pE, d0 // pE
     ev = mv.chi_evaluator
@@ -232,7 +231,9 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
         raise NumericalError(f"vectorized chi exponent {exps[0]}/{ev.L} disagrees with the "
                              f"scalar matrix coefficient {scalar} at x = {x0}")
     Lt = math.lcm(ev.L, pl)
-    phase = (exps * (Lt // ev.L) + psi_numerator((-keep) % pl) * (Lt // pl)) % Lt
+    # Lt = lcm(L, p^low) is not bounded by p^(4n), so the phases are int64
+    phase = (exps.astype(np.int64) * (Lt // ev.L)
+             + psi_numerator((-keep) % pl) * (Lt // pl)) % Lt
     return float(Fraction(1, p**L)) * complex(np.exp(2j * np.pi * phase / Lt).sum())
 
 

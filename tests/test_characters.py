@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minvec.characters import (AbelianPresentation, ChiEvaluator,
                                MinimalVectorSpec, abelian_structure, chi_value,
@@ -240,17 +242,18 @@ def _einsum_draws(spec, size, rng):
 def test_kt_support_matches_einsum_reference(p, n):
     spec = TorusSpec(p, n)
     got, want = kt_support(spec), _einsum_support(spec)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+# (53,1) and (7,2) sit just below the int32 bound p^(4n) <= ENUMERATION_BOUND
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (53, 1), (7, 2)])
 def test_random_draws_and_pair_products_match_einsum_reference(p, n):
     spec = TorusSpec(p, n)
     pm = p ** (2 * n)
     for seed in (0, 1, 2):
         got = random_kt_elements(spec, 1000, np.random.default_rng(seed))
         want = _einsum_draws(spec, 1000, np.random.default_rng(seed))
-        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.shape == want.shape and got.dtype == np.int32
         assert np.array_equal(got, want)
         prod = np.stack(mul_mod(got.reshape(-1, 4).T, got[::-1].reshape(-1, 4).T, pm),
                         axis=-1).reshape(-1, 2, 2)
@@ -266,3 +269,52 @@ def test_block_keys_match_einsum_reference(p, n):
     want = mat_keys(np.einsum("aij,bjk->abik", left, supp) % pm, pm).reshape(len(left), -1)
     got = product_keys(left.astype(np.int32), supp.astype(np.int32), pm)
     assert np.array_equal(got, want)
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the size guard must raise before anything is drawn")
+
+
+@pytest.mark.parametrize("p,n", [(59, 1), (3, 4), (11, 2)])
+def test_random_draws_beyond_the_int32_bound_raise_at_once(p, n):
+    # p^(4n) > ENUMERATION_BOUND: int32 could not hold the entry products
+    with pytest.raises(SizeGuard):
+        random_kt_elements(TorusSpec(p, n), 10, _NoDraws())
+
+
+_LAYOUT_SPECS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def layout_mvs():
+    return {(p, n): MinimalVectorSpec.build(TorusSpec(p, n), enumerate_theta(TorusSpec(p, n))[1])
+            for p, n in _LAYOUT_SPECS}
+
+
+@pytest.mark.parametrize("p,n", _LAYOUT_SPECS)
+def test_support_arrays_are_int32_entry_major(p, n, layout_mvs):
+    spec = TorusSpec(p, n)
+    for mats in (kt_support(spec), random_kt_elements(spec, 50, np.random.default_rng(0))):
+        assert mats.dtype == np.int32 and mats.shape[1:] == (2, 2)
+        assert all(mats[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
+        assert layout_mvs[p, n].chi_evaluator.exponents(mats).dtype == np.int32
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(pn=st.sampled_from(_LAYOUT_SPECS), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(1, 12))
+def test_exponents_agree_across_layouts_dtypes_and_the_scalar_route(layout_mvs, pn, seed, size):
+    p, n = pn
+    mv = layout_mvs[pn]
+    ev = mv.chi_evaluator
+    mats = random_kt_elements(mv.torus, size, np.random.default_rng(seed))
+    got = ev.exponents(mats)
+    row_major = np.array(mats, dtype=np.int64, order="C")
+    assert row_major.flags.c_contiguous
+    assert np.array_equal(ev.exponents(row_major), got)
+    for g, e in zip(row_major, got):
+        h = Mat2Local.from_rationals(p, [int(v) for v in g.ravel()], mv.torus.precision)
+        assert chi_value(mv, h).r == Fraction(int(e), ev.L) % 1

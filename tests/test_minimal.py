@@ -221,6 +221,15 @@ def test_support_profile_matches_scan(mv31):
         assert whittaker_support_scan(mv31, k) == [b]
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
+def test_identity_support_class_is_the_support_unit(p, n):
+    # RamifiedData.build reads the class at the identity as mv.support_unit()
+    spec = TorusSpec(p, n)
+    for theta in enumerate_theta(spec)[:3]:
+        mv = MinimalVectorSpec.build(spec, theta)
+        assert support_profile(mv, Mat2Local.identity(p, spec.precision + 2)) == mv.support_unit()
+
+
 # -- the vectorized oracle against the scalar transform ---------------------------
 
 def _scalar_oracle(mv, g, level, low):
