@@ -40,13 +40,6 @@ class AbelianPresentation:
             len(self.dlog), len(self.orders))
 
     @property
-    def order(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
-
-    @property
     def exponent(self) -> int:
         e = 1
         for d in self.orders:
@@ -259,6 +252,13 @@ class MinimalVectorSpec:
     @property
     def conductor_exponent(self) -> int:
         return 4 * self.n
+
+    @property
+    def magnitude_squared(self) -> int:
+        """phi(p^n) = (p - 1) p^(n - 1): |W(a(y))|^2 on the Whittaker
+        function's support, and so |lambda'|^2 on the progression."""
+        p, n = self.p, self.n
+        return (p - 1) * p ** (n - 1)
 
     def support_unit(self) -> int:
         """The unit class a mod p^n indexing the diagonal support of the

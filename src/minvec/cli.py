@@ -20,10 +20,10 @@ from .characters import MinimalVectorSpec, character_table_rows, enumerate_theta
 from .errors import ConfigError, MinvecError
 from .global_whittaker import (ArchParams, CoefficientSource, RamifiedData,
                                scan_supnorm)
-from .matgroups import TorusSpec, a_mat
-from .minimal import convolution_check, exhaustive_fits, whittaker_closed
+from .matgroups import Mat2Local, TorusSpec
+from .minimal import convolution_check, exhaustive_fits, whittaker_unit_sweep
 from .que import conductor_pair, distinguished, que_period
-from .residues import LocalElement, _require_odd_prime, factorize
+from .residues import _require_odd_prime, factorize
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
@@ -171,23 +171,17 @@ def cmd_whittaker(o, config) -> int:
     """closed-form Whittaker support profile"""
     p, n = o.p, o.n
     mv = _build_mv(p, n, o.theta_index)
-    M = mv.torus.precision + 2 * n
-    rows = []
-    for u in range(1, p**n):
-        if u % p == 0:
-            continue
-        y = LocalElement(p, -2 * n, u, M)
-        w = whittaker_closed(mv, a_mat(y))
-        rows.append([u, -2 * n, w.magnitude if w.in_support else 0.0,
-                     str(w.phase.r) if w.in_support else ""])
+    sweep = whittaker_unit_sweep(mv, Mat2Local.identity(p, mv.torus.precision + 2 * n))
+    rows = [[u, -2 * n, w.magnitude if w.in_support else 0.0,
+             str(w.phase.r) if w.in_support else ""] for u, w in sweep]
     with o.samples.open("w", newline="") as fh:
         wcsv = csv.writer(fh)
         wcsv.writerow(["unit_class", "valuation", "magnitude", "phase"])
         wcsv.writerows(rows)
-    support = [r[0] for r in rows if r[2] > 0]
+    support = [u for u, w in sweep if w.in_support]
     _write_report(o.out, "whittaker", config,
                   {"support_unit": mv.support_unit(), "support_classes": support,
-                   "magnitude_squared": (p - 1) * p ** (n - 1),
+                   "magnitude_squared": mv.magnitude_squared,
                    "samples_file": str(o.samples)})
     print(f"whittaker: support classes {support} -> {o.samples}")
     return EXIT_OK if support == [mv.support_unit()] else EXIT_FAIL

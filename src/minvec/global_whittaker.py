@@ -228,7 +228,7 @@ class CoefficientSource:
 
     kind: str
     delta: float
-    prime_values: dict = field(default_factory=dict)   # p -> lambda(p)
+    prime_values: dict = field(default_factory=dict, init=False)  # p -> lambda(p), drawn
     explicit: dict = field(default_factory=dict)       # m -> lambda(m) (file kind)
     seed: int | None = None                            # Sato-Tate stream (sato-tate kind)
 
@@ -269,13 +269,6 @@ class CoefficientSource:
                 raise ConfigError(f"coefficient at m={m} violates the Ramanujan bound")
         return src
 
-    def _lambda_p(self, p: int) -> float:
-        if self.kind == "all-ones":
-            return 1.0
-        if p not in self.prime_values:
-            self._draw([p])
-        return self.prime_values[p]
-
     def _draw(self, primes: list[int]) -> None:
         """Draw the Sato-Tate lambda(p) = 2 cos theta_p of every p in primes
         into prime_values.
@@ -308,13 +301,12 @@ class CoefficientSource:
         self.prime_values.update(zip(primes, (2.0 * np.cos(0.5 * (lo + hi))).tolist()))
 
     def _lambda_ppow(self, p: int, e: int) -> float:
-        lam = self._lambda_p(p)
-        if self.kind == "all-ones":
-            return 1.0
+        """lambda(p^e), e >= 1, from a drawn lambda(p)."""
+        lam = self.prime_values[p]
         a, b = 1.0, lam            # lambda(p^0), lambda(p^1)
         for _ in range(e - 1):
             a, b = b, lam * b - a  # Hecke recursion at unramified p
-        return b if e >= 1 else a
+        return b
 
     def value(self, m: int) -> float:
         m = abs(m)
@@ -326,8 +318,10 @@ class CoefficientSource:
             return self.explicit[m]
         if self.kind == "all-ones":
             return 1.0
+        factors = factorize(m)
+        self._draw([p for p, _ in factors if p not in self.prime_values])
         out = 1.0
-        for p, e in factorize(m):
+        for p, e in factors:
             out *= self._lambda_ppow(p, e)
         return out
 
@@ -392,13 +386,20 @@ class RamifiedData:
     The form is read at the identity translate, where each local Whittaker
     function W(a(y)) is supported on one unit class of y with constant value
     sqrt(phi(p^n)): so lambda'(m) is the amplitude on m == b (mod N) and 0
-    elsewhere.
+    elsewhere.  Any integer b names its class: it is reduced mod N here, once,
+    so that every reader (a translate built by dataclasses.replace included)
+    sees 0 <= b < N.
     """
 
     N: int
     b: int
     amplitude: float
     mvs: list[MinimalVectorSpec]
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ConfigError(f"modulus N must be >= 1, got {self.N}")
+        self.b %= self.N
 
     @classmethod
     def build(cls, mvs: list[MinimalVectorSpec]) -> "RamifiedData":
@@ -410,13 +411,12 @@ class RamifiedData:
         moduli = []
         amp = 1.0
         for mv in mvs:
-            p, n = mv.p, mv.n
-            pn = p**n
+            pn = mv.p**mv.n
             # W(a(y)) is supported on y = p^(-2n) b (1 + p^n o) with b the
             # support unit, so y = m / N^2 lies there iff m = b (N/p^n)^2 mod p^n
             residues.append(mv.support_unit() * pow(N // pn % pn, 2, pn) % pn)
             moduli.append(pn)
-            amp *= math.sqrt((p - 1) * p ** (n - 1))
+            amp *= math.sqrt(mv.magnitude_squared)
         return cls(N, _crt(residues, moduli), amp, list(mvs))
 
     @classmethod
@@ -554,11 +554,12 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     if y <= 0:
         raise ConfigError("y must be positive")
     R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y)
-    cutoffs = (R, 2 * R) if check_stability else (R,)
-    lam_all = coeffs.values_upto(cutoffs[-1])
+    cutoffs = np.array([R, 2 * R] if check_stability else [R])
+    lam_all = coeffs.values_upto(int(cutoffs[-1]))
+    ms_rows, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, cutoffs))
     vals = []
-    for Rc in cutoffs:
-        ms = _signed_progression(ram, Rc, arch.case == "holomorphic")
+    for r in range(len(cutoffs)):
+        ms = ms_rows[row == r]
         c = _row_coefficients(ms, y, ram, arch, lam_all)
         vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
     val = vals[-1]
@@ -573,13 +574,31 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     return val
 
 
-def _signed_progression(ram: RamifiedData, R: int, holomorphic: bool) -> np.ndarray:
-    """All m with m == b (mod N), 0 < |m| <= R (positive only if holomorphic),
-    ascending."""
-    N, b = ram.N, ram.b % ram.N
-    start = (b or N) if holomorphic else -R + (b + R) % N
-    ms = np.arange(start, R + 1, N)
-    return ms if b else ms[ms != 0]
+def _row_spans(ram: RamifiedData, arch: ArchParams, R: np.ndarray):
+    """The first term and the term count of each row's progression: all m with
+    m == b (mod N), 0 < |m| <= R (positive only if holomorphic), for an int
+    array of cutoffs R.  A holomorphic row starts at b or N, a Maass row at
+    -R + (b + R) % N and counts m = 0 out where b is 0 (_row_progressions
+    steps over it); a row may have no terms."""
+    N, b = ram.N, ram.b
+    holo = arch.case == "holomorphic"
+    start = np.full(len(R), b or N) if holo else -R + (b + R) % N
+    return start, (R - start) // N + (holo or b != 0)
+
+
+def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
+                      lens: np.ndarray):
+    """The progressions of rows (first m, terms; _row_spans) end to end,
+    ascending in each row: each m, its row, its column in the row, and each
+    row's first position.  A row is m = start + N col, stepping over m = 0
+    where the Maass b is 0."""
+    starts = np.cumsum(lens) - lens
+    row = np.repeat(np.arange(len(lens)), lens)
+    col = np.arange(len(row)) - starts[row]
+    ms = start[row] + ram.N * col
+    if arch.case != "holomorphic" and ram.b == 0:
+        ms[ms >= 0] += ram.N
+    return ms, row, col, starts
 
 
 def _row_coefficients(ms: np.ndarray, y, ram: RamifiedData, arch: ArchParams,
@@ -657,8 +676,8 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     lambda is sieved once per scan, up to the bottom row's cutoff.  The rows
     are planned before any is scanned (_row_blocks): the cutoffs of all rows
     are probed at once, in one array pass with a scalar guard band
-    (_cutoffs), and each row's first m, term count and X/N follow from its R
-    by arithmetic.  The rows go in blocks of
+    (_cutoffs), and each row's first m and term count follow from its R by
+    _row_spans, evaluate_phi's progression builder.  The rows go in blocks of
     consecutive rows that share X/N: a block builds its rows' progressions,
     takes their coefficients from one _row_coefficients call (evaluate_phi's
     assembly, with one kappa call per block), scatters them into one
@@ -703,15 +722,12 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
     most max(1, _SCAN_BLOCK_ELEMENTS // L) rows.
 
     The cutoffs R of all rows are probed at once (_cutoffs, equal to the
-    scalar _cutoff at each y).  A row's progression is _signed_progression's
-    at its R: from b or N (holomorphic) or -R + (b + R) % N (Maass) up to R
-    in steps of N, less m = 0 where the Maass b is 0.  X is the first
-    X_STEPS_PER_PERIOD N^2 2^i above 2R + 1, by array doubling."""
-    N, b = ram.N, ram.b % ram.N
-    holo = arch.case == "holomorphic"
+    scalar _cutoff at each y), and each row's progression is _row_spans' at
+    its R.  X is the first X_STEPS_PER_PERIOD N^2 2^i above 2R + 1, by array
+    doubling."""
+    N = ram.N
     R = _cutoffs(N, arch, ys)
-    start = np.full(len(R), b or N) if holo else -R + (b + R) % N
-    lens = (R - start) // N + (holo or b != 0)
+    start, lens = _row_spans(ram, arch, R)
     keep = lens > 0
     R, start, lens = R[keep], start[keep], lens[keep]
     X = np.full(len(R), X_STEPS_PER_PERIOD * N * N)
@@ -724,20 +740,6 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
         size = max(1, _SCAN_BLOCK_ELEMENTS // int(L[lo]))
         blocks.extend((int(L[lo]), range(i, min(i + size, hi))) for i in range(lo, hi, size))
     return (ys[keep], start, lens, L), blocks
-
-
-def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
-                      lens: np.ndarray):
-    """The progressions of plan rows (first m, terms) end to end: each m, its
-    row, its column in the row, and each row's first position.  A row is
-    m = start + N col, stepping over m = 0 where the Maass b is 0."""
-    starts = np.cumsum(lens) - lens
-    row = np.repeat(np.arange(len(lens)), lens)
-    col = np.arange(len(row)) - starts[row]
-    ms = start[row] + ram.N * col
-    if arch.case != "holomorphic" and ram.b % ram.N == 0:
-        ms[ms >= 0] += ram.N
-    return ms, row, col, starts
 
 
 def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: ArchParams,

@@ -9,11 +9,11 @@ and torus_extract returns the pair (x, y) of such a matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .residues import LocalElement, is_square_mod_p
+from .residues import LocalElement, _require_odd_prime, is_square_mod_p
 
 _INF = math.inf
 
@@ -32,15 +32,13 @@ class TorusSpec:
 
     p: int
     n: int
-    alpha: int | None = None
+    alpha: int = field(init=False)       # canonical_alpha(p)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("level n must be >= 1")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", canonical_alpha(self.p))
-        if self.alpha % self.p == 0 or is_square_mod_p(-self.alpha % self.p, self.p):
-            raise ValueError("-alpha must be a non-square unit mod p")
+        _require_odd_prime(self.p)
+        object.__setattr__(self, "alpha", canonical_alpha(self.p))
 
     @property
     def delta(self) -> int:

@@ -133,13 +133,14 @@ class WhittakerValue:
 
 def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
     """Closed form: factor g = [[y, x], [0, 1]] t with t in the torus; the value
-    is sqrt((q-1) q^(n-1)) psi(x) theta(t) when y lies in the single coset
-    p^(-2n) * b * (1 + p^n) with b = -a_theta * alpha, and zero otherwise.
+    is sqrt(phi(p^n)) psi(x) theta(t) (mv.magnitude_squared) when y lies in the
+    single coset p^(-2n) * b * (1 + p^n) with b = -a_theta * alpha, and zero
+    otherwise.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
     y, x, t = decompose_B1T(g, spec)
-    mag = math.sqrt((p - 1) * p ** (n - 1))
+    mag = math.sqrt(mv.magnitude_squared)
     ys = y.scale_by_power(2 * n)
     if not (ys.is_unit() and y.v == -2 * n):
         return WhittakerValue(False, 0.0, None)
@@ -252,17 +253,16 @@ def support_profile(mv: MinimalVectorSpec, k: Mat2Local):
     return b
 
 
-def whittaker_support_scan(mv: MinimalVectorSpec, k: Mat2Local):
-    """Oracle for support_profile: sweep all unit classes y = p^(-2n) u and
-    report which have a nonzero closed-form Whittaker value at a(y) k."""
+def whittaker_unit_sweep(mv: MinimalVectorSpec, k: Mat2Local) -> list[tuple[int, WhittakerValue]]:
+    """The closed-form Whittaker value at a(y) k for every unit class
+    y = p^(-2n) u, 0 < u < p^n, as (u, value) pairs in ascending u."""
     p, n = mv.p, mv.n
     M = mv.torus.precision + 2 * n
-    hits = []
-    for u in range(1, p**n):
-        if u % p == 0:
-            continue
-        y = LocalElement(p, -2 * n, u, M)
-        w = whittaker_closed(mv, a_mat(y) * k)
-        if w.in_support:
-            hits.append(u)
-    return hits
+    return [(u, whittaker_closed(mv, a_mat(LocalElement(p, -2 * n, u, M)) * k))
+            for u in range(1, p**n) if u % p != 0]
+
+
+def whittaker_support_scan(mv: MinimalVectorSpec, k: Mat2Local) -> list[int]:
+    """Oracle for support_profile: the unit classes u of whittaker_unit_sweep
+    with a nonzero closed-form value at a(p^(-2n) u) k."""
+    return [u for u, w in whittaker_unit_sweep(mv, k) if w.in_support]

@@ -16,8 +16,7 @@ from minvec import bessel
 from minvec.bessel import bessel_K_imag, bessel_K_imag_row
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import NoSolution
-from minvec.global_whittaker import (Y_MIN, ArchParams, RamifiedData, _cutoff,
-                                     _signed_progression)
+from minvec.global_whittaker import Y_MIN, ArchParams, RamifiedData, _cutoff
 from minvec.matgroups import TorusSpec
 
 # the t's of the cross-checks: real order, the scan jobs, and t = 10, where
@@ -25,6 +24,14 @@ from minvec.matgroups import TorusSpec
 CHECK_T = (0.0, 0.5, 2.0, 5.0, 10.0)
 MPMATH_T = (0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 30.0)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def signed_progression(N: int, b: int, R: int, holomorphic: bool) -> np.ndarray:
+    """All m with m == b (mod N), 0 < |m| <= R (positive only if holomorphic),
+    ascending: the reference for the library's progression builder, by a
+    filter over arange, for any integer b."""
+    all_m = np.arange(1, R + 1) if holomorphic else np.arange(-R, R + 1)
+    return all_m[(all_m != 0) & (all_m % N == b % N)]
 
 
 def reference_K_imag(t: float, x: float, rel_tol: float = 1e-12) -> float:
@@ -197,7 +204,7 @@ def scan_rows():
             n_rows = max(2, int(64 * math.log10(y_max / Y_MIN)) + 1)
             rows = []
             for y in np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows)):
-                ms = _signed_progression(ram, _cutoff(N, arch, float(y)), False)
+                ms = signed_progression(N, ram.b, _cutoff(N, arch, float(y)), False)
                 rows.append(2.0 * math.pi * (np.abs(ms) * y / N**2))
             out[N, t] = rows
     return out

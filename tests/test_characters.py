@@ -33,7 +33,7 @@ def test_abelian_structure_product():
     els = [(a, b) for a in range(4) for b in range(2)]
     pres = abelian_structure(els, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2), (0, 0))
     assert sorted(pres.orders) == [2, 4]
-    assert pres.exponent == 4 and pres.order == 8
+    assert pres.exponent == 4 and len(pres.dlog) == 8
 
 
 def test_abelian_structure_bound():
@@ -46,7 +46,7 @@ def test_quad_unit_presentation_structure():
     pres = quad_unit_presentation(3, 1, -1)
     assert pres.orders == [8]
     pres2 = quad_unit_presentation(3, 2, -1)
-    assert pres2.order == 72 and pres2.exponent == 24
+    assert len(pres2.dlog) == 72 and pres2.exponent == 24
     # dlog is a homomorphism table
     mul = quad_unit_mul(3, 2, -1)
     els = list(pres2.dlog)

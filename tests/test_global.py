@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minvec.bessel import bessel_K_imag
 from minvec.characters import MinimalVectorSpec, enumerate_theta
@@ -14,13 +16,13 @@ from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PER
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff, _cutoffs,
                                      _ramanujan_bound, _row_coefficients,
-                                     _signed_progression,
+                                     _row_progressions, _row_spans,
                                      build_D, c_infty, evaluate_phi, gamma_TD,
                                      kappa, kernel_peak_ratio, lambda_prime,
                                      lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
 from minvec.matgroups import TorusSpec
-from test_bessel import oscillation_floor, reference_K_imag, reference_row
+from test_bessel import oscillation_floor, reference_K_imag, reference_row, signed_progression
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +298,7 @@ def test_sato_tate_draws_match_scalar_bisection(seed):
 
 
 def test_sato_tate_draws_extend_a_partial_cache():
-    # value(m) draws one prime at a time; values_upto then draws only the rest
+    # value(m) draws only the primes of m; values_upto then draws only the rest
     src = CoefficientSource.sato_tate(seed=1)
     for m in (2 * 3 * 97, 499, 7**3):
         src.value(m)
@@ -375,6 +377,32 @@ def test_lambda_prime_crt_consistency(mv31, mv51):
     # local residues pick up the square of the complementary modulus
     assert ram15.b % 3 == ram3.b * pow(5, 2, 3) % 3
     assert ram15.b % 5 == ram5.b * pow(3, 2, 5) % 5
+
+
+def test_ramified_data_rejects_a_modulus_below_one():
+    for N in (0, -3):
+        with pytest.raises(ConfigError, match="modulus N must be >= 1"):
+            RamifiedData(N, 1, 1.0, [])
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(N=st.sampled_from([1, 3, 5, 15, 21]), b=st.integers(),
+       amp=st.floats(0.1, 10.0))
+def test_any_integer_b_names_its_class(N, b, amp):
+    # b is reduced mod N once, at construction: every reader (lambda', the
+    # Fourier expansion and the scan) sees the class, not the integer
+    ram, ref = RamifiedData(N, b, amp, []), RamifiedData(N, b % N, amp, [])
+    assert ram.b == ref.b == b % N
+    ms = np.arange(-N * N, N * N + 1)
+    assert np.array_equal(lambda_prime_fast(ms, ram), lambda_prime_fast(ms, ref))
+    arch = ArchParams("holomorphic", k=12)
+    for x, y in [(0.3, 1.0), (2.7, 1.5), (7.1, 3.0)]:
+        assert (evaluate_phi(x, y, ram, CoefficientSource.sato_tate(seed=1), arch)
+                == evaluate_phi(x, y, ref, CoefficientSource.sato_tate(seed=1), arch))
+    got, want = (scan_supnorm(r, CoefficientSource.sato_tate(seed=1), arch,
+                              rows_per_decade=16, keep_rows=True) for r in (ram, ref))
+    for name in SCAN_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_lambda_prime_fast_matches_exact():
@@ -502,15 +530,20 @@ def test_phi_modulus_has_period_N(rams, N):
         assert b == pytest.approx(a, rel=1e-12)
 
 
-def test_signed_progression_matches_filter(mv31, mv51):
-    for ram in (RamifiedData.unramified(), RamifiedData.build([mv31]),
-                RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
-                RamifiedData(15, 0, 1.0, [])):
-        for R in (1, 2, 14, 15, 16, 100):
-            for holo in (True, False):
-                all_m = np.arange(1, R + 1) if holo else np.arange(-R, R + 1)
-                expect = all_m[(all_m != 0) & (all_m % ram.N == ram.b % ram.N)]
-                assert np.array_equal(_signed_progression(ram, R, holo), expect)
+def test_signed_progression_matches_filter():
+    # the one progression builder (_row_spans expanded by _row_progressions),
+    # as evaluate_phi and the scan plan call it, against arange and a mask,
+    # for every class b in [-2N, 3N) and rows around multiples of N
+    Rs = np.array([1, 2, 7, 8, 14, 15, 16, 100, 1001])
+    for N in (1, 3, 5, 7, 9, 15, 21):
+        for b in range(-2 * N, 3 * N):
+            ram = RamifiedData(N, b, 1.0, [])
+            for arch in (ArchParams("holomorphic", k=12), ArchParams("maass", t=2.0)):
+                holo = arch.case == "holomorphic"
+                ms, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, Rs))
+                for r, R in enumerate(Rs.tolist()):
+                    assert np.array_equal(ms[row == r], signed_progression(N, b, R, holo)), \
+                        (N, b, R, holo)
 
 
 def _scan_ys(N, arch, rows_per_decade):
@@ -578,9 +611,9 @@ def test_cutoffs_raise_the_scalar_cap_error(k, y):
 
 @pytest.mark.parametrize("arch", [ArchParams("holomorphic", k=12), ArchParams("maass", t=2.0)])
 def test_row_plan_progressions_match_signed_progression(mv31, mv51, monkeypatch, arch):
-    # each plan row's progression, by arithmetic on R and b, is
-    # _signed_progression's at its R, and rows with an empty one are left
-    # out; N = 1 and the last ram have b = 0, where Maass skips m = 0
+    # each plan row's progression is the filtered signed progression at its
+    # R, and rows with an empty one are left out; N = 1 and the last ram have
+    # b = 0, where Maass skips m = 0
     Rs = np.array([1, 2, 8, 14, 15, 16, 100])
     monkeypatch.setattr(global_whittaker, "_cutoffs", lambda N, arch, ys: Rs.copy())
     ys = np.arange(1.0, len(Rs) + 1)
@@ -588,7 +621,7 @@ def test_row_plan_progressions_match_signed_progression(mv31, mv51, monkeypatch,
     for ram in (RamifiedData.unramified(), RamifiedData.build([mv31]),
                 RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
                 RamifiedData(15, 0, 1.0, [])):
-        expect = [_signed_progression(ram, int(R), holo) for R in Rs]
+        expect = [signed_progression(ram.N, ram.b, int(R), holo) for R in Rs]
         (y_plan, start, lens, _), _ = global_whittaker._row_blocks(ram, arch, ys)
         ms, row, _, _ = global_whittaker._row_progressions(ram, arch, start, lens)
         assert y_plan.tolist() == [y for y, e in zip(ys, expect) if len(e)]
@@ -602,7 +635,7 @@ def _full_length_row(ram, arch, y, lam_all):
     FFT of length X.  Returns (row sup, x of its first maximum, terms, X)."""
     N2 = ram.N**2
     R = _cutoff(ram.N, arch, y)
-    ms = _signed_progression(ram, R, arch.case == "holomorphic")
+    ms = signed_progression(ram.N, ram.b, R, arch.case == "holomorphic")
     c = _row_coefficients(ms, y, ram, arch, lam_all)
     X = X_STEPS_PER_PERIOD * N2
     while X <= 2 * R + 1:
@@ -664,7 +697,7 @@ def reference_scan(ram, coeffs, arch, rows_per_decade):
     terms = fft_points = 0
     for yv in ys:
         R = _cutoff(N, arch, float(yv))
-        ms = _signed_progression(ram, R, holo)
+        ms = signed_progression(N, ram.b, R, holo)
         if len(ms) == 0:
             continue
         am = np.abs(ms)

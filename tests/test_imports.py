@@ -1,6 +1,7 @@
 """Every name a module imports is used somewhere in that module, every import
 sits at module level, every function, class and method is used outside the
-tests, and every parameter with a default is set outside the tests."""
+tests, and every parameter and dataclass field with a default is set outside
+the tests."""
 
 import ast
 import math
@@ -81,40 +82,72 @@ def _callers() -> list[Path]:
     return [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 
-def _references() -> set[str]:
-    """Every Name, Attribute and import alias in _callers() (re-exports in
-    __init__.py are not uses), plus each part of the dotted paths that
-    perfbench/tracing.py's TIMED wraps by name."""
-    out = set()
+def _references() -> tuple[set[str], set[str]]:
+    """In _callers() (re-exports in __init__.py are not uses): every Name and
+    import alias, and apart from them every Attribute plus each part of the
+    dotted paths that perfbench/tracing.py's TIMED wraps by name."""
+    names, attrs = set(), set()
     for path in _callers():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                out.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                out.add(node.name)
+                names.add(node.name)
             elif (path.name == "tracing.py" and isinstance(node, ast.Assign)
                   and any(isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets)):
                 for entry in node.value.elts:
-                    out.update(entry.elts[2].value.split("."))
-    return out
+                    attrs.update(entry.elts[2].value.split("."))
+    return names, attrs
 
 
 def test_every_definition_is_used_outside_tests():
-    defined, used = _definitions(), _references()
-    dead = sorted(q for q, name in defined.items() if name not in used and q not in TEST_ONLY)
+    # a method is reached only through an attribute (or a TIMED path), so a
+    # local variable of the same name does not count as a use
+    defined, (names, attrs) = _definitions(), _references()
+
+    def used(qual, name):
+        return name in attrs or ("." not in qual and name in names)
+
+    dead = sorted(q for q, name in defined.items() if not used(q, name) and q not in TEST_ONLY)
     assert not dead, f"defined but used only by tests (or not at all): {dead}"
-    stale = sorted(q for q in TEST_ONLY if q not in defined or defined[q] in used)
+    stale = sorted(q for q in TEST_ONLY if q not in defined or used(q, defined[q]))
     assert not stale, f"TEST_ONLY entries that are gone or now used outside tests: {stale}"
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of each field of a dataclass that its __init__
+    takes, in order: field(init=False) is left out, and field(...) has a
+    default only through default= or default_factory=."""
+    out = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kws = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(kws.get("init"), "value", True) is False:
+                continue
+            out.append((item.target.id, "default" in kws or "default_factory" in kws))
+        else:
+            out.append((item.target.id, value is not None))
+    return out
+
+
 def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
-    """'function.parameter' (or 'Class.method.parameter') -> (function or
-    'Class.method', parameter, position at a call) of every parameter with a
+    """'function.parameter' (or 'Class.method.parameter', or 'Class.field')
+    -> (callee, parameter, position at a call) of every parameter with a
     default of the module-level functions and methods in MODULES, less
-    TEST_ONLY.  The position is None for a keyword-only parameter; a method's
+    TEST_ONLY, and of every dataclass field with a default that __init__
+    takes.  The callee is the function, 'Class.method', or for a field
+    'Class'.  The position is None for a keyword-only parameter; a method's
     position does not count self or cls."""
     out = {}
     for path in MODULES:
@@ -123,6 +156,10 @@ def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
             if isinstance(node, ast.ClassDef):
                 funcs = [(f"{node.name}.{item.name}", item) for item in node.body
                          if isinstance(item, ast.FunctionDef)]
+                if _is_dataclass(node):
+                    for i, (name, has_default) in enumerate(_init_fields(node)):
+                        if has_default:
+                            out[f"{node.name}.{name}"] = (node.name, name, i)
             for qual, func in funcs:
                 if qual in TEST_ONLY:
                     continue
@@ -138,19 +175,39 @@ def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
     return out
 
 
+def _class_calls(tree: ast.Module) -> dict[int, str]:
+    """id of each call cls(...) inside a classmethod -> the name of its class."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.FunctionDef) and item.args.args and any(
+                    isinstance(d, ast.Name) and d.id == "classmethod" for d in item.decorator_list)):
+                first = item.args.args[0].arg
+                out.update((id(call), node.name) for call in ast.walk(item)
+                           if isinstance(call, ast.Call) and getattr(call.func, "id", None) == first)
+    return out
+
+
 def _set_at_calls() -> tuple[set[tuple[str, str]], dict[str, float]]:
     """From every call in _callers(): the (callee, keyword) pairs it passes,
     with '**' for a ** argument, and per callee the most positional arguments
     any call passes (inf past a *).  The callee of C.f(...) for a class C of
-    MODULES is 'C.f'; of any other f(...) or x.f(...), the bare 'f'."""
+    MODULES is 'C.f'; of cls(...) in a classmethod of C, 'C'; of any other
+    f(...) or x.f(...), the bare 'f'."""
     classes = {q.split(".")[0] for q in _definitions() if "." in q}   # those with methods
     keywords, positions = set(), {}
     for path in _callers():
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        class_calls = _class_calls(tree)
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Name):
+            if id(node) in class_calls:
+                name = class_calls[id(node)]
+            elif isinstance(func, ast.Name):
                 name = func.id
             elif isinstance(func, ast.Attribute):
                 owner = getattr(func.value, "id", getattr(func.value, "attr", None))

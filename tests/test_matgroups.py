@@ -24,6 +24,13 @@ def test_canonical_alpha_values():
         assert not is_square_mod_p(-canonical_alpha(p) % p, p)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_torus_spec_needs_an_odd_prime(p):
+    # alpha is computed from p, so p itself is what is checked
+    with pytest.raises(ValueError, match="odd prime"):
+        TorusSpec(p, 1)
+
+
 def test_torus_products_extract_and_theta_is_multiplicative():
     spec = TorusSpec(5, 1)
     mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])

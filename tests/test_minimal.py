@@ -14,7 +14,7 @@ from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat
 from minvec.minimal import (convolution_check, coefficient_density,
                             matrix_coefficient, oracle_window, support_profile,
                             whittaker_closed, whittaker_oracle,
-                            whittaker_support_scan)
+                            whittaker_support_scan, whittaker_unit_sweep)
 from minvec.residues import LocalElement, psi
 from test_acceptance import RATIO_TOL
 from test_matgroups import torus_matrix
@@ -223,11 +223,19 @@ def test_support_profile_matches_scan(mv31):
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
 def test_identity_support_class_is_the_support_unit(p, n):
-    # RamifiedData.build reads the class at the identity as mv.support_unit()
+    # RamifiedData.build reads the class at the identity as mv.support_unit(),
+    # and the CLI's whittaker table is the unit-class sweep at k = 1, whose
+    # values are those at a(y) itself, of size phi(p^n) on the support
     spec = TorusSpec(p, n)
+    M = spec.precision + 2 * n
     for theta in enumerate_theta(spec)[:3]:
         mv = MinimalVectorSpec.build(spec, theta)
         assert support_profile(mv, Mat2Local.identity(p, spec.precision + 2)) == mv.support_unit()
+        sweep = whittaker_unit_sweep(mv, Mat2Local.identity(p, M))
+        assert sweep == [(u, whittaker_closed(mv, a_mat(LocalElement(p, -2 * n, u, M))))
+                         for u in range(1, p**n) if u % p]
+        assert [u for u, w in sweep if w.in_support] == [mv.support_unit()]
+        assert mv.magnitude_squared == (p - 1) * p ** (n - 1)
 
 
 # -- the vectorized oracle against the scalar transform ---------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.errors import ConfigError
 from minvec.matgroups import TorusSpec
 from minvec.que import QueReport, conductor_pair, distinguished, que_period, vol_KT
@@ -31,8 +32,11 @@ def test_que_period_spherical():
 
 
 def test_que_period_independent_of_theta():
-    # H for the spherical map depends only on (p, n), not which theta
-    assert que_period(TorusSpec(3, 1)).H == que_period(TorusSpec(3, 1, 1)).H
+    # H for the spherical map depends only on (p, n), not which theta: the
+    # minimal vectors of every theta at (3, 1) give one H
+    spec = TorusSpec(3, 1)
+    hs = {que_period(MinimalVectorSpec.build(spec, th).torus).H for th in enumerate_theta(spec)}
+    assert hs == {que_period(spec).H}
 
 
 def test_distinguished_parity():
