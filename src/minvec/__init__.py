@@ -5,8 +5,8 @@ QUE-period experiments they drive.
 
 from .residues import LocalElement, UnitRoot, psi
 from .matgroups import Mat2Local, TorusSpec, canonical_alpha, decompose_B1T
-from .characters import (MinimalVectorSpec, ThetaChar, abelian_structure,
-                         chi_value, enumerate_theta, solve_a_theta)
+from .characters import (MinimalVectorSpec, ThetaChar, chi_value, enumerate_theta,
+                         solve_a_theta)
 from .minimal import (convolution_check, matrix_coefficient, support_profile,
                       whittaker_closed, whittaker_oracle)
 from .que import conductor_pair, distinguished, que_period

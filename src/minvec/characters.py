@@ -4,7 +4,6 @@ character chi of the compact-mod-center group that pins down a minimal vector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,130 +14,105 @@ import numpy as np
 from .cosets import inverse_table
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
-from .residues import UnitRoot, factorize, psi_numerator, unit_enumeration
+from .residues import ENUMERATION_BOUND, UnitRoot, factorize, psi_numerator, unit_enumeration
 
 STRUCTURE_BOUND = 10**5
 
 
-# -- generic finite abelian groups ------------------------------------------
+# -- the quadratic unit group and its characters ----------------------------
 
 @dataclass
 class AbelianPresentation:
-    """Invariant-factor presentation of a finite abelian group with a full
-    discrete-log table (element -> exponent tuple), also held as two integer
-    arrays in the table's order: the elements and their exponent rows."""
+    """The unit group of o_E/p^m as Z/d1 x Z/d2, with x + y*sqrt(delta) coded
+    as x*p^m + y: the two generators as pairs (x, y), their orders d1 and d2,
+    every unit code with its exponent row, and the discrete log indexed by
+    code (rows of -1 at non-units), which every reader looks up."""
 
-    generators: list
+    modulus: int                 # p^m
+    generators: list[tuple[int, int]]
     orders: list[int]
-    dlog: dict
-    elements: np.ndarray = field(init=False, repr=False, compare=False)
-    logs: np.ndarray = field(init=False, repr=False, compare=False)
+    elements: np.ndarray = field(repr=False, compare=False)
+    logs: np.ndarray = field(repr=False, compare=False)
+    log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.elements = np.array(list(self.dlog), dtype=np.int64)
-        self.logs = np.array(list(self.dlog.values()), dtype=np.int64).reshape(
-            len(self.dlog), len(self.orders))
+        self.log_table = np.full((self.modulus**2, len(self.orders)), -1, dtype=np.int64)
+        self.log_table[self.elements] = self.logs
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for d in self.orders:
-            e = math.lcm(e, d)
-        return e
+        return math.lcm(*self.orders)
 
 
-def _group_pow(g, k, mul, one):
-    out, base = one, g
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        k >>= 1
+def _mul(z, w, delta: int, mod: int) -> np.ndarray:
+    """Products of x + y*sqrt(delta) mod `mod`, the pairs (x, y) stacked on axis 0."""
+    return np.stack([(z[0] * w[0] + delta * z[1] * w[1]) % mod,
+                     (z[0] * w[1] + z[1] * w[0]) % mod])
+
+
+def _pow(z, e, delta: int, mod: int) -> np.ndarray:
+    """z**e by square-and-multiply over the bits of the exponent (array) e."""
+    e = np.asarray(e)
+    shape = np.broadcast_shapes(np.shape(z)[1:], e.shape)
+    out = np.stack([np.ones(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)])
+    while e.any():
+        out = np.where(e & 1, _mul(out, z, delta, mod), out)
+        z, e = _mul(z, z, delta, mod), e >> 1
     return out
 
 
-def _element_order(g, mul, one, n: int, primes: list[int]) -> int:
-    e = n
-    for p in primes:
-        while e % p == 0 and _group_pow(g, e // p, mul, one) == one:
-            e //= p
-    return e
-
-
-def _structure_gens(elements, mul, one):
-    n = len(elements)
-    if n == 1:
-        return [], []
-    primes = [q for q, _ in factorize(n)]
-    best, best_ord = None, 0
-    for g in elements:
-        o = _element_order(g, mul, one, n, primes)
-        if o > best_ord or (o == best_ord and g < best):
-            best, best_ord = g, o
-    g1, d1 = best, best_ord
-    powers = [one]
-    for _ in range(d1 - 1):
-        powers.append(mul(powers[-1], g1))
-    pow_index = {g: k for k, g in enumerate(powers)}
-    # quotient by <g1>, cosets named by their minimal representative: elements
-    # ascend, so the first one this pass meets in a coset is its minimum
-    rep, q_elements = {}, []
-    for x in elements:
-        if x not in rep:
-            q_elements.append(x)
-            for pk in powers:
-                rep[mul(x, pk)] = x
-    q_mul = lambda a, b: rep[mul(a, b)]
-    q_gens, q_orders = _structure_gens(q_elements, q_mul, rep[one])
-    gens, orders = [g1], [d1]
-    for x, d in zip(q_gens, q_orders):
-        c = pow_index[_group_pow(x, d, mul, one)]
-        assert c % d == 0  # d1 is the group exponent, forcing divisibility
-        adjust = _group_pow(g1, (-(c // d)) % d1, mul, one)
-        gens.append(mul(x, adjust))
-        orders.append(d)
-    return gens, orders
-
-
-def abelian_structure(elements, mul, one, bound: int = STRUCTURE_BOUND) -> AbelianPresentation:
-    """Invariant factors, generators, and a complete dlog table."""
-    if len(elements) > bound:
-        raise SizeGuard(f"group of order {len(elements)} exceeds the structure bound")
-    n = len(elements)
-    gens, orders = _structure_gens(sorted(elements), mul, one)
-    dlog = {one: tuple(0 for _ in gens)}
-    frontier = {one: tuple(0 for _ in gens)}
-    for i, (g, d) in enumerate(zip(gens, orders)):
-        new = dict(frontier)
-        for x, e in frontier.items():
-            cur = x
-            for k in range(1, d):
-                cur = mul(cur, g)
-                ee = list(e)
-                ee[i] = k
-                new[cur] = tuple(ee)
-        frontier = new
-    if len(frontier) != n:
-        raise NoSolution("generators failed to span the group")
-    return AbelianPresentation(gens, orders, frontier)
-
-
-# -- the quadratic unit group and its characters ----------------------------
-
-def quad_unit_mul(p: int, m: int, delta: int):
-    pm = p**m
-
-    def mul(z, w):
-        return ((z[0] * w[0] + delta * z[1] * w[1]) % pm,
-                (z[0] * w[1] + z[1] * w[0]) % pm)
-
-    return mul
-
-
 def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
-    """Structure of the unit group of the quadratic extension's residue ring mod p^m."""
-    elements = unit_enumeration(p, m, quadratic=True)
-    return abelian_structure(elements, quad_unit_mul(p, m, delta), (1, 0))
+    """Structure of the unit group G of o_E/p^m, o_E = Z_p[sqrt(delta)] for a
+    non-square delta, read from its known decomposition: G is mu_(p^2-1)
+    times the 1-units, which are free over Z/q (q = p^(m-1)) on 1 + p and
+    1 + p*sqrt(delta).  The generators are those of the invariant-factor
+    search over the ascending unit codes: g1 is the least unit of the largest
+    order (p^2 - 1) q, x the least unit whose coset generates G/<g1>
+    (cyclic of order q), and g2 = x g1^(-k) with x^q = g1^(qk), so
+    G = <g1> x <g2> = Z/((p^2 - 1) q) x Z/q.  Raises NoSolution if delta is
+    a square mod p."""
+    if p ** (2 * m) > ENUMERATION_BOUND:
+        raise SizeGuard(f"unit enumeration for p={p}, m={m} exceeds configured bound")
+    P, q, pm = p * p - 1, p ** (m - 1), p**m
+    if P * q * q > STRUCTURE_BOUND:
+        raise SizeGuard(f"group of order {P * q * q} exceeds the structure bound")
+    # the q-th powers of the units are the Teichmueller roots mu_P; t is the
+    # first of them that generates mu_P (with none, the bijection check fails)
+    roots = _pow(np.stack(np.divmod(np.arange(1, P + 1), p)), q, delta, pm)
+    generates = np.ones(P, dtype=bool)
+    for ell, _ in factorize(P):
+        r = _pow(roots, P // ell, delta, pm)
+        generates &= (r[0] != 1) | (r[1] != 0)
+    t = roots[:, np.argmax(generates)]
+    # codes[a, b, c] = t^a (1 + p)^b (1 + p sqrt(delta))^c, a bijection onto G
+    ts = _pow(t, np.arange(P), delta, pm)
+    ones = _mul(_pow(np.array([1 + p, 0]), np.arange(q), delta, pm)[:, :, None],
+                _pow(np.array([1, p]), np.arange(q), delta, pm)[:, None, :], delta, pm)
+    coords = _mul(ts[:, :, None, None], ones[:, None], delta, pm)
+    codes = coords[0] * pm + coords[1]
+    index = np.full(pm * pm, -1)
+    index[codes.ravel()] = np.arange(codes.size)
+    unit = np.arange(pm) % p != 0
+    if not np.array_equal(index >= 0, (unit[:, None] | unit[None, :]).ravel()):
+        raise NoSolution(f"the unit coordinates mod {p}^{m} are not a bijection "
+                         f"(is delta={delta} a square mod p?)")
+    A, B, C = np.ogrid[:P, :q, :q]
+    g1 = codes[(np.gcd(A, P) == 1) & (np.gcd(np.gcd(B, C), q) == 1)].min()
+    a1, b1, c1 = np.unravel_index(index[g1], codes.shape)
+    # the cosets of <g1> are the levels of c1 b - b1 c mod q, each named by its least unit
+    names = np.full(q, pm * pm)
+    np.minimum.at(names, np.broadcast_to((c1 * B - b1 * C) % q, codes.shape).ravel(),
+                  codes.ravel())
+    x = names[np.gcd(np.arange(q), q) == 1].min()
+    ax, bx, cx = np.unravel_index(index[x], codes.shape)
+    k = ax * pow(int(a1), -1, P) % P
+    b2, c2 = (bx - k * b1) % q, (cx - k * c1) % q
+    e1, e2 = np.divmod(np.arange(P * q * q), q)
+    elements = codes[e1 * a1 % P, (e1 * b1 + e2 * b2) % q, (e1 * c1 + e2 * c2) % q]
+    if np.unique(elements).size != elements.size:
+        raise NoSolution(f"the generators failed to span the units mod {p}^{m}")
+    gens = [divmod(int(g), pm) for g in (g1, codes[0, b2, c2])]
+    return AbelianPresentation(pm, gens, [P * q, q], elements, np.stack([e1, e2], axis=1))
 
 
 @dataclass(frozen=True)
@@ -151,13 +125,20 @@ class ThetaChar:
     presentation: AbelianPresentation = field(compare=False, hash=False)
 
     def value(self, z: tuple[int, int]) -> UnitRoot:
-        e = self.presentation.dlog[z]
-        r = sum(Fraction(w * k, d) for w, k, d in
-                zip(self.weights, e, self.presentation.orders))
-        return UnitRoot(r)
+        pres = self.presentation
+        e = pres.log_table[z[0] * pres.modulus + z[1]].tolist()
+        if e[0] < 0:
+            raise ValueError(f"{z} is not a unit mod {pres.modulus}")
+        return UnitRoot(sum(Fraction(w * k, d) for w, k, d in zip(self.weights, e, pres.orders)))
 
-    def is_trivial_on(self, z: tuple[int, int]) -> bool:
-        return self.value(z).is_one
+    def table(self, L: int) -> np.ndarray:
+        """theta as exponents in Z/L, for L a multiple of the presentation's
+        exponent, indexed by unit code x*p^m + y; -1 at non-units."""
+        pres = self.presentation
+        # theta(z) = e(sum_i w_i k_i / d_i) for log(z) = (k_i): one integer product
+        steps = np.array([w * (L // d) for w, d in zip(self.weights, pres.orders)],
+                         dtype=np.int64)
+        return np.where(pres.log_table[:, 0] < 0, -1, pres.log_table @ steps % L)
 
     def label(self) -> str:
         return ":".join(str(w) for w in self.weights)
@@ -165,55 +146,38 @@ class ThetaChar:
 
 def enumerate_theta(spec: TorusSpec) -> list[ThetaChar]:
     """All characters of the quadratic unit group mod p^{2n} that are trivial on
-    the scalar units and have exact depth 2n (nontrivial one level up)."""
-    p, n = spec.p, spec.n
-    m = 2 * n
+    the scalar units and have exact depth 2n (nontrivial one level up), in
+    the lexicographic order of their weights."""
+    p, m = spec.p, 2 * spec.n
     pres = quad_unit_presentation(p, m, spec.delta)
-    pm = p**m
-    # a generator of the cyclic scalar unit group (odd prime power modulus)
-    gen0 = _primitive_root_mod_ppow(p, m)
-    probe_scalar = (gen0, 0)
-    probe_depth = (1 % pm, p ** (m - 1) % pm)
-    out = []
-    for w in itertools.product(*(range(d) for d in pres.orders)):
-        th = ThetaChar(tuple(w), pres)
-        if th.is_trivial_on(probe_scalar) and not th.is_trivial_on(probe_depth):
-            out.append(th)
-    return out
-
-
-def _primitive_root_mod_ppow(p: int, m: int) -> int:
-    pm = p**m
-    order = pm - pm // p
-    primes = [q for q, _ in factorize(order)]
-    for g in range(2, pm):
-        if g % p == 0:
-            continue
-        if all(pow(g, order // q, pm) != 1 for q in primes):
-            return g
-    raise NoSolution("no primitive root found")
+    (d1, d2), pm = pres.orders, pres.modulus
+    # the least primitive root mod p^m generates the scalar units (their
+    # codes are x*p^m), and (1, p^(m-1)) probes the depth
+    scalars = np.flatnonzero(np.arange(pm) % p) * pm
+    k1, k2 = pres.log_table[scalars].T
+    order = np.lcm(d1 // np.gcd(k1, d1), d2 // np.gcd(k2, d2))
+    probes = pres.log_table[[scalars[np.argmax(order == pm - pm // p)], pm + p ** (m - 1)]]
+    # theta(z) = e((w1 k1 + w2 k2 d1/d2) / d1) over the whole weight grid
+    w1, w2 = np.divmod(np.arange(d1 * d2), d2)
+    phases = np.stack([w1, w2 * (d1 // d2)], axis=1) @ probes.T % d1
+    keep = (phases[:, 0] == 0) & (phases[:, 1] != 0)
+    return [ThetaChar(w, pres) for w in zip(w1[keep].tolist(), w2[keep].tolist())]
 
 
 # -- a_theta and the minimal-vector character -------------------------------
 
-def _pairing_root(spec: TorusSpec, a: int, u0: int, u1: int) -> UnitRoot:
-    """The additive character psi(Tr z) of E at z = p^{-n} * a*sqrt(delta) *
-    (u0 + u1*sqrt(delta)), whose trace is 2*a*u1*delta / p^n."""
-    p, n = spec.p, spec.n
-    return UnitRoot(Fraction(psi_numerator(2 * a * u1 * spec.delta) % p**n, p**n))
-
-
-def verify_a_theta(theta: ThetaChar, a: int, spec: TorusSpec) -> bool:
-    """Exhaustively check the defining identity of a_theta over o_E/p^n."""
+def verify_a_theta(theta: ThetaChar, a, spec: TorusSpec):
+    """Exhaustively check the defining identity of a_theta over o_E/p^n:
+    psi(Tr z) = theta(1 + p^n u) at z = p^{-n} * a*sqrt(delta) * u for every
+    u = u0 + u1*sqrt(delta), whose trace is 2*a*u1*delta / p^n.  a is one
+    candidate or an array of them, and the answer has its shape."""
     p, n = spec.p, spec.n
     pn, pm = p**n, p ** (2 * n)
-    for u0 in range(pn):
-        for u1 in range(pn):
-            lhs = _pairing_root(spec, a, u0, u1)
-            rhs = theta.value(((1 + pn * u0) % pm, (pn * u1) % pm))
-            if lhs.r != rhs.r:
-                return False
-    return True
+    u0, u1 = np.divmod(np.arange(pn * pn), pn)
+    L = math.lcm(theta.presentation.exponent, pn)
+    rhs = theta.table(L)[(1 + pn * u0) * pm + pn * u1]
+    lhs = psi_numerator(2 * np.multiply.outer(a, u1) * spec.delta) % pn * (L // pn)
+    return (lhs == rhs).all(axis=-1)
 
 
 def solve_a_theta(theta: ThetaChar, spec: TorusSpec) -> int:
@@ -222,10 +186,11 @@ def solve_a_theta(theta: ThetaChar, spec: TorusSpec) -> int:
     Brute force over all unit candidates, checking the full identity; raises
     if the solution is not unique.
     """
-    sols = [a for a in unit_enumeration(spec.p, spec.n) if verify_a_theta(theta, a, spec)]
+    candidates = np.array(unit_enumeration(spec.p, spec.n))
+    sols = candidates[verify_a_theta(theta, candidates, spec)]
     if len(sols) != 1:
         raise NoSolution(f"expected a unique a_theta, found {len(sols)}")
-    return sols[0]
+    return int(sols[0])
 
 
 @dataclass(frozen=True)
@@ -314,15 +279,8 @@ class ChiEvaluator:
     def build(cls, mv: MinimalVectorSpec) -> "ChiEvaluator":
         p, n = mv.p, mv.n
         pm = p ** (2 * n)
-        pres = mv.theta.presentation
-        L = math.lcm(pres.exponent, p**n)
-        # theta(z) = e(sum_i w_i k_i / d_i) for dlog(z) = (k_i): one integer product
-        zs = pres.elements
-        steps = np.array([w * (L // d) for w, d in zip(mv.theta.weights, pres.orders)],
-                         dtype=np.int64)
-        table = np.full(pm * pm, -1, dtype=np.int32)
-        table[zs[:, 0] * pm + zs[:, 1]] = pres.logs @ steps % L
-        return cls(mv, L, table, inverse_table(pm, p))
+        L = math.lcm(mv.theta.presentation.exponent, p**n)
+        return cls(mv, L, mv.theta.table(L).astype(np.int32), inverse_table(pm, p))
 
     def exponents(self, mats: np.ndarray) -> np.ndarray:
         """chi as an exponent in Z/L, in the dtype of mats (int32 or int64).
@@ -351,8 +309,11 @@ class ChiEvaluator:
 def character_table_rows(mv: MinimalVectorSpec):
     """Rows (x, y, exponent numerator, exponent denominator) of theta over the
     quadratic unit group mod p^{2n}, sorted."""
-    rows = []
-    for z in sorted(mv.theta.presentation.dlog):
-        r = mv.theta.value(z).r
-        rows.append((z[0], z[1], r.numerator, r.denominator))
-    return rows
+    pres = mv.theta.presentation
+    E = pres.exponent
+    table = mv.theta.table(E)
+    codes = np.flatnonzero(table >= 0)
+    num = table[codes]
+    g = np.gcd(num, E)
+    x, y = np.divmod(codes, pres.modulus)
+    return list(zip(x.tolist(), y.tolist(), (num // g).tolist(), (E // g).tolist()))

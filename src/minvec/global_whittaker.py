@@ -440,8 +440,15 @@ def _crt(residues, moduli):
 def lambda_prime(m: int, ram: RamifiedData) -> complex:
     """Exact product of the local Whittaker values at a(m/N^2).
 
-    Supported exactly on m == b (mod N) with value sqrt(phi(N)).
+    Supported exactly on m == b (mod N) with value sqrt(phi(N)).  It reads
+    the minimal vectors at the identity translate, so it raises ConfigError
+    for any ram whose (N, b) is not the one RamifiedData.build gives them.
     """
+    identity = RamifiedData.build(ram.mvs)
+    if (ram.N, ram.b) != (identity.N, identity.b):
+        raise ConfigError(f"lambda_prime reads the identity translate (N, b) = "
+                          f"({identity.N}, {identity.b}) of its minimal vectors, "
+                          f"not ({ram.N}, {ram.b})")
     out = 1.0 + 0.0j
     for mv in ram.mvs:
         p, n = mv.p, mv.n

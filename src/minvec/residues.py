@@ -7,8 +7,8 @@ integer numerators; its values are kept as exact roots of unity (rationals
 mod 1) until a caller explicitly complexifies them.
 
 The unramified quadratic extension E has no element type: its units mod p^m
-are the integer pairs of unit_enumeration, and E^x acts as the torus
-matrices of matgroups.
+are the integer codes x*p^m + y of characters.quad_unit_presentation, and
+E^x acts as the torus matrices of matgroups.
 """
 
 from __future__ import annotations
@@ -293,16 +293,11 @@ def psi_numerator(k):
     return PSI_SIGN * k
 
 
-def unit_enumeration(p: int, m: int, quadratic: bool = False) -> list:
-    """All units of o/p^m (ints) or o_E/p^m (pairs (a, b) meaning a + b*sqrt(delta),
-    for the delta of the quadratic extension)."""
+def unit_enumeration(p: int, m: int) -> list[int]:
+    """All units of o/p^m."""
     _require_odd_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p ** (2 * m if quadratic else m) > ENUMERATION_BOUND:
+    if p**m > ENUMERATION_BOUND:
         raise SizeGuard(f"unit enumeration for p={p}, m={m} exceeds configured bound")
-    pm = p**m
-    if not quadratic:
-        return [a for a in range(pm) if a % p != 0]
-    return [(a, b) for a in range(pm) for b in range(pm)
-            if a % p != 0 or b % p != 0]
+    return [a for a in range(p**m) if a % p != 0]

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -7,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minvec.characters import (AbelianPresentation, ChiEvaluator,
-                               MinimalVectorSpec, abelian_structure, chi_value,
-                               enumerate_theta, quad_unit_mul,
-                               quad_unit_presentation, solve_a_theta,
+from minvec.characters import (ChiEvaluator, MinimalVectorSpec, chi_value,
+                               enumerate_theta, quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
 from minvec import characters, minimal
 from minvec.cosets import (kt_membership_mask, kt_support, mat_keys, mul_mod, product_keys,
@@ -21,88 +18,140 @@ from minvec.residues import UnitRoot, factorize
 from test_matgroups import torus_matrix
 
 
-def test_abelian_structure_cyclic():
-    els = list(range(12))
-    pres = abelian_structure(els, lambda a, b: (a + b) % 12, 0)
-    assert sorted(pres.orders, reverse=True) == [12]
-    assert pres.dlog[5] != pres.dlog[7]
-    assert len(pres.dlog) == 12
-
-
-def test_abelian_structure_product():
-    els = [(a, b) for a in range(4) for b in range(2)]
-    pres = abelian_structure(els, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2), (0, 0))
-    assert sorted(pres.orders) == [2, 4]
-    assert pres.exponent == 4 and len(pres.dlog) == 8
-
-
-def test_abelian_structure_bound():
-    with pytest.raises(SizeGuard):
-        abelian_structure(list(range(11)), lambda a, b: (a + b) % 11, 0, bound=10)
-
-
 def test_quad_unit_presentation_structure():
-    # units of the quadratic extension mod p: cyclic of order p^2 - 1
+    # units of the quadratic extension mod p: cyclic of order p^2 - 1, and the
+    # second factor (the 1-units) is trivial
     pres = quad_unit_presentation(3, 1, -1)
-    assert pres.orders == [8]
+    assert pres.orders == [8, 1]
     pres2 = quad_unit_presentation(3, 2, -1)
-    assert len(pres2.dlog) == 72 and pres2.exponent == 24
-    # dlog is a homomorphism table
-    mul = quad_unit_mul(3, 2, -1)
-    els = list(pres2.dlog)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        z, w = els[rng.integers(len(els))], els[rng.integers(len(els))]
-        ez, ew = pres2.dlog[z], pres2.dlog[w]
-        expect = tuple((a + b) % d for a, b, d in zip(ez, ew, pres2.orders))
-        assert pres2.dlog[mul(z, w)] == expect
+    assert pres2.orders == [24, 3] and pres2.exponent == 24
+    assert len(pres2.elements) == 72 == np.count_nonzero(pres2.log_table[:, 0] >= 0)
+
+
+def _group_pow(g, k, mul, one):
+    out, base = one, g
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        k >>= 1
+    return out
+
+
+def _element_order(g, mul, one, n, primes):
+    e = n
+    for q in primes:
+        while e % q == 0 and _group_pow(g, e // q, mul, one) == one:
+            e //= q
+    return e
 
 
 def _min_named_structure_gens(elements, mul, one):
-    """Reference for characters._structure_gens: each coset of <g1> is named by
-    the minimum over all its elements, |G| * ord(g1) multiplications."""
+    """The generic invariant-factor search, a reference for
+    quad_unit_presentation: over the ascending elements of any finite abelian
+    group, g1 is the least element of the largest order, each coset of <g1> is
+    named by the minimum over all its elements, the quotient is searched the
+    same way, and each of its generators x of order d is lifted to
+    x g1^(-c/d), where x^d = g1^c."""
     n = len(elements)
     if n == 1:
         return [], []
     primes = [q for q, _ in factorize(n)]
-    best, best_ord = None, 0
-    for g in elements:
-        o = characters._element_order(g, mul, one, n, primes)
-        if o > best_ord or (o == best_ord and g < best):
-            best, best_ord = g, o
-    g1, d1 = best, best_ord
+    orders = [_element_order(g, mul, one, n, primes) for g in elements]
+    d1 = max(orders)
+    g1 = elements[orders.index(d1)]
     powers = [one]
     for _ in range(d1 - 1):
         powers.append(mul(powers[-1], g1))
     pow_index = {g: k for k, g in enumerate(powers)}
-    rep = {x: min(mul(x, pk) for pk in powers) for x in elements}
+    rep = {}
+    for x in elements:
+        if x not in rep:
+            coset = [mul(x, pk) for pk in powers]
+            rep.update(dict.fromkeys(coset, min(coset)))
     q_gens, q_orders = _min_named_structure_gens(sorted(set(rep.values())),
                                                  lambda a, b: rep[mul(a, b)], rep[one])
     gens, orders = [g1], [d1]
     for x, d in zip(q_gens, q_orders):
-        c = pow_index[characters._group_pow(x, d, mul, one)]
-        gens.append(mul(x, characters._group_pow(g1, (-(c // d)) % d1, mul, one)))
+        c = pow_index[_group_pow(x, d, mul, one)]
+        gens.append(mul(x, _group_pow(g1, (-(c // d)) % d1, mul, one)))
         orders.append(d)
     return gens, orders
 
 
-def _cyclic_product(*ds):
-    els = list(itertools.product(*(range(d) for d in ds)))
-    return abelian_structure(els, lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, ds)),
-                             (0,) * len(ds))
+def _quad_mul(pm, delta):
+    return lambda z, w: ((z[0] * w[0] + delta * z[1] * w[1]) % pm,
+                         (z[0] * w[1] + z[1] * w[0]) % pm)
 
 
 # the quadratic unit groups mod p^m at (p, m), with the canonical torus's delta
-@pytest.mark.parametrize("present", [
-    *(lambda p=p, m=m: quad_unit_presentation(p, m, TorusSpec(p, 1).delta)
-      for p, m in [(3, 2), (5, 2), (7, 2), (3, 4)]),
-    lambda: _cyclic_product(12), lambda: _cyclic_product(4, 2), lambda: _cyclic_product(4, 4, 2),
-], ids=["quad(3,2)", "quad(5,2)", "quad(7,2)", "quad(3,4)", "Z/12", "Z/4xZ/2", "Z/4xZ/4xZ/2"])
-def test_coset_naming_matches_min_over_coset(present, monkeypatch):
-    fast = present()
-    monkeypatch.setattr(characters, "_structure_gens", _min_named_structure_gens)
-    ref = present()
-    assert (fast.generators, fast.orders, fast.dlog) == (ref.generators, ref.orders, ref.dlog)
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 4), (11, 2)],
+                         ids=["quad(3,2)", "quad(5,2)", "quad(7,2)", "quad(3,4)", "quad(11,2)"])
+def test_coset_naming_matches_min_over_coset(p, m):
+    # generators, orders and every unit's log equal the generic search's
+    delta, pm = TorusSpec(p, 1).delta, p**m
+    mul = _quad_mul(pm, delta)
+    units = [(x, y) for x in range(pm) for y in range(pm) if x % p or y % p]
+    gens, orders = _min_named_structure_gens(units, mul, (1, 0))
+    want = np.full((pm * pm, len(gens)), -1)
+    want[pm] = 0                               # the unit (1, 0)
+    for i, (g, d) in enumerate(zip(gens, orders)):
+        for z in [divmod(int(c), pm) for c in np.flatnonzero(want[:, 0] >= 0)]:
+            e = want[z[0] * pm + z[1]]
+            for k in range(1, d):
+                z = mul(z, g)
+                want[z[0] * pm + z[1]] = e
+                want[z[0] * pm + z[1], i] = k
+    pres = quad_unit_presentation(p, m, delta)
+    assert (pres.generators, pres.orders) == (gens, orders)
+    assert np.array_equal(pres.log_table, want)
+
+
+# every buildable torus: p^(4n) <= ENUMERATION_BOUND and a unit group of at
+# most STRUCTURE_BOUND elements
+_BUILDABLE = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def presentations():
+    return {(p, n): quad_unit_presentation(p, 2 * n, TorusSpec(p, n).delta)
+            for p, n in _BUILDABLE}
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(pn=st.sampled_from(_BUILDABLE), seed=st.integers(0, 2**32 - 1))
+def test_log_is_a_homomorphism(presentations, pn, seed):
+    # log(zw) = log z + log w mod the orders, on 256 random pairs of units
+    pres, delta = presentations[pn], TorusSpec(*pn).delta
+    pm = pres.modulus
+    z, w = np.random.default_rng(seed).choice(pres.elements, size=(2, 256))
+    (zx, zy), (wx, wy) = divmod(z, pm), divmod(w, pm)
+    zw = (zx * wx + delta * zy * wy) % pm * pm + (zx * wy + zy * wx) % pm
+    assert (pres.log_table[z] >= 0).all()
+    assert np.array_equal((pres.log_table[z] + pres.log_table[w]) % pres.orders,
+                          pres.log_table[zw])
+
+
+@pytest.mark.parametrize("p,m,delta", [(5, 2, 4), (3, 2, 1), (7, 2, 2), (11, 2, 3)])
+def test_square_delta_has_no_presentation(p, m, delta):
+    with pytest.raises(NoSolution):
+        quad_unit_presentation(p, m, delta)
+
+
+@pytest.mark.parametrize("p,n,text", [
+    (19, 1, "group of order 129960 exceeds the structure bound"),
+    (3, 3, "group of order 472392 exceeds the structure bound"),
+    (101, 1, "unit enumeration for p=101, m=2 exceeds configured bound"),
+], ids=["structure-19-1", "structure-3-3", "enumeration-101-1"])
+def test_size_guards_fire_before_any_array(p, n, text, monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built before the size guards")
+
+    monkeypatch.setattr(characters, "_pow", no_arrays)
+    monkeypatch.setattr(characters.np, "full", no_arrays)
+    with pytest.raises(SizeGuard) as err:
+        enumerate_theta(TorusSpec(p, n))
+    assert str(err.value) == text
 
 
 def test_theta_counts():
@@ -115,8 +164,10 @@ def test_theta_trivial_on_scalars_and_exact_depth():
     spec = TorusSpec(3, 1)
     for th in enumerate_theta(spec):
         for s in (1, 2, 4, 5, 7, 8):
-            assert th.is_trivial_on((s % 9, 0))
-        assert not th.is_trivial_on((1, 3))
+            assert th.value((s % 9, 0)).is_one
+        assert not th.value((1, 3)).is_one
+        with pytest.raises(ValueError, match="not a unit"):
+            th.value((3, 6))
 
 
 def test_a_theta_unique_and_verified():

@@ -36,6 +36,18 @@ def test_verify_error_entries_name_their_type(tmp_path):
     assert "exceeds configured bound" in guarded["error"]
 
 
+def test_verify_size_guards_keep_their_texts(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--pn", "3,1;19,1;3,3;101,1", "--out", str(out)]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results[0]["ok"]
+    assert [(r["error_type"], r["error"]) for r in results[1:]] == [
+        ("SizeGuard", "group of order 129960 exceeds the structure bound"),
+        ("SizeGuard", "group of order 472392 exceeds the structure bound"),
+        ("SizeGuard", "unit enumeration for p=101, m=2 exceeds configured bound"),
+    ]
+
+
 def test_invalid_even_prime_exits_config(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--pn", "2,1", "--out", str(out)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -377,6 +378,18 @@ def test_lambda_prime_crt_consistency(mv31, mv51):
     # local residues pick up the square of the complementary modulus
     assert ram15.b % 3 == ram3.b * pow(5, 2, 3) % 3
     assert ram15.b % 5 == ram5.b * pow(3, 2, 5) % 5
+
+
+def test_lambda_prime_rejects_a_translate(mv31):
+    # lambda_prime evaluates the minimal vectors at a(m/N^2), the identity
+    # translate: on a translate built with another b (2 -> 1 at the library's
+    # PSI_SIGN) it would silently read the identity's class, so it refuses
+    ram = RamifiedData.build([mv31])
+    for other in (dataclasses.replace(ram, b=ram.b - 1),
+                  RamifiedData(3, ram.b, ram.amplitude, [])):
+        with pytest.raises(ConfigError, match="identity translate"):
+            lambda_prime(ram.b, other)
+    assert lambda_prime(ram.b, dataclasses.replace(ram, b=ram.b + 3)) == ram.amplitude
 
 
 def test_ramified_data_rejects_a_modulus_below_one():

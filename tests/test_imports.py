@@ -27,7 +27,6 @@ TEST_HOOKS = {
     "evaluate_phi.check_stability": "doubles the cutoff to show the tail has converged",
     "bessel_K_imag.rel_tol": "a tighter tolerance, for the self-convergence checks",
     "whittaker_oracle.low": "an explicit window, to show the value does not depend on it",
-    "abelian_structure.bound": "a small bound, to trip the SizeGuard",
     "main.argv": "CLI tests pass the argument list instead of sys.argv",
 }
 

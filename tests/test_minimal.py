@@ -384,7 +384,7 @@ def test_chi_evaluator_theta_table(pn):
     for theta in (thetas[0], thetas[-1]):
         ev = ChiEvaluator.build(MinimalVectorSpec.build(spec, theta))
         want = np.full(pm * pm, -1, dtype=np.int64)
-        for z in theta.presentation.dlog:
+        for z in (divmod(c, pm) for c in theta.presentation.elements.tolist()):
             r = theta.value(z).r * ev.L
             assert r.denominator == 1  # L is a multiple of theta's order
             want[z[0] * pm + z[1]] = int(r)

@@ -69,7 +69,6 @@ def test_unit_root_algebra():
 
 def test_unit_enumeration_counts():
     assert len(unit_enumeration(3, 2)) == 6
-    assert len(unit_enumeration(3, 1, quadratic=True)) == 8
     with pytest.raises(SizeGuard):
         unit_enumeration(101, 4)
 
