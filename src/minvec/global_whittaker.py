@@ -465,8 +465,8 @@ def lambda_prime(m: int, ram: RamifiedData) -> complex:
 
 def lambda_prime_fast(ms: np.ndarray, ram: RamifiedData) -> np.ndarray:
     """Vectorized lambda', cross-checked against lambda_prime in the tests:
-    the amplitude on m == b (mod N) and 0 elsewhere, as complex."""
-    out = np.zeros(len(ms), dtype=complex)
+    the real amplitude on m == b (mod N) and 0 elsewhere, as float64."""
+    out = np.zeros(len(ms))
     out[ms % ram.N == ram.b] = ram.amplitude
     return out
 
@@ -617,9 +617,10 @@ def _row_coefficients(ms: np.ndarray, y, ram: RamifiedData, arch: ArchParams,
 
     with lambda read from the sieve lam_all (indexed by |m|), lambda' from
     lambda_prime_fast and the normalized kernel from one array call.  Every
-    factor is elementwise in m, so a term's value does not depend on the
-    other terms of the call.  The sieve read comes first, so a term past the
-    sieve raises IndexError before anything else is evaluated.
+    factor is real, so the coefficients are float64, and elementwise in m, so
+    a term's value does not depend on the other terms of the call.  The sieve
+    read comes first, so a term past the sieve raises IndexError before
+    anything else is evaluated.
     """
     am = np.abs(ms)
     return (PREF * lam_all[am] * lambda_prime_fast(ms, ram) * kappa(am * y / ram.N**2, arch)
@@ -631,7 +632,7 @@ class ScanReport:
     N: int
     arch: ArchParams
     sup: float
-    argmax: tuple[float, float]         # (x, y)
+    argmax: tuple[float, float]         # (x, y), the first maximum, 0 <= x <= N/2
     witness: float                      # best single-term magnitude
     witness_m: int
     conductor: int                      # C = N^4
@@ -658,8 +659,8 @@ class ScanReport:
 Y_MIN = math.sqrt(3) / 2.0
 X_STEPS_PER_PERIOD = 64
 # Consecutive rows that share one transform length L are scanned as one
-# block, whose (rows, L) complex array holds at most this many elements; a
-# row longer than that is a block of its own.
+# block, whose real (rows, L) array holds at most this many elements; a row
+# longer than that is a block of its own.
 _SCAN_BLOCK_ELEMENTS = 2**14
 
 
@@ -674,11 +675,15 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
 
         sum_m c_m e(m j / X) = e(b j / X) G[j mod X/N],
 
-    where G is the unscaled inverse transform, of length X/N, of the c_m
-    placed at j' mod X/N (distinct, as X > 2R + 1).  So |phi| on the row has
+    where G is the unscaled inverse transform, of length L = X/N, of the c_m
+    placed at j' mod L (distinct, as X > 2R + 1).  So |phi| on the row has
     period N in x, every grid point keeps its exact modulus, and the row sup
     and its first argmax come from |G| alone.  The unscaled transform keeps
     each row sup at or above its largest single term (discrete Parseval).
+    Every c_m is real, so G[j] is the conjugate of the real-input forward
+    transform at j, and |G[L - j]| = |G[j]|: the mirror |phi(x)| = |phi(N - x)|.
+    Each row's sup and first argmax are therefore read from j = 0..L/2 of one
+    rfft, and the argmax x lies in [0, N/2].
 
     lambda is sieved once per scan, up to the bottom row's cutoff.  The rows
     are planned before any is scanned (_row_blocks): the cutoffs of all rows
@@ -688,7 +693,7 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     consecutive rows that share X/N: a block builds its rows' progressions,
     takes their coefficients from one _row_coefficients call (evaluate_phi's
     assembly, with one kappa call per block), scatters them into one
-    (rows, X/N) array and takes one inverse FFT along its rows
+    real (rows, X/N) array and takes one rfft along its rows
     (_scan_block).  Every coefficient is elementwise (a Maass kernel value
     depends on its x alone), so it equals the one-row assembly bit for bit.
     """
@@ -751,8 +756,12 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
 
 def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: ArchParams,
                 lam_all: np.ndarray):
-    """One block of _row_blocks: per row its y, sup of |G|, first argmax jx,
-    witness (largest |c_m|) and the witness's m.
+    """One block of _row_blocks: per row its y, sup of |G|, first argmax jx
+    (0 <= jx <= L/2), witness (largest |c_m|) and the witness's m.
+
+    The real coefficients are scattered into one real (rows, L) array, and
+    |G| is the modulus of its rfft along the rows: the half spectrum
+    j = 0..L/2, which holds every value of |G| (scan_supnorm).
 
     The rows' progressions are built end to end, unpadded
     (_row_progressions), and their coefficients come from one
@@ -765,9 +774,9 @@ def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: Arch
     n = len(block)
     ms, row, col, starts = _row_progressions(ram, arch, start, lens)
     c = _row_coefficients(ms, yb[row], ram, arch, lam_all)
-    F = np.zeros((n, L), dtype=complex)
+    F = np.zeros((n, L))
     F[row, (ms // ram.N) % L] = c        # m = b + N j' puts c_m at j' mod L
-    av = np.abs(np.fft.ifft(F, axis=1, norm="forward", out=F))  # |phi| at x = jx N^2 / X
+    av = np.abs(np.fft.rfft(F, axis=1))  # |phi| at x = jx N^2 / X, 0 <= jx <= L/2
     jx = np.argmax(av, axis=1)
     mags = np.full((n, int(lens.max())), -1.0)
     mags[row, col] = np.abs(c)

@@ -420,7 +420,9 @@ def test_any_integer_b_names_its_class(N, b, amp):
 
 def test_lambda_prime_fast_matches_exact():
     # the amplitude on m = b (mod N) is the product of the closed-form local
-    # values to the last bit, over m in [-N^2, N^2], theta indices 0 and 1
+    # values to the last bit, over m in [-N^2, N^2], theta indices 0 and 1;
+    # that product is real, so the fast route is float64 (the scan's real FFT
+    # relies on it)
     for pns in ([(3, 1)], [(5, 1)], [(3, 2)], [(3, 1), (5, 1)]):
         for index in (0, 1):
             mvs = [MinimalVectorSpec.build(TorusSpec(p, n), enumerate_theta(TorusSpec(p, n))[index])
@@ -428,7 +430,10 @@ def test_lambda_prime_fast_matches_exact():
             ram = RamifiedData.build(mvs)
             ms = np.arange(-ram.N**2, ram.N**2 + 1)
             slow = np.array([lambda_prime(int(m), ram) for m in ms], dtype=complex)
-            assert np.array_equal(lambda_prime_fast(ms, ram), slow), (pns, index)
+            fast = lambda_prime_fast(ms, ram)
+            assert fast.dtype == np.float64, (pns, index)
+            assert not slow.imag.any(), (pns, index)
+            assert np.array_equal(fast, slow.real), (pns, index)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -666,12 +671,13 @@ def _source(kind, seed):
     return CoefficientSource.all_ones()
 
 
-@pytest.mark.parametrize("N", [3, 15, 21])
-@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
-def test_scan_rows_match_full_length_transform(rams, N, kind):
-    ram = rams[N]
-    arch = ArchParams("holomorphic", k=40)
-    rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=64, keep_rows=True)
+def _assert_rows_match_full_length_transform(ram, arch, kind, rows_per_decade):
+    """Every row sup, the terms and transform points, the sup and its argmax
+    of a scan against _full_length_row, row by row; a different argmax must
+    be a tie within rounding."""
+    N = ram.N
+    rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=rows_per_decade,
+                       keep_rows=True)
     lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, Y_MIN))
     ref_sup, ref_argmax = -1.0, None
     terms = fft_points = 0
@@ -691,11 +697,60 @@ def test_scan_rows_match_full_length_transform(rams, N, kind):
         assert direct == pytest.approx(ref_sup, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [3, 15, 21])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+def test_scan_rows_match_full_length_transform(rams, N, kind):
+    _assert_rows_match_full_length_transform(rams[N], ArchParams("holomorphic", k=40), kind, 64)
+
+
+@pytest.mark.parametrize("N, t", [(3, 2.0), (1, 2.0)])
+def test_maass_scan_rows_match_full_length_transform(rams, N, t):
+    # signed progressions; at N = 1, b = 0 and the progression steps over m = 0
+    _assert_rows_match_full_length_transform(rams[N], ArchParams("maass", t=t), "sato-tate", 64)
+
+
+def test_scan_rows_match_full_length_transform_at_the_cli_density(rams):
+    # 256 rows per decade, the CLI density; this scan's argmax x and the
+    # full-length transform's differ by a multiple of N, a tie within rounding
+    _assert_rows_match_full_length_transform(rams[15], ArchParams("holomorphic", k=12),
+                                              "sato-tate", 256)
+
+
+@pytest.mark.parametrize("arch", [ArchParams("holomorphic", k=12), ArchParams("maass", t=2.0)],
+                         ids=["holomorphic", "maass"])
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+@pytest.mark.parametrize("N", [1, 3, 15])
+def test_phi_modulus_is_mirror_symmetric_on_the_grid(rams, N, kind, arch):
+    # real coefficients on m = b + N j give phi(N - x) = e(b / N) conj phi(x),
+    # the symmetry that lets the scan read each row's half spectrum
+    ram = rams[N]
+    for y in (1.0, 2.5):
+        for j in (1, 5, 17, 31, 32 * N - 3):
+            x = j / X_STEPS_PER_PERIOD      # on every row grid x = j' N^2 / X
+            here = abs(evaluate_phi(x, y, ram, _source(kind, 3), arch))
+            there = abs(evaluate_phi(N - x, y, ram, _source(kind, 3), arch))
+            assert there == pytest.approx(here, rel=1e-12), (x, y)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scan_argmax_lies_in_the_first_half_period(rams, seed):
+    # each row's first maximum is read from j = 0..L/2 of its half spectrum,
+    # so x = j N / L <= N/2
+    jobs = [(N, ArchParams("holomorphic", k=k), kind) for N in rams for k in (12, 40)
+            for kind in ("sato-tate", "all-ones")]
+    jobs += [(N, ArchParams("maass", t=2.0), kind) for N in (1, 3)
+             for kind in ("sato-tate", "all-ones")]
+    for N, arch, kind in jobs:
+        rep = scan_supnorm(rams[N], _source(kind, seed), arch, rows_per_decade=64)
+        assert 0 <= rep.argmax[0] <= N / 2, (N, arch, kind, rep.argmax)
+
+
 def reference_scan(ram, coeffs, arch, rows_per_decade):
     """scan_supnorm with keep_rows, assembling every row from scratch: lambda'
     and sqrt|m| on the row's own progression, the coefficients as
-    PREF lambda lambda' kappa / sqrt|m| in that order.  The reference for the
-    per-scan factors, which must give the same bits."""
+    PREF lambda lambda' kappa / sqrt|m| in that order, and |G| from the row's
+    own real FFT.  The reference for the per-scan factors and the block
+    transform, which must give the same bits."""
     N = ram.N
     N2 = N * N
     y_max = max(2.0, N2 * arch.T)
@@ -725,9 +780,9 @@ def reference_scan(ram, coeffs, arch, rows_per_decade):
         while X <= 2 * R + 1:
             X *= 2
         L = X // N
-        F = np.zeros(L, dtype=complex)
+        F = np.zeros(L)
         F[(ms // N) % L] = c
-        av = np.abs(np.fft.ifft(F, norm="forward"))
+        av = np.abs(np.fft.rfft(F))
         jx = int(np.argmax(av))
         row_sup = float(av[jx])
         if row_sup > sup:
@@ -851,7 +906,8 @@ def test_maass_scan_blocks_are_bit_identical_to_per_row_assembly(rams, monkeypat
 def test_scan_memory_stays_within_the_block_cap(rams):
     # the CLI-default scan at N = 21, k = 120: 1226 rows (759 with the psi
     # sign flipped, which moves b), all of transform length 1344; as one
-    # (rows, L) array they would take 16 to 26 MB
+    # real (rows, L) array they would take 8 to 13 MB, and their half spectra
+    # as much again
     tracemalloc.start()
     try:
         rep = scan_supnorm(rams[21], CoefficientSource.all_ones(),
@@ -860,7 +916,9 @@ def test_scan_memory_stays_within_the_block_cap(rams):
     finally:
         tracemalloc.stop()
     assert len(rep.rows) > 700
-    # a block of 2^14 complex elements (256 KiB), and 2 MiB for everything else
+    # a block of 2^14 real elements (128 KiB) with its half spectrum and its
+    # modulus (192 KiB), and everything else, within 16 2^14 + 2 MiB; the
+    # peak is about 845 KiB
     assert peak <= 16 * 2**14 + 2 * 2**20
 
 
