@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cosets import inverse_table
+from .cosets import all_distinct, inverse_table
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
 from .residues import ENUMERATION_BOUND, UnitRoot, factorize, psi_numerator, unit_enumeration
@@ -109,7 +109,7 @@ def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
     b2, c2 = (bx - k * b1) % q, (cx - k * c1) % q
     e1, e2 = np.divmod(np.arange(P * q * q), q)
     elements = codes[e1 * a1 % P, (e1 * b1 + e2 * b2) % q, (e1 * c1 + e2 * c2) % q]
-    if np.unique(elements).size != elements.size:
+    if not all_distinct(elements):
         raise NoSolution(f"the generators failed to span the units mod {p}^{m}")
     gens = [divmod(int(g), pm) for g in (g1, codes[0, b2, c2])]
     return AbelianPresentation(pm, gens, [P * q, q], elements, np.stack([e1, e2], axis=1))
@@ -268,42 +268,50 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
 
 @dataclass
 class ChiEvaluator:
-    """Vectorized chi on integer matrices mod p^{2n} (assumed in GL2)."""
+    """Vectorized chi on integer matrices mod p^{2n}, read from its closed form.
+
+    For g = [[a, b], [c, d]] the left factorization g = [[u, m], [0, 1]] t
+    (decompose_B1T) has torus factor t = (x, y) = (d, -c/alpha) and
+    m = (ac + alpha bd) / q with q = c^2 + alpha d^2, the quotient whose
+    valuation matgroups.left_m_valuation reads.  So on the support
+    chi(g) = theta(d, -c/alpha) psi(-a_theta alpha m / p^n): one lookup in
+    tables over the pair (c, d), indexed by c*pm + d, and one over m."""
 
     mv: MinimalVectorSpec
     L: int
-    theta_table: np.ndarray   # exponent in Z/L indexed by x*pm + y; -1 for non-units
-    inv: np.ndarray
+    theta_cd: np.ndarray   # theta(d, -c/alpha) in Z/L at c*pm + d; -1 where p | c, d
+    m_a: np.ndarray        # m = a*m_a + b*m_b mod pm: m_a = c/q, m_b = alpha d/q
+    m_b: np.ndarray        # (0 where q is not a unit)
+    psi_m: np.ndarray      # psi(-a_theta alpha m / p^n) in Z/L at m, for p^n | m
 
     @classmethod
     def build(cls, mv: MinimalVectorSpec) -> "ChiEvaluator":
-        p, n = mv.p, mv.n
-        pm = p ** (2 * n)
-        L = math.lcm(mv.theta.presentation.exponent, p**n)
-        return cls(mv, L, mv.theta.table(L).astype(np.int32), inverse_table(pm, p))
+        p, n, alpha = mv.p, mv.n, mv.torus.alpha
+        pm, pn = p ** (2 * n), p**n
+        L = math.lcm(mv.theta.presentation.exponent, pn)
+        c, d = np.divmod(np.arange(pm * pm, dtype=np.int64), pm)
+        y = -c * pow(alpha, -1, pm) % pm
+        q_inv = inverse_table(pm, p)[(c * c + alpha * d * d) % pm]
+        # residues mod pm < 2^15, as p^(4n) <= ENUMERATION_BOUND for every
+        # enumerated unit group mod p^(2n), so int16 holds m_a and m_b
+        m_a, m_b = (v * q_inv % pm for v in (c, alpha * d))
+        bd = np.arange(pm) // pn
+        psi_m = psi_numerator(-mv.a_theta * alpha * bd) % pn * (L // pn)
+        return cls(mv, L, mv.theta.table(L)[d * pm + y].astype(np.int32),
+                   m_a.astype(np.int16), m_b.astype(np.int16), psi_m.astype(np.int32))
 
     def exponents(self, mats: np.ndarray) -> np.ndarray:
-        """chi as an exponent in Z/L, in the dtype of mats (int32 or int64).
-        Only valid on support rows."""
-        p, n = self.mv.p, self.mv.n
-        alpha = self.mv.torus.alpha
-        pm, pn = p ** (2 * n), p**n
-        # every factor below is reduced mod pm first (and alpha < p), so no
-        # intermediate reaches 2 pm^2 = 2 p^(4n) <= 2 ENUMERATION_BOUND
-        # (quad_unit_presentation enumerates o_E/p^(2n)): int32 holds them all
-        a, b = mats[:, 0, 0] % pm, mats[:, 0, 1] % pm
-        c, d = mats[:, 1, 0] % pm, mats[:, 1, 1] % pm
-        det = (a * d - b * c) % pm
-        den_inv = self.inv[(alpha * det) % pm]
-        u2 = (c * c + alpha * (d * d % pm)) % pm * den_inv % pm
-        m2 = (-(a * c + alpha * (b * d % pm))) % pm * den_inv % pm
-        x = (u2 * a + m2 * c) % pm
-        y = (u2 * b + m2 * d) % pm
-        m = (-m2) % pm * self.inv[u2] % pm
-        bd = m // pn       # support rows have m divisible by p^n
-        th = self.theta_table[x * pm + y]
-        psi_e = psi_numerator(-self.mv.a_theta * alpha * bd) % pn * (self.L // pn)
-        return (th + psi_e) % self.L
+        """chi as an exponent in Z/L, in the dtype of mats (int32 or int64),
+        whose entries must be residues in [0, p^(2n)), as those of every
+        support array and mul_mod product are.  Only valid on support rows;
+        every lookup stays in range on any such matrix."""
+        pm = self.mv.p ** (2 * self.mv.n)
+        a, b = mats[:, 0, 0], mats[:, 0, 1]
+        cd = mats[:, 1, 0] * pm + mats[:, 1, 1]
+        # a*m_a + b*m_b < 2 pm^2 = 2 p^(4n) <= 2 ENUMERATION_BOUND: int32 holds it
+        m = (a * self.m_a.take(cd) + b * self.m_b.take(cd)) % pm
+        out = (self.theta_cd.take(cd) + self.psi_m.take(m)) % self.L
+        return out.astype(mats.dtype, copy=False)
 
 
 def character_table_rows(mv: MinimalVectorSpec):

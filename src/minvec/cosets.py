@@ -57,6 +57,13 @@ def product_keys(left: np.ndarray, right: np.ndarray, pm: int) -> np.ndarray:
     return digits[:, r[:, 0] * pm + r[:, 2]] * pm + digits[:, r[:, 1] * pm + r[:, 3]]
 
 
+def all_distinct(values: np.ndarray) -> bool:
+    """Whether no value repeats: equal neighbours after a sort (np.unique
+    hashes, and takes tens of times longer on these integer arrays)."""
+    v = np.sort(values, axis=None)
+    return not (v[1:] == v[:-1]).any()
+
+
 def inverse_table(pm: int, p: int) -> np.ndarray:
     """inv[u] = u^-1 mod pm for units u; 0 elsewhere."""
     inv = np.zeros(pm, dtype=np.int32)
@@ -71,9 +78,10 @@ def _torus_entries(tx, ty, alpha: int, pm: int):
     return tx, ty, (-alpha * ty) % pm, tx
 
 
-def _block_entries(aa, bb, pn: int, pm: int):
-    """Entries of the depth-n block elements [[1 + p^n a, p^n b], [0, 1]] mod pm."""
-    return (1 + pn * aa) % pm, (pn * bb) % pm, 0, 1
+def _block_entries(aa, bb, pn: int):
+    """Entries of the depth-n block elements [[1 + p^n a, p^n b], [0, 1]] for
+    a, b in [0, p^n), which are already residues mod p^(2n)."""
+    return 1 + pn * aa, pn * bb, 0, 1
 
 
 def entry_major(entries) -> np.ndarray:
@@ -99,13 +107,11 @@ def kt_support(spec: TorusSpec) -> np.ndarray:
                          indexing="ij")
     # products t * b over the full grid: torus units down, block elements across
     torus = _torus_entries(xs[unit][:, None], ys[unit][:, None], alpha, pm)
-    block = _block_entries(aa.ravel()[None, :], bb.ravel()[None, :], pn, pm)
+    block = _block_entries(aa.ravel()[None, :], bb.ravel()[None, :], pn)
     mats = entry_major(mul_mod(torus, block, pm))
-    S = len(mats)
     # the size guard admits (3,1), (5,1), (7,1), (11,1), (13,1) and (3,2): every
     # key is below p^(8n) <= 13^8 < 2^31
-    keys = mat_keys(mats, pm)
-    assert len(np.unique(keys)) == S, "torus x block product failed to be injective"
+    assert all_distinct(mat_keys(mats, pm)), "torus x block product failed to be injective"
     return mats
 
 
@@ -126,19 +132,21 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
     if pm * pm > ENUMERATION_BOUND:
         raise SizeGuard(f"random support draws for (p, n) = ({p}, {n}) need p^{4 * n} "
                         "beyond the enumeration bound")
-    tx = np.empty(size, dtype=np.int64)
-    ty = np.empty(size, dtype=np.int64)
+    # rng.integers draws the same stream in int32 as in int64 for a range
+    # below 2^32, so these are the pairs of the int64 draws
+    unit = np.arange(pm) % p != 0
+    tx = np.empty(size, dtype=np.int32)
+    ty = np.empty(size, dtype=np.int32)
     filled = 0
     while filled < size:
-        cx = rng.integers(0, pm, size=2 * (size - filled) + 8, dtype=np.int64)
-        cy = rng.integers(0, pm, size=len(cx), dtype=np.int64)
-        good = (cx % p != 0) | (cy % p != 0)
+        cx = rng.integers(0, pm, size=2 * (size - filled) + 8, dtype=np.int32)
+        cy = rng.integers(0, pm, size=len(cx), dtype=np.int32)
+        good = unit.take(cx) | unit.take(cy)
         take = min(int(good.sum()), size - filled)
         tx[filled:filled + take] = cx[good][:take]
         ty[filled:filled + take] = cy[good][:take]
         filled += take
-    aa = rng.integers(0, pn, size=size, dtype=np.int64)
-    bb = rng.integers(0, pn, size=size, dtype=np.int64)
-    tx, ty, aa, bb = (v.astype(np.int32) for v in (tx, ty, aa, bb))
-    prod = mul_mod(_torus_entries(tx, ty, alpha, pm), _block_entries(aa, bb, pn, pm), pm)
+    aa = rng.integers(0, pn, size=size, dtype=np.int32)
+    bb = rng.integers(0, pn, size=size, dtype=np.int32)
+    prod = mul_mod(_torus_entries(tx, ty, alpha, pm), _block_entries(aa, bb, pn), pm)
     return entry_major(prod)

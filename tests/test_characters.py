@@ -10,11 +10,11 @@ from minvec.characters import (ChiEvaluator, MinimalVectorSpec, chi_value,
                                enumerate_theta, quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
 from minvec import characters, minimal
-from minvec.cosets import (kt_membership_mask, kt_support, mat_keys, mul_mod, product_keys,
-                           random_kt_elements)
+from minvec.cosets import (all_distinct, inverse_table, kt_membership_mask, kt_support,
+                           mat_keys, mul_mod, product_keys, random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec
-from minvec.residues import UnitRoot, factorize
+from minvec.residues import UnitRoot, factorize, psi_numerator
 from test_matgroups import torus_matrix
 
 
@@ -236,16 +236,94 @@ def test_support_is_group_closed():
     spec = TorusSpec(3, 1)
     supp = kt_support(spec)
     assert len(supp) == 648
-    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
-    ev = ChiEvaluator.build(mv)
     # closed under inverse: adjugate over determinant stays in the set
     pm = 9
     a, b = supp[:, 0, 0], supp[:, 0, 1]
     c, d = supp[:, 1, 0], supp[:, 1, 1]
-    det_inv = ev.inv[(a * d - b * c) % pm]
+    det_inv = inverse_table(pm, 3)[(a * d - b * c) % pm]
     inv_mats = np.stack([d * det_inv % pm, (-b) * det_inv % pm,
                          (-c) * det_inv % pm, a * det_inv % pm], axis=-1).reshape(-1, 2, 2)
     assert kt_membership_mask(inv_mats, spec).all()
+
+
+# -- the det/u2/m2 chain the closed-form evaluator replaced, kept as a reference --
+
+def _chain_exponents(mv, mats):
+    """chi exponents in Z/L through the left factorization written out step by
+    step: det, u2 = (c^2 + alpha d^2)/(alpha det), m2 = -(ac + alpha bd)/(alpha det),
+    the torus factor (x, y) = (u2 a + m2 c, u2 b + m2 d) and m = -m2/u2."""
+    p, n, alpha = mv.p, mv.n, mv.torus.alpha
+    pm, pn = p ** (2 * n), p**n
+    L = math.lcm(mv.theta.presentation.exponent, pn)
+    theta_table, inv = mv.theta.table(L).astype(np.int32), inverse_table(pm, p)
+    a, b = mats[:, 0, 0] % pm, mats[:, 0, 1] % pm
+    c, d = mats[:, 1, 0] % pm, mats[:, 1, 1] % pm
+    det = (a * d - b * c) % pm
+    den_inv = inv[(alpha * det) % pm]
+    u2 = (c * c + alpha * (d * d % pm)) % pm * den_inv % pm
+    m2 = (-(a * c + alpha * (b * d % pm))) % pm * den_inv % pm
+    x = (u2 * a + m2 * c) % pm
+    y = (u2 * b + m2 * d) % pm
+    m = (-m2) % pm * inv[u2] % pm
+    th = theta_table[x * pm + y]
+    psi_e = psi_numerator(-mv.a_theta * alpha * (m // pn)) % pn * (L // pn)
+    return (th + psi_e) % L
+
+
+def _assert_matches_chain(mv, mats):
+    ev = ChiEvaluator.build(mv)
+    for m in (mats, mats.astype(np.int64)):
+        got, want = ev.exponents(m), _chain_exponents(mv, m)
+        assert got.dtype == want.dtype == m.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,n,every_theta", [(3, 1, True), (5, 1, True), (7, 1, False),
+                                             (3, 2, False)])
+def test_closed_form_matches_chain_on_the_whole_support(p, n, every_theta):
+    spec = TorusSpec(p, n)
+    thetas = enumerate_theta(spec)
+    supp = kt_support(spec)
+    for theta in (thetas if every_theta else (thetas[0], thetas[-1])):
+        _assert_matches_chain(MinimalVectorSpec.build(spec, theta), supp)
+
+
+@pytest.mark.parametrize("p,n", [(11, 1), (13, 1)])
+def test_closed_form_matches_chain_on_random_draws(p, n):
+    spec = TorusSpec(p, n)
+    thetas = enumerate_theta(spec)
+    draws = random_kt_elements(spec, 20000, np.random.default_rng(p))
+    for theta in (thetas[0], thetas[len(thetas) // 2], thetas[-1]):
+        _assert_matches_chain(MinimalVectorSpec.build(spec, theta), draws)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_closed_form_refactors_every_support_row(p, n):
+    # [[u, m], [0, 1]] t(d, -c/alpha) = g mod p^(2n), with u = alpha det / q a
+    # unit and p^n | m, for m read from the evaluator's tables
+    spec = TorusSpec(p, n)
+    alpha, pm, pn = spec.alpha, p ** (2 * n), p**n
+    ev = ChiEvaluator.build(MinimalVectorSpec.build(spec, enumerate_theta(spec)[0]))
+    supp = kt_support(spec).astype(np.int64)
+    a, b, c, d = (supp[:, i, j] for i in (0, 1) for j in (0, 1))
+    cd = c * pm + d
+    m = (a * ev.m_a[cd] + b * ev.m_b[cd]) % pm
+    inv = inverse_table(pm, p)
+    q = (c * c + alpha * d * d) % pm
+    assert (q % p != 0).all()
+    u = alpha * ((a * d - b * c) % pm) % pm * inv[q] % pm
+    assert (u % p != 0).all() and (m % pn == 0).all()
+    x, y = d, -c * pow(alpha, -1, pm) % pm
+    torus = (x, y, -alpha * y % pm, x)
+    assert np.array_equal(np.stack(mul_mod((u, m, 0, 1), torus, pm)), np.stack([a, b, c, d]))
+
+
+def test_all_distinct_matches_unique():
+    rng = np.random.default_rng(5)
+    for size, top in ((0, 1), (1, 1), (50, 10), (50, 10**6), (2000, 10**4)):
+        v = rng.integers(0, top, size=size)
+        assert all_distinct(v) == (np.unique(v).size == v.size)
+    assert not all_distinct(np.array([[3, 1], [2, 3]]))
 
 
 # -- the einsum products the entrywise kernels replaced, kept as references ----

@@ -378,6 +378,8 @@ def test_oracle_spot_check_catches_a_wrong_route(mv31, monkeypatch):
 
 @pytest.mark.parametrize("pn", [(3, 1), (5, 1), (3, 2)])
 def test_chi_evaluator_theta_table(pn):
+    # theta_cd holds theta at the torus factor (x, y) = (d, -c/alpha) of
+    # [[a, b], [c, d]], at c*pm + d
     spec = TorusSpec(*pn)
     pm = spec.p ** (2 * spec.n)
     thetas = enumerate_theta(spec)
@@ -387,8 +389,9 @@ def test_chi_evaluator_theta_table(pn):
         for z in (divmod(c, pm) for c in theta.presentation.elements.tolist()):
             r = theta.value(z).r * ev.L
             assert r.denominator == 1  # L is a multiple of theta's order
-            want[z[0] * pm + z[1]] = int(r)
-        assert np.array_equal(ev.theta_table, want)
+            x, y = z
+            want[(-spec.alpha * y % pm) * pm + x] = int(r)
+        assert np.array_equal(ev.theta_cd, want)
 
 
 def _ratio_spread(mv, gs):
