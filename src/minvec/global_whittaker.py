@@ -6,6 +6,7 @@ the generating domain, and the classical congruence-group translation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -217,6 +218,26 @@ def _first_uniforms(words: list[np.ndarray]) -> np.ndarray:
     return (out >> 11).astype(float) * 2.0**-53
 
 
+# A prime set smaller than this is drawn one prime at a time: below it one
+# default_rng per prime costs less than the fixed cost of the array pass (the
+# SeedSequence hash on uint32 arrays and the 60-step array bisection).
+_ARRAY_DRAW_PRIMES = 35
+
+
+def _sato_tate_lambda(entropy: int) -> float:
+    """2 cos theta for the one u = default_rng(entropy).uniform(), by the
+    60-step inverse-CDF bisection of _draw's array route, in math."""
+    u = np.random.default_rng(entropy).uniform()
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (mid - 0.5 * math.sin(2 * mid)) / math.pi < u:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * math.cos(0.5 * (lo + hi))
+
+
 def _ramanujan_bound(m: int, delta: float) -> float:
     """d(m) m^delta, with the divisor count d(m) = prod (e + 1) over m = prod p^e."""
     return math.prod(e + 1 for _, e in factorize(m)) * m**delta
@@ -240,6 +261,10 @@ class CoefficientSource:
     def sato_tate(cls, seed: int) -> "CoefficientSource":
         """lambda(p) drawn from the stream np.random.default_rng(seed 1_000_003 + p);
         the seed must be a non-negative integer, as the stream's entropy is."""
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ConfigError(f"Sato-Tate seed must be an integer, got {seed!r}") from None
         if seed < 0:
             raise ConfigError(f"Sato-Tate seed must be >= 0, got {seed}")
         return cls(f"sato-tate({seed})", 0.0, seed=seed)
@@ -273,24 +298,27 @@ class CoefficientSource:
         """Draw the Sato-Tate lambda(p) = 2 cos theta_p of every p in primes
         into prime_values.
 
-        theta ~ (2/pi) sin^2 by inverse-CDF bisection: each u is the first
-        uniform of the prime's own stream default_rng(seed 1_000_003 + p),
-        computed for all primes at once by _first_uniforms (or one Generator
-        per prime once that entropy reaches 2^128), and one 60-step bisection
-        of [0, pi] runs over the whole u array.  The expressions are those of a
-        one-prime math loop on default_rng, elementwise, so every value equals
-        that loop's bit for bit (the loop is the reference in the tests).
+        theta ~ (2/pi) sin^2 by a 60-step inverse-CDF bisection of [0, pi],
+        with u the first uniform of the prime's own stream
+        default_rng(seed 1_000_003 + p).  A set of fewer than
+        _ARRAY_DRAW_PRIMES primes, or one whose entropy reaches 2^128, is
+        drawn one prime at a time (_sato_tate_lambda).  A larger set takes
+        its u's at once from _first_uniforms and runs one bisection over the
+        whole u array, with _sato_tate_lambda's expressions elementwise.  So
+        the value of a prime does not depend on the route: both equal the
+        one-prime math loop on default_rng bit for bit (the loop is the
+        reference in the tests).
         """
         base = self.seed * 1_000_003
-        if primes and (base + max(primes)) >> 128:
-            u = np.array([np.random.default_rng(base + p).uniform() for p in primes])
-        else:
-            # the entropy base + p as two uint64 halves, carrying out of the low one
-            ps = np.array(primes, dtype=np.uint64)
-            lo = np.uint64(base & _M64) + ps
-            hi = np.uint64(base >> 64) + (lo < ps)
-            u = _first_uniforms([(half >> shift & _M32).astype(np.uint32)
-                                 for half in (lo, hi) for shift in (0, 32)])
+        if len(primes) < _ARRAY_DRAW_PRIMES or (base + max(primes)) >> 128:
+            self.prime_values.update((p, _sato_tate_lambda(base + p)) for p in primes)
+            return
+        # the entropy base + p as two uint64 halves, carrying out of the low one
+        ps = np.array(primes, dtype=np.uint64)
+        lo = np.uint64(base & _M64) + ps
+        hi = np.uint64(base >> 64) + (lo < ps)
+        u = _first_uniforms([(half >> shift & _M32).astype(np.uint32)
+                             for half in (lo, hi) for shift in (0, 32)])
         lo, hi = np.zeros(len(u)), np.full(len(u), math.pi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -335,7 +363,8 @@ class CoefficientSource:
         isqrt(limit) come first and touch only m with pk = p, ek = 1, so one
         scatter writes their lambda(p) in place of that part of the walk.  A
         Sato-Tate source first draws every prime p <= limit not yet in
-        prime_values in one array pass (_draw).
+        prime_values with one _draw: one array pass, or one prime at a time
+        if fewer than _ARRAY_DRAW_PRIMES are new.
         """
         if self.kind == "all-ones":
             return np.ones(limit + 1)
@@ -478,6 +507,8 @@ _CUTOFF_EPS = 0.1
 # _cutoffs decides a probe within this distance of -30 by the scalar
 # _log_term, as np.log and math.log may differ in the last ulp.
 _GUARD = 1e-6
+# _cutoffs probes this many x1.3 steps of each still-open row in one call.
+_LOOK_AHEAD = 8
 
 
 def _start_cutoff(N: int, arch: ArchParams, y):
@@ -520,24 +551,44 @@ def _cutoff(N: int, arch: ArchParams, y: float) -> int:
 
 
 def _cutoffs(N: int, arch: ArchParams, ys: np.ndarray) -> np.ndarray:
-    """[_cutoff(N, arch, y) for y in ys] in one array pass: the same starts
-    and steps, with each step's probes of the still-open rows in one kappa
-    call, as log|kappa(R y / N^2)| - log(R) / 2.  A probe within _GUARD of -30
-    is decided by the scalar _log_term, so every R equals _cutoff's.  Past
-    _MAX_CUTOFF, raises _cutoff's NumericalError for the first such row."""
+    """[_cutoff(N, arch, y) for y in ys] in a few array passes: the same
+    starts and ceil(1.3 R) steps, each probe as log|kappa(R y / N^2)| -
+    log(R) / 2.  The first kappa call probes every row at its start; each
+    later call probes the next _LOOK_AHEAD steps of every still-open row
+    (those up to _MAX_CUTOFF), and a row takes the first of them that
+    passes.  A probe's value depends on its own R and y alone, so the
+    probes past a row's first pass change nothing.  A probe within _GUARD of
+    -30 is decided by the scalar _log_term, so every R equals _cutoff's.
+    Past _MAX_CUTOFF, raises _cutoff's NumericalError for the first such
+    row."""
     R0 = np.maximum(8, np.ceil(_start_cutoff(N, arch, ys))).astype(np.int64)
     R = R0.copy()
     open_ = np.flatnonzero(R <= _MAX_CUTOFF)
+    width = 1
     while open_.size:
-        Ro, yo = R[open_], ys[open_]
+        # each open row's next width + 1 steps; the first width are probed
+        # up to the cap, and the first one not probed is where a miss goes on
+        steps = np.empty((open_.size, width + 1), dtype=np.int64)
+        steps[:, 0] = R[open_]
+        for j in range(width):
+            steps[:, j + 1] = np.ceil(1.3 * steps[:, j])
+        probe = steps[:, :width] <= _MAX_CUTOFF
+        rows, cols = np.nonzero(probe)
+        Rp, yp = steps[rows, cols], ys[open_[rows]]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lt = np.log(np.abs(kappa(Ro * yo / N**2, arch))) - 0.5 * np.log(Ro)
-        done = lt <= -30.0
+            lt = np.log(np.abs(kappa(Rp * yp / N**2, arch))) - 0.5 * np.log(Rp)
+        passed = lt <= -30.0
         for i in np.flatnonzero(np.abs(lt + 30.0) <= _GUARD).tolist():
-            done[i] = _log_term(N, arch, float(yo[i]), int(Ro[i])) <= -30.0
-        open_ = open_[~done]
-        R[open_] = np.ceil(1.3 * R[open_])
-        open_ = open_[R[open_] <= _MAX_CUTOFF]
+            passed[i] = _log_term(N, arch, float(yp[i]), int(Rp[i])) <= -30.0
+        done = np.zeros(probe.shape, dtype=bool)
+        done[rows, cols] = passed
+        hit = done.any(axis=1)
+        # the probed steps are a prefix of each row, so a miss goes on at
+        # its first unprobed step: the next window, or past the cap
+        go_on = np.where(hit, np.argmax(done, axis=1), probe.sum(axis=1))
+        R[open_] = steps[np.arange(open_.size), go_on]
+        open_ = open_[~hit & (R[open_] <= _MAX_CUTOFF)]
+        width = _LOOK_AHEAD
     capped = np.flatnonzero(R > _MAX_CUTOFF)     # a finished row is never past the cap
     if capped.size:
         i = capped[0]
@@ -687,8 +738,9 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
 
     lambda is sieved once per scan, up to the bottom row's cutoff.  The rows
     are planned before any is scanned (_row_blocks): the cutoffs of all rows
-    are probed at once, in one array pass with a scalar guard band
-    (_cutoffs), and each row's first m and term count follow from its R by
+    are probed together, with a scalar guard band (_cutoffs: one kappa call
+    for the rows' starts, then one per _LOOK_AHEAD x1.3 steps of the rows
+    still open), and each row's first m and term count follow from its R by
     _row_spans, evaluate_phi's progression builder.  The rows go in blocks of
     consecutive rows that share X/N: a block builds its rows' progressions,
     takes their coefficients from one _row_coefficients call (evaluate_phi's

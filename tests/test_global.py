@@ -346,6 +346,70 @@ def test_sato_tate_rejects_a_negative_seed():
         CoefficientSource.sato_tate(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_sato_tate_rejects_a_non_integer_seed(seed):
+    # at once, not as a TypeError from the first draw
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        CoefficientSource.sato_tate(seed=seed)
+
+
+def test_sato_tate_takes_a_numpy_integer_seed():
+    src = CoefficientSource.sato_tate(seed=np.int64(3))
+    assert type(src.seed) is int
+    assert np.array_equal(src.values_upto(200), CoefficientSource.sato_tate(seed=3).values_upto(200))
+
+
+def _array_draw_sizes(monkeypatch):
+    """The prime counts of _draw's array route, one per call, as they happen."""
+    sizes, first_uniforms = [], global_whittaker._first_uniforms
+
+    def spy(words):
+        sizes.append(len(words[0]))
+        return first_uniforms(words)
+
+    monkeypatch.setattr(global_whittaker, "_first_uniforms", spy)
+    return sizes
+
+
+def test_sato_tate_draw_routes_meet_at_the_threshold(monkeypatch):
+    # a set below _ARRAY_DRAW_PRIMES is drawn one prime at a time, a set at or
+    # above it in one array pass; both equal the scalar reference bit for bit
+    sizes = _array_draw_sizes(monkeypatch)
+    n = global_whittaker._ARRAY_DRAW_PRIMES
+    primes = _primes_between(1_000, 10_000)
+    for seed in range(4):
+        for count in (n - 1, n, n + 1):
+            src = CoefficientSource.sato_tate(seed=seed)
+            src._draw(primes[:count])
+            _assert_draws_match_reference(src, primes[:count])
+    assert sizes == [n, n + 1] * 4
+
+
+def test_sato_tate_single_prime_draws_match_the_reference(monkeypatch):
+    # value(m) draws the new primes of m alone, one prime at a time
+    sizes = _array_draw_sizes(monkeypatch)
+    src = CoefficientSource.sato_tate(seed=5)
+    for p in (2, 3, 97, 7919, 99_991, 1_000_003):
+        src.value(p)
+        src.value(p * p)
+    _assert_draws_match_reference(src, [2, 3, 97, 7919, 99_991, 1_000_003])
+    assert sizes == []
+
+
+def test_sato_tate_draws_past_2_128_take_one_generator_per_prime(monkeypatch):
+    # the entropy rule routes a set of any size past 2^128 one prime at a
+    # time, the ENTROPY_EDGES set and a wider one beyond the threshold alike
+    sizes = _array_draw_sizes(monkeypatch)
+    seed = 2**128 // 1_000_003
+    wide = _primes_between(2_900, 3_600)
+    assert len(wide) > global_whittaker._ARRAY_DRAW_PRIMES
+    for primes in (ENTROPY_EDGES[seed], wide):
+        src = CoefficientSource.sato_tate(seed=seed)
+        src._draw(primes)
+        _assert_draws_match_reference(src, primes)
+    assert sizes == []
+
+
 def test_values_upto_matches_per_m_sieve_other_kinds(tmp_path):
     src = CoefficientSource.all_ones()
     assert np.array_equal(src.values_upto(500), _per_m_sieve(src, 500))
@@ -614,17 +678,25 @@ def test_cutoffs_let_the_scalar_probe_decide_in_the_guard_band(monkeypatch, scal
     assert _cutoffs(1, arch, np.array([y])).tolist() == [step if scalar_done else R0]
 
 
-@pytest.mark.parametrize("k, y", [(12, 1e-7), (12, 5e-7), (10**8, Y_MIN)])
+@pytest.mark.parametrize("k, y", [(12, 1e-7), (12, 4e-7), (12, 5e-7), (10**8, Y_MIN)])
 def test_cutoffs_raise_the_scalar_cap_error(k, y):
     # among the rows past the cap, the first is reported; the row 10^4 y
     # stays below it, and at k = 12 the row y / 2 passes it in fewer steps
-    # than the row y
+    # than the row y.  At y = 4e-7 one look-ahead window holds the last two
+    # steps below the cap and the first past it, where the term is still
+    # above e^-30: the error must name that step, not a later one.  The row
+    # straddle passes at its last step below the cap, the next one past it
+    # (at k = 12 in a window that also runs past the cap), so it is not
+    # reported
     arch = ArchParams("holomorphic", k=k)
+    straddle = {12: 7e-7, 10**8: 2.0}[k]
     assert _cutoff(1, arch, 1e4 * y) < 10**7
+    R = _cutoff(1, arch, straddle)
+    assert R <= 10**7 < math.ceil(1.3 * R)
     with pytest.raises(NumericalError) as ref:
         _cutoff(1, arch, y)
     with pytest.raises(NumericalError, match=re.escape(str(ref.value))):
-        _cutoffs(1, arch, np.array([1e4 * y, y, y / 2]))
+        _cutoffs(1, arch, np.array([1e4 * y, straddle, y, y / 2]))
 
 
 @pytest.mark.parametrize("arch", [ArchParams("holomorphic", k=12), ArchParams("maass", t=2.0)])
@@ -939,7 +1011,7 @@ def test_maass_scan_memory_stays_within_the_quadrature_pass_cap(rams):
 
 def test_maass_scan_makes_one_row_quadrature_per_block(rams, monkeypatch):
     # the Maass kernel of a block is one bessel_K_imag_row call, and each
-    # x1.3 step of the cutoff probe one more: never one per row
+    # kappa call of the cutoff probe one more: never one per row
     stage, entered, row_calls, probe_steps = [None], [], [], []
     row_quadrature, kernel = global_whittaker.bessel_K_imag_row, global_whittaker.kappa
 
@@ -972,6 +1044,12 @@ def test_maass_scan_makes_one_row_quadrature_per_block(rams, monkeypatch):
     assert row_calls.count("cutoffs") == len(probe_steps) > 0
     assert len(row_calls) == blocks + len(probe_steps)
     assert len(rep.rows) > 4 * blocks
+    # one probe call for the rows' starts, then one per _LOOK_AHEAD x1.3
+    # steps of the rows still open: at 64 rows per decade a row of this
+    # plan needs 7 steps past its start, so one call per step would make 8
+    row_calls.clear()
+    scan_supnorm(rams[3], _source("sato-tate", 3), ArchParams("maass", t=2.0), 64)
+    assert 0 < row_calls.count("cutoffs") <= 3
 
 
 @pytest.mark.parametrize("N", [1, 3, 15, 21])
