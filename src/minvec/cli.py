@@ -77,6 +77,13 @@ def _depth(text) -> int:
     return n
 
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _odd_level(text) -> int:
     N = int(text)
     if N < 1 or N % 2 == 0:
@@ -271,10 +278,10 @@ _OUTPUT_PATHS = ("out", "samples")
 _LOCAL = [("p", _odd_prime, 3), ("n", _depth, 1), ("theta_index", int, 0)]
 
 OPTIONS = {
-    "verify": [("pn", _parse_pn_list, "3,1"), ("seed", int, 0), _OUT],
+    "verify": [("pn", _parse_pn_list, "3,1"), ("seed", _seed, 0), _OUT],
     "character-table": [*_LOCAL, _OUT, _SAMPLES],
     "whittaker": [*_LOCAL, _OUT, _SAMPLES],
-    "matrix-coeff": [*_LOCAL, ("seed", int, 0), _OUT],
+    "matrix-coeff": [*_LOCAL, ("seed", _seed, 0), _OUT],
     "scan-supnorm": [("N", _odd_level, 1), ("k", int, None), ("t", _finite, None),
                      ("coeffs", str, "all-ones"), _OUT, _SAMPLES],
     "que": [("grid", _parse_pn_list, "3,1;5,1;7,1"), ("a3", _parse_int_list, "0,1,2"), _OUT],

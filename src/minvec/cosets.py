@@ -11,6 +11,8 @@ products of entries mod p^(2n).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SizeGuard
@@ -73,17 +75,6 @@ def inverse_table(pm: int, p: int) -> np.ndarray:
     return inv
 
 
-def _torus_entries(tx, ty, alpha: int, pm: int):
-    """Entries of the torus elements [[x, y], [-alpha y, x]] mod pm."""
-    return tx, ty, (-alpha * ty) % pm, tx
-
-
-def _block_entries(aa, bb, pn: int):
-    """Entries of the depth-n block elements [[1 + p^n a, p^n b], [0, 1]] for
-    a, b in [0, p^n), which are already residues mod p^(2n)."""
-    return 1 + pn * aa, pn * bb, 0, 1
-
-
 def entry_major(entries) -> np.ndarray:
     """The (N, 2, 2) matrices with entries (a, b, c, d), each entry column contiguous."""
     return np.stack(entries).reshape(4, -1).T.reshape(-1, 2, 2)
@@ -105,10 +96,12 @@ def kt_support(spec: TorusSpec) -> np.ndarray:
     unit = (xs % p != 0) | (ys % p != 0)
     aa, bb = np.meshgrid(np.arange(pn, dtype=np.int32), np.arange(pn, dtype=np.int32),
                          indexing="ij")
-    # products t * b over the full grid: torus units down, block elements across
-    torus = _torus_entries(xs[unit][:, None], ys[unit][:, None], alpha, pm)
-    block = _block_entries(aa.ravel()[None, :], bb.ravel()[None, :], pn)
-    mats = entry_major(mul_mod(torus, block, pm))
+    # products t * b over the full grid: the torus units [[x, y], [-alpha y, x]]
+    # down, the block elements [[1 + p^n a, p^n b], [0, 1]] across (for a, b
+    # in [0, p^n) their entries are already residues mod p^(2n))
+    x, y = xs[unit][:, None], ys[unit][:, None]
+    a, b = aa.ravel()[None, :], bb.ravel()[None, :]
+    mats = entry_major(mul_mod((x, y, (-alpha * y) % pm, x), (1 + pn * a, pn * b, 0, 1), pm))
     # the size guard admits (3,1), (5,1), (7,1), (11,1), (13,1) and (3,2): every
     # key is below p^(8n) <= 13^8 < 2^31
     assert all_distinct(mat_keys(mats, pm)), "torus x block product failed to be injective"
@@ -126,27 +119,38 @@ def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
 def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random support elements mod p^{2n}, as an entry-major int32
     (size, 2, 2) array.  Raises SizeGuard, before drawing, beyond
-    p^(4n) = ENUMERATION_BOUND, where int32 could not hold the products."""
+    p^(4n) = ENUMERATION_BOUND, where int32 could not hold the products.
+
+    The support mod p^{2n} is the set of g = [[a, b], [c, d]] with a = d and
+    c = -alpha b mod p^n and with a, b not both divisible by p: then
+    det g = a^2 + alpha b^2 mod p is a unit, as -alpha is a non-square.  So
+    (a, b, r, s) -> [[a, b], [(-alpha b mod p^n) + p^n r, (a mod p^n) + p^n s]]
+    is a bijection onto it from the unit pairs (a, b) mod p^{2n} times
+    r, s in [0, p^n), and uniform (a, b, r, s) give uniform support elements.
+    The unit pairs are drawn by rejection; the torus x block product stays
+    with kt_support, so the two routes build the support independently.
+    """
     p, n, alpha = spec.p, spec.n, spec.alpha
     pm, pn = p ** (2 * n), p**n
     if pm * pm > ENUMERATION_BOUND:
         raise SizeGuard(f"random support draws for (p, n) = ({p}, {n}) need p^{4 * n} "
                         "beyond the enumeration bound")
-    # rng.integers draws the same stream in int32 as in int64 for a range
-    # below 2^32, so these are the pairs of the int64 draws
-    unit = np.arange(pm) % p != 0
-    tx = np.empty(size, dtype=np.int32)
-    ty = np.empty(size, dtype=np.int32)
+    residues = np.arange(pm, dtype=np.int32)
+    unit = residues % p != 0
+    out = np.empty((4, size), dtype=np.int32)
     filled = 0
     while filled < size:
-        cx = rng.integers(0, pm, size=2 * (size - filled) + 8, dtype=np.int32)
-        cy = rng.integers(0, pm, size=len(cx), dtype=np.int32)
-        good = unit.take(cx) | unit.take(cy)
-        take = min(int(good.sum()), size - filled)
-        tx[filled:filled + take] = cx[good][:take]
-        ty[filled:filled + take] = cy[good][:take]
-        filled += take
-    aa = rng.integers(0, pn, size=size, dtype=np.int32)
-    bb = rng.integers(0, pn, size=size, dtype=np.int32)
-    prod = mul_mod(_torus_entries(tx, ty, alpha, pm), _block_entries(aa, bb, pn), pm)
-    return entry_major(prod)
+        need = size - filled
+        # a candidate pair is kept with probability 1 - 1/p^2; four standard
+        # deviations of margin make a second round rare
+        count = need + need // (p * p - 1) + 4 * math.isqrt(need) // p + 8
+        cand = rng.integers(0, pm, size=(2, count), dtype=np.int32)
+        kept = np.compress(unit.take(cand[0]) | unit.take(cand[1]), cand, axis=1)[:, :need]
+        out[:2, filled:filled + kept.shape[1]] = kept
+        filled += kept.shape[1]
+    # the lifts p^n r and p^n s, then the residues of c and d mod p^n
+    np.multiply(rng.integers(0, pn, size=(2, size), dtype=np.int32), pn, out=out[2:])
+    a, b, c, d = out
+    c += ((-alpha * residues) % pn).take(b)
+    d += (residues % pn).take(a)
+    return out.T.reshape(-1, 2, 2)

@@ -6,6 +6,7 @@ integral-transform oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import numpy as np
 from .characters import MinimalVectorSpec, chi_value
 from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys,
                      mul_mod, product_keys, random_kt_elements)
-from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard
+from .errors import ConfigError, NotInSupport, NumericalError, PrecisionError, SizeGuard
 from .matgroups import Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
@@ -70,13 +71,24 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     The exhaustive mode checks every ordered pair of the support, one block of
     left factors at a time (PAIR_BLOCK_BYTES per temporary); it raises
     SizeGuard unless exhaustive_fits(p, n).  The random mode checks `pairs`
-    uniform pairs drawn from `seed`.
+    pairs of independent uniform support elements drawn from `seed`:
+    random_kt_elements reads each from the congruences a = d, c = -alpha b
+    mod p^n that cut out the support, through a bijection from uniform unit
+    pairs (a, b) and uniform lifts of c and d, so each is uniform on it.  It
+    raises ConfigError, before drawing, unless `pairs` is a positive integer.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
     pm = p ** (2 * n)
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
+    if mode == "random":
+        try:
+            pairs = operator.index(pairs)
+        except TypeError:
+            raise ConfigError(f"random pair count must be an integer, got {pairs!r}") from None
+        if pairs < 1:
+            raise ConfigError(f"random pair count must be >= 1, got {pairs}")
     if mode == "exhaustive" and not exhaustive_fits(p, n):
         raise SizeGuard(f"exhaustive pair scan for (p, n) = ({p}, {n}) needs p^{8 * n} keys, "
                         "beyond the enumeration bound")

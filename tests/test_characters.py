@@ -348,23 +348,20 @@ def _einsum_support(spec):
     return (np.einsum("sij,tjk->stik", t, b) % pm).reshape(-1, 2, 2)
 
 
-def _einsum_draws(spec, size, rng):
-    """random_kt_elements' draws, multiplied out by einsum."""
+def _reference_draws(spec, size, rng):
+    """random_kt_elements' stream in int64: unit pairs (a, b) by rejection,
+    then c = (-alpha b mod p^n) + p^n r and d = (a mod p^n) + p^n s."""
     p, pm, pn = spec.p, spec.p ** (2 * spec.n), spec.p**spec.n
-    tx, ty = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        cx = rng.integers(0, pm, size=2 * (size - filled) + 8, dtype=np.int64)
-        cy = rng.integers(0, pm, size=len(cx), dtype=np.int64)
-        good = (cx % p != 0) | (cy % p != 0)
-        take = min(int(good.sum()), size - filled)
-        tx[filled:filled + take] = cx[good][:take]
-        ty[filled:filled + take] = cy[good][:take]
-        filled += take
-    aa = rng.integers(0, pn, size=size, dtype=np.int64)
-    bb = rng.integers(0, pn, size=size, dtype=np.int64)
-    t, b = _einsum_factors(spec, tx, ty, aa, bb)
-    return np.einsum("sij,sjk->sik", t, b) % pm
+    a, b = np.empty((2, 0), dtype=np.int64)
+    while len(a) < size:
+        need = size - len(a)
+        count = need + need // (p * p - 1) + 4 * math.isqrt(need) // p + 8
+        x, y = rng.integers(0, pm, size=(2, count), dtype=np.int64)
+        good = (x % p != 0) | (y % p != 0)
+        a, b = np.concatenate([a, x[good][:need]]), np.concatenate([b, y[good][:need]])
+    r, s = rng.integers(0, pn, size=(2, size), dtype=np.int64)
+    c, d = (-spec.alpha * b) % pn + pn * r, a % pn + pn * s
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
@@ -381,12 +378,87 @@ def test_random_draws_and_pair_products_match_einsum_reference(p, n):
     pm = p ** (2 * n)
     for seed in (0, 1, 2):
         got = random_kt_elements(spec, 1000, np.random.default_rng(seed))
-        want = _einsum_draws(spec, 1000, np.random.default_rng(seed))
+        want = _reference_draws(spec, 1000, np.random.default_rng(seed))
         assert got.shape == want.shape and got.dtype == np.int32
         assert np.array_equal(got, want)
         prod = np.stack(mul_mod(got.reshape(-1, 4).T, got[::-1].reshape(-1, 4).T, pm),
                         axis=-1).reshape(-1, 2, 2)
         assert np.array_equal(prod, np.einsum("sij,sjk->sik", want, want[::-1]) % pm)
+
+
+# -- the congruence description random_kt_elements draws from ----------------
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_congruences_describe_the_torus_block_support(p, n):
+    # every (a, b, r, s): a, b mod p^(2n) not both divisible by p, r, s < p^n
+    spec = TorusSpec(p, n)
+    pm, pn = p ** (2 * n), p**n
+    a, b, r, s = (g.ravel() for g in np.meshgrid(*(np.arange(k, dtype=np.int64)
+                                                   for k in (pm, pm, pn, pn)), indexing="ij"))
+    unit = (a % p != 0) | (b % p != 0)
+    mats = np.stack([a, b, (-spec.alpha * b) % pn + pn * r, a % pn + pn * s],
+                    axis=-1)[unit].reshape(-1, 2, 2)
+    got, want = mat_keys(mats, pm), mat_keys(kt_support(spec).astype(np.int64), pm)
+    assert len(got) == len(want) and all_distinct(got)
+    assert np.array_equal(np.sort(got), np.sort(want))
+
+
+def test_random_draws_are_uniform_on_the_support():
+    # 200 expected hits per support element at (3,1); the chi-square bound is
+    # its mean plus six standard deviations over 647 degrees of freedom
+    spec, pm = TorusSpec(3, 1), 9
+    keys = np.sort(mat_keys(kt_support(spec), pm))
+    draws = np.concatenate([random_kt_elements(spec, 200 * 648 // 4, np.random.default_rng(seed))
+                            for seed in range(4)])
+    drawn = mat_keys(draws, pm)
+    cell = np.searchsorted(keys, drawn)
+    assert (keys[np.minimum(cell, len(keys) - 1)] == drawn).all()
+    counts = np.bincount(cell, minlength=len(keys))
+    assert (counts > 0).all()
+    chi_square = float(((counts - 200.0) ** 2 / 200.0).sum())
+    assert chi_square < 647 + 6 * math.sqrt(2 * 647)
+
+
+# (53,1) and (7,2) sit just below the int32 bound p^(4n) <= ENUMERATION_BOUND
+@pytest.mark.parametrize("p,n", [(53, 1), (7, 2)])
+def test_random_draws_at_the_int32_edge_are_support_elements(p, n):
+    spec = TorusSpec(p, n)
+    pm = p ** (2 * n)
+    mats = random_kt_elements(spec, 20000, np.random.default_rng(p))
+    assert mats.dtype == np.int32 and mats.shape == (20000, 2, 2)
+    assert all(mats[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
+    assert mats.min() >= 0 and mats.max() < pm
+    assert kt_membership_mask(mats, spec).all()
+    wide = mats.astype(np.int64)
+    det = wide[:, 0, 0] * wide[:, 1, 1] - wide[:, 0, 1] * wide[:, 1, 0]
+    assert (det % p != 0).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_no_random_draws_give_an_empty_array(p, n):
+    mats = random_kt_elements(TorusSpec(p, n), 0, np.random.default_rng(0))
+    assert mats.shape == (0, 2, 2) and mats.dtype == np.int32
+
+
+class _HalfRejectedFirstRound:
+    """A generator whose first candidate pairs are (0, 0) in every other
+    column, so the rejection loop needs a second round."""
+
+    def __init__(self, seed):
+        self.rng, self.first = np.random.default_rng(seed), True
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        if self.first:
+            out[:, ::2], self.first = 0, False
+        return out
+
+
+def test_random_draws_fill_across_rejection_rounds():
+    spec = TorusSpec(5, 1)
+    mats = random_kt_elements(spec, 5000, _HalfRejectedFirstRound(0))
+    assert mats.shape == (5000, 2, 2)
+    assert np.isin(mat_keys(mats, 25), mat_keys(kt_support(spec), 25)).all()
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1)])

@@ -218,7 +218,7 @@ def test_malformed_value_exits_config(config, argv, tmp_path, capsys):
 
 
 # values that parse but lie outside their option's range: p an odd prime, n and
-# each level of pn and grid at least 1, N a positive odd integer
+# each level of pn and grid at least 1, N a positive odd integer, seed at least 0
 @pytest.mark.parametrize("config, argv", [("", ["character-table", "--n", "0"]),
                                           ("", ["character-table", "--p", "4"]),
                                           ("", ["character-table", "--p", "9"]),
@@ -228,9 +228,18 @@ def test_malformed_value_exits_config(config, argv, tmp_path, capsys):
                                           ("", ["que", "--grid", "3,1;9,1"]),
                                           ("", ["scan-supnorm", "--N", "0", "--k", "12"]),
                                           ("", ["scan-supnorm", "--N", "-3", "--k", "12"]),
-                                          ("", ["scan-supnorm", "--N", "6", "--k", "12"])],
+                                          ("", ["scan-supnorm", "--N", "6", "--k", "12"]),
+                                          ("", ["verify", "--pn", "3,2", "--seed", "-1"]),
+                                          ("", ["verify", "--pn", "3,1", "--seed", "-1"]),
+                                          ("", ["matrix-coeff", "--p", "3", "--n", "2",
+                                                "--seed", "-1"]),
+                                          ("", ["matrix-coeff", "--p", "3", "--n", "1",
+                                                "--seed", "-7"]),
+                                          ("seed = -2\n", ["verify", "--pn", "3,2"])],
                          ids=["n0", "p4", "p9", "config-n0", "pn-n0", "grid-n0", "grid-p9",
-                              "N0", "N-3", "N6"])
+                              "N0", "N-3", "N6", "verify-random-seed-1", "verify-exhaustive-seed-1",
+                              "matrix-coeff-random-seed-1", "matrix-coeff-exhaustive-seed-7",
+                              "config-seed-2"])
 def test_out_of_range_value_exits_config(config, argv, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)

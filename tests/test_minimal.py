@@ -9,7 +9,7 @@ import pytest
 from minvec import minimal
 from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
 from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
-from minvec.errors import NumericalError, PrecisionError, SizeGuard
+from minvec.errors import ConfigError, NumericalError, PrecisionError, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat
 from minvec.minimal import (convolution_check, coefficient_density,
                             matrix_coefficient, oracle_window, support_profile,
@@ -67,6 +67,21 @@ def test_convolution_exhaustive_31(mv31):
 def test_convolution_random_32(mv32):
     rep = convolution_check(mv32, "random", pairs=2000, seed=3)
     assert rep.ok and rep.pairs_checked == 2000
+
+
+@pytest.mark.parametrize("pairs, error", [(0, "must be >= 1"), (-5, "must be >= 1"),
+                                          (2.5, "must be an integer")])
+def test_random_scan_rejects_a_pair_count_that_is_not_positive(mv32, monkeypatch, pairs, error):
+    def no_draws(*args):
+        raise AssertionError("the pair count must be checked before anything is drawn")
+    monkeypatch.setattr(minimal, "random_kt_elements", no_draws)
+    with pytest.raises(ConfigError, match=error):
+        convolution_check(mv32, "random", pairs=pairs)
+
+
+def test_random_scan_takes_a_numpy_integer_pair_count(mv32):
+    rep = convolution_check(mv32, "random", pairs=np.int64(50), seed=1)
+    assert rep.ok and rep.pairs_checked == 50 and type(rep.pairs_checked) is int
 
 
 def test_exhaustive_scan_beyond_the_bound_raises_at_once(mv32, monkeypatch):
