@@ -511,6 +511,18 @@ _GUARD = 1e-6
 _LOOK_AHEAD = 8
 
 
+def _positive_int(name: str, value) -> int:
+    """value as an int, read through operator.index as the Sato-Tate seed
+    is; ConfigError unless it is an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _start_cutoff(N: int, arch: ArchParams, y):
     """The asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y), eps = _CUTOFF_EPS,
     before its ceil: at one y or, elementwise, at an array of them."""
@@ -606,12 +618,13 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
     The lambda(m) come from coeffs.values_upto, so a file source must cover
     every m in 1..R (1..2R with check_stability), as scan_supnorm requires.
+    A given cutoff R must be a positive integer (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
     below eps sqrt(#terms) sum |c_m| (strictly, so an all-zero sum gives 0).
     """
     if y <= 0:
         raise ConfigError("y must be positive")
-    R = cutoff if cutoff is not None else _cutoff(ram.N, arch, y)
+    R = _positive_int("cutoff", cutoff) if cutoff is not None else _cutoff(ram.N, arch, y)
     cutoffs = np.array([R, 2 * R] if check_stability else [R])
     lam_all = coeffs.values_upto(int(cutoffs[-1]))
     ms_rows, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, cutoffs))
@@ -662,16 +675,16 @@ def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
 def _row_coefficients(ms: np.ndarray, y, ram: RamifiedData, arch: ArchParams,
                       lam_all: np.ndarray) -> np.ndarray:
     """The Fourier coefficients of phi at the terms ms, on the row y (one y,
-    or one per m):
+    or one per m: evaluate_phi's row, or a whole scan chunk of rows):
 
     PREF lambda(m) lambda'(m) kappa(|m| y / N^2) / (c_inf |m|^{1/2}),
 
     with lambda read from the sieve lam_all (indexed by |m|), lambda' from
     lambda_prime_fast and the normalized kernel from one array call.  Every
     factor is real, so the coefficients are float64, and elementwise in m, so
-    a term's value does not depend on the other terms of the call.  The sieve
-    read comes first, so a term past the sieve raises IndexError before
-    anything else is evaluated.
+    a term's value does not depend on the other terms of the call (or on
+    how a scan cuts its rows into chunks).  The sieve read comes first, so a
+    term past the sieve raises IndexError before anything else is evaluated.
     """
     am = np.abs(ms)
     return (PREF * lam_all[am] * lambda_prime_fast(ms, ram) * kappa(am * y / ram.N**2, arch)
@@ -709,16 +722,19 @@ class ScanReport:
 # least X_STEPS_PER_PERIOD points per unit of x.
 Y_MIN = math.sqrt(3) / 2.0
 X_STEPS_PER_PERIOD = 64
-# Consecutive rows that share one transform length L are scanned as one
+# Consecutive rows that share one transform length L are transformed as one
 # block, whose real (rows, L) array holds at most this many elements; a row
-# longer than that is a block of its own.
+# longer than that is a block of its own.  The coefficients are assembled
+# for chunks of consecutive rows of at most half as many terms (a row with
+# more is a chunk of its own), and a chunk's blocks share its assembly.
 _SCAN_BLOCK_ELEMENTS = 2**14
 
 
 def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
                  rows_per_decade: int = 256, keep_rows: bool = False) -> ScanReport:
     """Grid maximum of |phi| over the generating domain: x over one period
-    [0, N^2), y log-spaced from Y_MIN to max(2, N^2 T).
+    [0, N^2), y log-spaced from Y_MIN to max(2, N^2 T).  rows_per_decade
+    must be a positive integer (ConfigError otherwise).
 
     Each row scans the grid x = j N^2 / X, j < X, with X = X_STEPS_PER_PERIOD
     N^2 2^i the first such length above 2R + 1 for the row cutoff R.  The
@@ -741,14 +757,24 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     are probed together, with a scalar guard band (_cutoffs: one kappa call
     for the rows' starts, then one per _LOOK_AHEAD x1.3 steps of the rows
     still open), and each row's first m and term count follow from its R by
-    _row_spans, evaluate_phi's progression builder.  The rows go in blocks of
-    consecutive rows that share X/N: a block builds its rows' progressions,
-    takes their coefficients from one _row_coefficients call (evaluate_phi's
-    assembly, with one kappa call per block), scatters them into one
-    real (rows, X/N) array and takes one rfft along its rows
-    (_scan_block).  Every coefficient is elementwise (a Maass kernel value
-    depends on its x alone), so it equals the one-row assembly bit for bit.
+    _row_spans, evaluate_phi's progression builder.
+
+    The plan is walked in chunks of consecutive rows holding at most
+    _SCAN_BLOCK_ELEMENTS // 2 terms (at least one row).  A chunk builds its
+    rows' progressions end to end (_row_progressions), takes their
+    coefficients from one _row_coefficients call (evaluate_phi's assembly:
+    one kappa call per chunk, for a Maass form one Bessel quadrature) and
+    each row's witness, its largest |c_m| and the first m that reaches it,
+    from one maximum.reduceat.  Within the chunk, each run of rows that
+    share X/N is cut into blocks of at most _SCAN_BLOCK_ELEMENTS elements
+    (or one row), and a block only scatters its coefficients into one real
+    (rows, X/N) array and takes one rfft along its rows.  Every coefficient
+    is elementwise (a Maass kernel value depends on its x alone) and each
+    row's rfft does not depend on its block, so every row equals the one-row
+    assembly bit for bit.  The scan's sup and witness are the first maxima
+    over all rows, as a row-by-row strict > would keep them.
     """
+    rows_per_decade = _positive_int("rows_per_decade", rows_per_decade)
     N = ram.N
     N2 = N * N
     y_max = max(2.0, N2 * arch.T)
@@ -756,34 +782,58 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
     lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN))
 
-    plan, blocks = _row_blocks(ram, arch, ys)
+    yp, start, lens, L = _row_blocks(ram, arch, ys)
+    n = len(yp)
+    row_sup, row_w = np.empty(n), np.empty(n)
+    jx, row_m = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    ends = np.cumsum(lens)
+    lo = 0
+    while lo < n:
+        # the chunk: rows lo..hi-1, at most _SCAN_BLOCK_ELEMENTS // 2 terms or one row
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _SCAN_BLOCK_ELEMENTS // 2, "right")))
+        ms, row, col, starts = _row_progressions(ram, arch, start[lo:hi], lens[lo:hi])
+        c = _row_coefficients(ms, yp[lo:hi][row], ram, arch, lam_all)
+        mag = np.abs(c)
+        w = np.maximum.reduceat(mag, starts)
+        # each row's first column at its maximum: the row's other columns
+        # are filled with len(mag), past every column
+        j = np.minimum.reduceat(np.where(mag < w[row], len(mag), col), starts)
+        row_w[lo:hi], row_m[lo:hi] = w, ms[starts + j]
+        jc = ms // N                     # m = b + N j' puts c_m at j' mod L
+        bounds = np.append(starts, len(ms))
+        runs = np.flatnonzero(np.diff(L[lo:hi], prepend=0, append=0)).tolist()
+        for r0, r1 in zip(runs, runs[1:]):       # chunk rows of one L
+            Lr = int(L[lo + r0])
+            size = max(1, _SCAN_BLOCK_ELEMENTS // Lr)
+            for b0 in range(r0, r1, size):
+                b1 = min(b0 + size, r1)
+                t = slice(bounds[b0], bounds[b1])
+                F = np.zeros((b1 - b0, Lr))
+                F[row[t] - b0, jc[t] % Lr] = c[t]
+                av = np.abs(np.fft.rfft(F, axis=1))  # |phi| at x = jx N^2 / X, jx <= L/2
+                jb = np.argmax(av, axis=1)
+                jx[lo + b0:lo + b1], row_sup[lo + b0:lo + b1] = jb, av[np.arange(b1 - b0), jb]
+        lo = hi
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
-    rows = []
-    for L, block in blocks:
-        yb, row_sup, jx, row_w, row_m = _scan_block(L, block, plan, ram, arch, lam_all)
-        # the first maximum of the block, as a row-by-row strict > keeps it
+    if n:
         r = int(np.argmax(row_w))
-        if row_w[r] > witness:
-            witness, witness_m = float(row_w[r]), int(row_m[r])
+        witness, witness_m = float(row_w[r]), int(row_m[r])
         r = int(np.argmax(row_sup))
-        if row_sup[r] > sup:
-            sup, argmax = float(row_sup[r]), (int(jx[r]) * N2 / (L * N), float(yb[r]))
-        if keep_rows:
-            rows.extend(zip(yb.tolist(), row_sup.tolist(), row_w.tolist()))
-    _, _, lens, Ls = plan
+        sup, argmax = float(row_sup[r]), (int(jx[r]) * N2 / (int(L[r]) * N), float(yp[r]))
+    rows = list(zip(yp.tolist(), row_sup.tolist(), row_w.tolist())) if keep_rows else []
     C = max(N, 1) ** 4
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C,
                       sup / scale, witness / scale, rows,
-                      terms=int(lens.sum()), fft_points=int(Ls.sum()))
+                      terms=int(lens.sum()), fft_points=int(L.sum()))
 
 
 def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
-    """The scan plan and its blocks.  The plan holds the rows with a nonempty
-    progression as arrays (y, first m, terms, L = X/N); a block is
-    (L, range of plan rows), a run of consecutive rows with one L cut to at
-    most max(1, _SCAN_BLOCK_ELEMENTS // L) rows.
+    """The scan plan: the rows with a nonempty progression, as arrays
+    (y, first m, terms, L = X/N).  scan_supnorm cuts it into chunks of rows
+    for assembly and blocks of one L for the transform.
 
     The cutoffs R of all rows are probed at once (_cutoffs, equal to the
     scalar _cutoff at each y), and each row's progression is _row_spans' at
@@ -797,44 +847,7 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
     X = np.full(len(R), X_STEPS_PER_PERIOD * N * N)
     while (short := X <= 2 * R + 1).any():
         X[short] *= 2
-    L = X // N
-    blocks = []
-    edges = np.flatnonzero(np.diff(L, prepend=0, append=0)).tolist()
-    for lo, hi in zip(edges, edges[1:]):
-        size = max(1, _SCAN_BLOCK_ELEMENTS // int(L[lo]))
-        blocks.extend((int(L[lo]), range(i, min(i + size, hi))) for i in range(lo, hi, size))
-    return (ys[keep], start, lens, L), blocks
-
-
-def _scan_block(L: int, block: range, plan: tuple, ram: RamifiedData, arch: ArchParams,
-                lam_all: np.ndarray):
-    """One block of _row_blocks: per row its y, sup of |G|, first argmax jx
-    (0 <= jx <= L/2), witness (largest |c_m|) and the witness's m.
-
-    The real coefficients are scattered into one real (rows, L) array, and
-    |G| is the modulus of its rfft along the rows: the half spectrum
-    j = 0..L/2, which holds every value of |G| (scan_supnorm).
-
-    The rows' progressions are built end to end, unpadded
-    (_row_progressions), and their coefficients come from one
-    _row_coefficients call at each m's own row y: a row past the sieve
-    raises its IndexError before anything else is read, and the kernel of
-    the whole block is one kappa call (for a Maass form one Bessel
-    quadrature, whose value at each x does not depend on the block).
-    """
-    yb, start, lens = (a[block.start:block.stop] for a in plan[:3])
-    n = len(block)
-    ms, row, col, starts = _row_progressions(ram, arch, start, lens)
-    c = _row_coefficients(ms, yb[row], ram, arch, lam_all)
-    F = np.zeros((n, L))
-    F[row, (ms // ram.N) % L] = c        # m = b + N j' puts c_m at j' mod L
-    av = np.abs(np.fft.rfft(F, axis=1))  # |phi| at x = jx N^2 / X, 0 <= jx <= L/2
-    jx = np.argmax(av, axis=1)
-    mags = np.full((n, int(lens.max())), -1.0)
-    mags[row, col] = np.abs(c)
-    j = np.argmax(mags, axis=1)
-    r = np.arange(n)
-    return yb, av[r, jx], jx, mags[r, j], ms[starts + j]
+    return ys[keep], start, lens, X // N
 
 
 # -- classical congruence group ----------------------------------------------

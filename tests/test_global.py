@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -712,7 +713,7 @@ def test_row_plan_progressions_match_signed_progression(mv31, mv51, monkeypatch,
                 RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
                 RamifiedData(15, 0, 1.0, [])):
         expect = [signed_progression(ram.N, ram.b, int(R), holo) for R in Rs]
-        (y_plan, start, lens, _), _ = global_whittaker._row_blocks(ram, arch, ys)
+        y_plan, start, lens, _ = global_whittaker._row_blocks(ram, arch, ys)
         ms, row, _, _ = global_whittaker._row_progressions(ram, arch, start, lens)
         assert y_plan.tolist() == [y for y, e in zip(ys, expect) if len(e)]
         assert np.array_equal(ms, np.concatenate(expect))
@@ -928,26 +929,47 @@ def test_maass_scan_past_the_sieve_raises_as_per_row_assembly(rams):
         scan_supnorm(rams[3], _source("sato-tate", 3), arch, rows_per_decade=64)
 
 
-def _scan_with_blocks(monkeypatch, ram, kind, arch):
-    """scan_supnorm at the CLI default of 256 rows per decade, and the
-    (L, rows) of every block it transforms."""
-    blocks = []
-    scan_block = global_whittaker._scan_block
+def _scan_with_blocks(monkeypatch, ram, kind, arch, rows_per_decade=256):
+    """scan_supnorm (by default at the CLI's 256 rows per decade), the
+    (L, rows) of every block it transforms, read from the shape of each rfft
+    input, and the (terms, rows) of every chunk it assembles, one
+    _row_coefficients call each (its rows have distinct y)."""
+    blocks, chunks = [], []
+    rfft, row_coefficients = np.fft.rfft, global_whittaker._row_coefficients
 
-    def spy(L, block, *args):
-        blocks.append((L, len(block)))
-        return scan_block(L, block, *args)
+    def spy_rfft(F, axis=-1):
+        blocks.append((F.shape[1], F.shape[0]))
+        return rfft(F, axis=axis)
 
-    monkeypatch.setattr(global_whittaker, "_scan_block", spy)
-    return scan_supnorm(ram, _source(kind, 3), arch, keep_rows=True), blocks
+    def spy_chunk(ms, y, *args):
+        chunks.append((len(ms), len(np.unique(y))))
+        return row_coefficients(ms, y, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "rfft", spy_rfft)
+        patch.setattr(global_whittaker, "_row_coefficients", spy_chunk)
+        rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=rows_per_decade,
+                           keep_rows=True)
+    return rep, blocks, chunks
 
 
-def _assert_blocks_split_at_the_cap(blocks, rows):
+def _assert_blocks_split_at_the_cap(blocks, rows, cap=_SCAN_BLOCK_ELEMENTS):
     assert sum(n for _, n in blocks) == rows
-    assert all(L * n <= _SCAN_BLOCK_ELEMENTS or n == 1 for L, n in blocks)
+    assert all(L * n <= cap or n == 1 for L, n in blocks)
     # some run of one transform length goes on past a full block
-    assert any(L == L_next and L * (n + 1) > _SCAN_BLOCK_ELEMENTS
+    assert any(L == L_next and L * (n + 1) > cap
                for (L, n), (L_next, _) in zip(blocks, blocks[1:]))
+
+
+def _assert_chunks_split_at_the_cap(chunks, ref, cap=_SCAN_BLOCK_ELEMENTS // 2):
+    assert sum(n for n, _ in chunks) == ref.terms
+    assert sum(r for _, r in chunks) == len(ref.rows)
+    assert all(n <= cap or r == 1 for n, r in chunks)
+
+
+def _assert_same_report(got, ref):
+    for name in SCAN_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 # at k <= 120 every row of these scans has the shortest transform length
@@ -957,22 +979,40 @@ def _assert_blocks_split_at_the_cap(blocks, rows):
 @pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
 def test_scan_blocks_are_bit_identical_to_per_row_assembly(rams, monkeypatch, N, k, kind):
     arch = ArchParams("holomorphic", k=k)
-    got, blocks = _scan_with_blocks(monkeypatch, rams[N], kind, arch)
+    got, blocks, chunks = _scan_with_blocks(monkeypatch, rams[N], kind, arch)
     ref = reference_scan(rams[N], _source(kind, 3), arch, 256)
-    for name in SCAN_FIELDS:
-        assert getattr(got, name) == getattr(ref, name), name
+    _assert_same_report(got, ref)
     _assert_blocks_split_at_the_cap(blocks, len(ref.rows))
+    _assert_chunks_split_at_the_cap(chunks, ref)
     lengths = [L for L, _ in blocks]
     assert (lengths[0] > lengths[-1]) == (k == 600)
 
 
 def test_maass_scan_blocks_are_bit_identical_to_per_row_assembly(rams, monkeypatch):
     arch = ArchParams("maass", t=2.0)
-    got, blocks = _scan_with_blocks(monkeypatch, rams[3], "sato-tate", arch)
+    got, blocks, chunks = _scan_with_blocks(monkeypatch, rams[3], "sato-tate", arch)
     ref = reference_scan(rams[3], _source("sato-tate", 3), arch, 256)
-    for name in SCAN_FIELDS:
-        assert getattr(got, name) == getattr(ref, name), name
+    _assert_same_report(got, ref)
     _assert_blocks_split_at_the_cap(blocks, len(ref.rows))
+    _assert_chunks_split_at_the_cap(chunks, ref)
+
+
+@pytest.mark.parametrize("N, arch", [(1, ArchParams("holomorphic", k=12)),
+                                     (3, ArchParams("holomorphic", k=120)),
+                                     (1, ArchParams("maass", t=2.0)),
+                                     (3, ArchParams("maass", t=2.0))],
+                         ids=["holomorphic-1", "holomorphic-3", "maass-1", "maass-3"])
+def test_scan_with_small_chunks_is_bit_identical_to_per_row_assembly(rams, monkeypatch,
+                                                                      N, arch):
+    # a block cap of 128 elements, so chunks of at most 64 terms: many
+    # chunks, blocks of at most two rows at N = 1 and of one row at N = 3
+    monkeypatch.setattr(global_whittaker, "_SCAN_BLOCK_ELEMENTS", 128)
+    got, blocks, chunks = _scan_with_blocks(monkeypatch, rams[N], "sato-tate", arch, 64)
+    ref = reference_scan(rams[N], _source("sato-tate", 3), arch, 64)
+    _assert_same_report(got, ref)
+    _assert_blocks_split_at_the_cap(blocks, len(ref.rows), 128)
+    _assert_chunks_split_at_the_cap(chunks, ref, 64)
+    assert len(chunks) > 4
 
 
 def test_scan_memory_stays_within_the_block_cap(rams):
@@ -990,7 +1030,7 @@ def test_scan_memory_stays_within_the_block_cap(rams):
     assert len(rep.rows) > 700
     # a block of 2^14 real elements (128 KiB) with its half spectrum and its
     # modulus (192 KiB), and everything else, within 16 2^14 + 2 MiB; the
-    # peak is about 845 KiB
+    # peak is about 1350 KiB
     assert peak <= 16 * 2**14 + 2 * 2**20
 
 
@@ -1009,9 +1049,9 @@ def test_maass_scan_memory_stays_within_the_quadrature_pass_cap(rams):
     assert peak <= 8 * 8 * bessel._PASS_ELEMENTS + 2 * 2**20
 
 
-def test_maass_scan_makes_one_row_quadrature_per_block(rams, monkeypatch):
-    # the Maass kernel of a block is one bessel_K_imag_row call, and each
-    # kappa call of the cutoff probe one more: never one per row
+def test_maass_scan_makes_one_row_quadrature_per_chunk(rams, monkeypatch):
+    # the Maass kernel of a chunk is one bessel_K_imag_row call, and each
+    # kappa call of the cutoff probe one more: never one per row or block
     stage, entered, row_calls, probe_steps = [None], [], [], []
     row_quadrature, kernel = global_whittaker.bessel_K_imag_row, global_whittaker.kappa
 
@@ -1037,19 +1077,27 @@ def test_maass_scan_makes_one_row_quadrature_per_block(rams, monkeypatch):
     monkeypatch.setattr(global_whittaker, "bessel_K_imag_row", counting_row)
     monkeypatch.setattr(global_whittaker, "kappa", counting_kernel)
     monkeypatch.setattr(global_whittaker, "_cutoffs", staged("cutoffs", global_whittaker._cutoffs))
-    monkeypatch.setattr(global_whittaker, "_scan_block", staged("block", global_whittaker._scan_block))
+    monkeypatch.setattr(global_whittaker, "_row_coefficients",
+                        staged("chunk", global_whittaker._row_coefficients))
     rep = scan_supnorm(rams[3], _source("sato-tate", 3), ArchParams("maass", t=2.0), keep_rows=True)
-    blocks = entered.count("block")
-    assert row_calls.count("block") == blocks
+    chunks = entered.count("chunk")
+    assert row_calls.count("chunk") == chunks
     assert row_calls.count("cutoffs") == len(probe_steps) > 0
-    assert len(row_calls) == blocks + len(probe_steps)
-    assert len(rep.rows) > 4 * blocks
+    assert len(row_calls) == chunks + len(probe_steps)
+    assert len(rep.rows) > 4 * chunks
     # one probe call for the rows' starts, then one per _LOOK_AHEAD x1.3
     # steps of the rows still open: at 64 rows per decade a row of this
     # plan needs 7 steps past its start, so one call per step would make 8
     row_calls.clear()
     scan_supnorm(rams[3], _source("sato-tate", 3), ArchParams("maass", t=2.0), 64)
     assert 0 < row_calls.count("cutoffs") <= 3
+    # with chunks of at most 64 terms there are many chunks, and still one
+    # quadrature each
+    monkeypatch.setattr(global_whittaker, "_SCAN_BLOCK_ELEMENTS", 128)
+    row_calls.clear()
+    entered.clear()
+    scan_supnorm(rams[3], _source("sato-tate", 3), ArchParams("maass", t=2.0), 64)
+    assert row_calls.count("chunk") == entered.count("chunk") > 4
 
 
 @pytest.mark.parametrize("N", [1, 3, 15, 21])
@@ -1094,6 +1142,78 @@ def test_scan_progression_support_instrumented(mv31):
     nz = ms[np.abs(lp) > 0]
     assert np.all(nz % 3 == ram.b)
     assert len(nz) == len(ms[ms % 3 == ram.b])
+
+
+def _ramanujan_tau(limit):
+    """tau(1..limit) from q prod_n (1 - q^n)^24, in Python ints; index 0 unused."""
+    prod = [1] + [0] * (limit - 1)      # prod (1 - q^n)^24 up to q^(limit - 1)
+    for n in range(1, limit):
+        for _ in range(24):
+            for i in range(limit - 1, n - 1, -1):
+                prod[i] -= prod[i - n]
+    return [0] + prod
+
+
+def _delta(z):
+    """Ramanujan's Delta(z) = q prod_n (1 - q^n)^24, q = e(z), in complex
+    floats: an oracle that shares no code with the library."""
+    q = cmath.exp(2j * math.pi * z)
+    out, qn = q, q
+    while abs(qn) > 1e-30:
+        out *= (1 - qn) ** 24
+        qn *= q
+    return out
+
+
+@pytest.fixture(scope="module")
+def delta_source(tmp_path_factory):
+    """Delta through the file source: lambda(m) = tau(m) / m^(11/2), m <= 200,
+    under '# delta 0', so its Ramanujan check tests Deligne's bound."""
+    tau = _ramanujan_tau(200)
+    assert tau[1:6] == [1, -24, 252, -1472, 4830]
+    path = tmp_path_factory.mktemp("delta") / "delta.txt"
+    path.write_text("# delta 0\n" + "".join(f"{m}\t{tau[m] / m**5.5!r}\n"
+                                             for m in range(1, 201)))
+    return CoefficientSource.from_file(str(path))
+
+
+DELTA_ARCH = ArchParams("holomorphic", k=12)
+
+
+@pytest.mark.parametrize("x, y", [(0.5, math.sqrt(3) / 2), (0.1, 0.9), (0.3, 1.2), (0.0, 1.0),
+                                  (0.25, 2.0), (0.45, 1.5)])
+def test_level_one_phi_is_the_normalized_delta(delta_source, x, y):
+    # at N = 1, k = 12 the expansion is PREF / c_inf y^6 Delta(x + i y)
+    got = evaluate_phi(x, y, RamifiedData.unramified(), delta_source, DELTA_ARCH)
+    expect = PREF / c_infty(DELTA_ARCH) * y**6 * _delta(complex(x, y))
+    assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("rows_per_decade", [64, 256])
+def test_level_one_scan_finds_delta_at_rho(delta_source, rows_per_decade):
+    # y^6 |Delta| is largest at rho = (1 + i sqrt 3) / 2, a grid point of
+    # every scan: the bottom row y = Y_MIN, x = 1/2
+    rep = scan_supnorm(RamifiedData.unramified(), delta_source, DELTA_ARCH,
+                       rows_per_decade=rows_per_decade)
+    rho = complex(0.5, math.sqrt(3) / 2)
+    expect = abs(PREF / c_infty(DELTA_ARCH) * rho.imag**6 * _delta(rho))
+    assert expect == pytest.approx(2.2917131644453, rel=1e-12)
+    assert rep.sup == pytest.approx(expect, rel=1e-12)
+    assert rep.argmax == (0.5, math.sqrt(3) / 2)
+
+
+@pytest.mark.parametrize("rows_per_decade", [0, -3, 2.5])
+def test_scan_rows_per_decade_must_be_a_positive_integer(rams, rows_per_decade):
+    with pytest.raises(ConfigError, match="rows_per_decade must be"):
+        scan_supnorm(rams[1], CoefficientSource.all_ones(), ArchParams("holomorphic", k=12),
+                     rows_per_decade=rows_per_decade)
+
+
+@pytest.mark.parametrize("cutoff", [-5, 2.5, 0])
+def test_evaluate_phi_cutoff_must_be_a_positive_integer(rams, cutoff):
+    with pytest.raises(ConfigError, match="cutoff must be"):
+        evaluate_phi(0.1, 1.0, rams[1], CoefficientSource.all_ones(),
+                     ArchParams("holomorphic", k=12), cutoff=cutoff)
 
 
 # -- classical congruence group -------------------------------------------------
