@@ -271,11 +271,14 @@ class ChiEvaluator:
     """Vectorized chi on integer matrices mod p^{2n}, read from its closed form.
 
     For g = [[a, b], [c, d]] the left factorization g = [[u, m], [0, 1]] t
-    (decompose_B1T) has torus factor t = (x, y) = (d, -c/alpha) and
-    m = (ac + alpha bd) / q with q = c^2 + alpha d^2, the quotient whose
-    valuation matgroups.left_m_valuation reads.  So on the support
-    chi(g) = theta(d, -c/alpha) psi(-a_theta alpha m / p^n): one lookup in
-    tables over the pair (c, d), indexed by c*pm + d, and one over m."""
+    (decompose_B1T) has torus factor t = (x, y) = (d, -c/alpha),
+    u = alpha det / q and m = (ac + alpha bd) / q with q = c^2 + alpha d^2;
+    the product gives back the top row (a, b):
+        ud + mc = a (alpha d^2 + c^2) / q = a,
+        -uc/alpha + md = b (c^2 + alpha d^2) / q = b.
+    So on the support chi(g) = theta(d, -c/alpha) psi(-a_theta alpha m / p^n):
+    one lookup in tables over the pair (c, d), indexed by c*pm + d, and one
+    over m."""
 
     mv: MinimalVectorSpec
     L: int

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises ConfigError."""
+
+import operator
 
 
 class MinvecError(Exception):
@@ -27,3 +30,15 @@ class ConfigError(MinvecError):
 
 class NumericalError(MinvecError):
     """A numerical route failed to reach, or to confirm, the accuracy it needs."""
+
+
+def require_int(name: str, value, low: int) -> int:
+    """value as an int, read through operator.index; ConfigError unless it is
+    an integer >= low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value

@@ -6,7 +6,6 @@ the generating domain, and the classical congruence-group translation.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +14,7 @@ import numpy as np
 
 from .bessel import bessel_K_imag, bessel_K_imag_row
 from .characters import MinimalVectorSpec, chi_value
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_int
 from .matgroups import Mat2Local, a_mat
 from .minimal import whittaker_closed
 from .residues import LocalElement, UnitRoot, factorize
@@ -32,7 +31,9 @@ PREF = math.sqrt(2 * ZETA2 / ADJOINT_VALUE)
 @dataclass(frozen=True)
 class ArchParams:
     """Archimedean data: either a holomorphic form of even weight k, or an even
-    Maass form with spectral parameter t."""
+    Maass form with spectral parameter t.  Raises ConfigError unless the
+    weight is an even integer >= 2 (read through operator.index), or the
+    spectral parameter is finite."""
 
     case: str                   # "holomorphic" | "maass"
     k: int | None = None
@@ -40,10 +41,10 @@ class ArchParams:
 
     def __post_init__(self):
         if self.case == "holomorphic":
-            if self.k is None or self.k < 2 or self.k % 2 != 0:
+            if self.k is None or require_int("weight k", self.k, 2) % 2 != 0:
                 raise ConfigError("holomorphic case needs even weight k >= 2")
         elif self.case == "maass":
-            if self.t is None or math.isnan(self.t):
+            if self.t is None or not math.isfinite(self.t):
                 raise ConfigError(f"maass case needs spectral parameter t, got {self.t}")
         else:
             raise ConfigError(f"unknown archimedean case {self.case!r}")
@@ -261,12 +262,7 @@ class CoefficientSource:
     def sato_tate(cls, seed: int) -> "CoefficientSource":
         """lambda(p) drawn from the stream np.random.default_rng(seed 1_000_003 + p);
         the seed must be a non-negative integer, as the stream's entropy is."""
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ConfigError(f"Sato-Tate seed must be an integer, got {seed!r}") from None
-        if seed < 0:
-            raise ConfigError(f"Sato-Tate seed must be >= 0, got {seed}")
+        seed = require_int("Sato-Tate seed", seed, 0)
         return cls(f"sato-tate({seed})", 0.0, seed=seed)
 
     @classmethod
@@ -511,18 +507,6 @@ _GUARD = 1e-6
 _LOOK_AHEAD = 8
 
 
-def _positive_int(name: str, value) -> int:
-    """value as an int, read through operator.index as the Sato-Tate seed
-    is; ConfigError unless it is an integer >= 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _start_cutoff(N: int, arch: ArchParams, y):
     """The asymptotic shape N^{2+eps}(T + T^{1/3})/(2 pi y), eps = _CUTOFF_EPS,
     before its ceil: at one y or, elementwise, at an array of them."""
@@ -618,13 +602,14 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
     The lambda(m) come from coeffs.values_upto, so a file source must cover
     every m in 1..R (1..2R with check_stability), as scan_supnorm requires.
-    A given cutoff R must be a positive integer (ConfigError otherwise).
+    y must be positive and finite, and a given cutoff R a positive integer
+    (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
     below eps sqrt(#terms) sum |c_m| (strictly, so an all-zero sum gives 0).
     """
-    if y <= 0:
-        raise ConfigError("y must be positive")
-    R = _positive_int("cutoff", cutoff) if cutoff is not None else _cutoff(ram.N, arch, y)
+    if not (math.isfinite(y) and y > 0):
+        raise ConfigError(f"y must be positive and finite, got {y}")
+    R = require_int("cutoff", cutoff, 1) if cutoff is not None else _cutoff(ram.N, arch, y)
     cutoffs = np.array([R, 2 * R] if check_stability else [R])
     lam_all = coeffs.values_upto(int(cutoffs[-1]))
     ms_rows, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, cutoffs))
@@ -774,7 +759,7 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     assembly bit for bit.  The scan's sup and witness are the first maxima
     over all rows, as a row-by-row strict > would keep them.
     """
-    rows_per_decade = _positive_int("rows_per_decade", rows_per_decade)
+    rows_per_decade = require_int("rows_per_decade", rows_per_decade, 1)
     N = ram.N
     N2 = N * N
     y_max = max(2.0, N2 * arch.T)

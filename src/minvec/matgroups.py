@@ -8,14 +8,11 @@ and torus_extract returns the pair (x, y) of such a matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .residues import LocalElement, _require_odd_prime, is_square_mod_p
-
-_INF = math.inf
 
 
 def canonical_alpha(p: int) -> int:
@@ -85,10 +82,6 @@ class Mat2Local:
         return Mat2Local(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
                          self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
-    def inverse(self) -> "Mat2Local":
-        di = self.det.inverse()
-        return Mat2Local(self.d * di, -self.b * di, -self.c * di, self.a * di)
-
     def scale_by_power(self, k: int) -> "Mat2Local":
         return Mat2Local(*(e.scale_by_power(k) for e in self.entries()))
 
@@ -127,9 +120,17 @@ def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:
 def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
     """Factor g = [[u, m], [0, 1]] * t with t in the canonical inert torus.
 
-    Returns (u, m, t).  Always succeeds for invertible g: -alpha is a
-    non-square, so c^2 + alpha*d^2 cannot cancel (when the two terms share a
-    valuation, the leading digit is u^2 + alpha*w^2, nonzero mod p).  The left
+    Returns (u, m, t), read in closed form: with q = c^2 + alpha d^2,
+
+        t = (d, -c/alpha) = [[d, -c/alpha], [c, d]],
+        u = alpha det / q,  m = (ac + alpha bd) / q,
+
+    and [[u, m], [0, 1]] t gives back the top row (a, b):
+        ud + mc = a (alpha d^2 + c^2) / q = a,
+        -uc/alpha + md = b (c^2 + alpha d^2) / q = b.
+    Always succeeds for invertible g: -alpha is a non-square, so q cannot
+    cancel (when c^2 and alpha d^2 share a valuation, the leading digit of
+    q is x^2 + alpha y^2 for units x, y, nonzero mod p).  The left
     factorization is the only one; side accepts nothing but "left".
     """
     if side != "left":
@@ -137,34 +138,15 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
     det = g.det
     if det.is_zero:
         raise ValueError("matrix is not invertible")
-    p = g.p
+    a, b, c, d = g.entries()
     alpha = _alpha_for(g, spec)
-    den = alpha * det
-    num, den2 = _left_terms(g, alpha)
-    u2 = den2 / den
-    m2 = -(num / den)
-    bmat = Mat2Local(u2, m2, LocalElement.zero(p, u2.M), LocalElement.one(p, u2.M))
-    t = bmat * g
-    u = u2.inverse()
-    m = -(m2 * u)
-    return u, m, t
+    q_inv = (c * c + d * d * alpha).inverse()
+    t = Mat2Local(d, -(c * alpha.inverse()), c, d)
+    return alpha * det * q_inv, (a * c + alpha * b * d) * q_inv, t
 
 
 def _alpha_for(g: Mat2Local, spec: TorusSpec) -> LocalElement:
     return LocalElement.from_int(g.p, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
-
-
-def _left_terms(g: Mat2Local, alpha: LocalElement) -> tuple[LocalElement, LocalElement]:
-    """(ac + alpha bd, c^2 + alpha d^2): their quotient is m of the left factorization."""
-    a, b, c, d = g.entries()
-    return a * c + alpha * b * d, c * c + d * d * alpha
-
-
-def left_m_valuation(g: Mat2Local, spec: TorusSpec) -> float:
-    """v(m) of decompose_B1T(g, spec) for invertible g, math.inf
-    when m = 0, read off the two valuations of _left_terms without factoring g."""
-    num, den2 = _left_terms(g, _alpha_for(g, spec))
-    return _INF if num.is_zero else num.v - den2.v
 
 
 def reassemble_B1T(u: LocalElement, m: LocalElement, t: Mat2Local) -> Mat2Local:

@@ -6,7 +6,6 @@ integral-transform oracle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,8 +14,8 @@ import numpy as np
 from .characters import MinimalVectorSpec, chi_value
 from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys,
                      mul_mod, product_keys, random_kt_elements)
-from .errors import ConfigError, NotInSupport, NumericalError, PrecisionError, SizeGuard
-from .matgroups import Mat2Local, a_mat, decompose_B1T, left_m_valuation, n_mat
+from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard, require_int
+from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
@@ -83,12 +82,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
     if mode == "random":
-        try:
-            pairs = operator.index(pairs)
-        except TypeError:
-            raise ConfigError(f"random pair count must be an integer, got {pairs!r}") from None
-        if pairs < 1:
-            raise ConfigError(f"random pair count must be >= 1, got {pairs}")
+        pairs = require_int("random pair count", pairs, 1)
     if mode == "exhaustive" and not exhaustive_fits(p, n):
         raise SizeGuard(f"exhaustive pair scan for (p, n) = ({p}, {n}) needs p^{8 * n} keys, "
                         "beyond the enumeration bound")
@@ -153,10 +147,7 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
     p, n = mv.p, mv.n
     y, x, t = decompose_B1T(g, spec)
     mag = math.sqrt(mv.magnitude_squared)
-    ys = y.scale_by_power(2 * n)
-    if not (ys.is_unit() and y.v == -2 * n):
-        return WhittakerValue(False, 0.0, None)
-    if (ys.residue(n) - mv.support_unit()) % p**n != 0:
+    if y.v != -2 * n or (y.scale_by_power(2 * n).residue(n) - mv.support_unit()) % p**n:
         return WhittakerValue(False, 0.0, None)
     phase = psi(x) * mv.theta_at(t)
     return WhittakerValue(True, mag, phase)
@@ -165,9 +156,9 @@ def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
 def oracle_window(mv: MinimalVectorSpec, g: Mat2Local) -> int:
     """The default window exponent `low` of whittaker_oracle: -v(m) when the
     left factorization g = [[u, m], [0, 1]] t has v(m) < -n, and n otherwise
-    (m = 0 included).  Only v(m) is computed, not the factorization."""
-    vm = left_m_valuation(g, mv.torus)
-    return -vm if vm < -mv.n else mv.n
+    (m = 0 included), with m read from decompose_B1T."""
+    _, m, _ = decompose_B1T(g, mv.torus)
+    return -m.v if m.v < -mv.n else mv.n
 
 
 def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
@@ -254,15 +245,12 @@ def support_profile(mv: MinimalVectorSpec, k: Mat2Local):
     """For a maximal-compact element k, the diagonal support of y -> W(a(y) k):
     the single unit class b mod p^n (at valuation -2n) where it is nonzero.
     """
-    spec = mv.torus
     p, n = mv.p, mv.n
-    z, m, t = decompose_B1T(k, spec)
-    zs = z
-    if not zs.is_unit():
+    z, _, _ = decompose_B1T(k, mv.torus)
+    if not z.is_unit():
         # k in the maximal compact always yields a unit here
         raise NotInSupport("unexpected non-unit leading factor")
-    b = mv.support_unit() * pow(zs.residue(n), -1, p**n) % p**n
-    return b
+    return mv.support_unit() * pow(z.residue(n), -1, p**n) % p**n
 
 
 def whittaker_unit_sweep(mv: MinimalVectorSpec, k: Mat2Local) -> list[tuple[int, WhittakerValue]]:

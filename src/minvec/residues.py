@@ -182,9 +182,6 @@ class LocalElement:
             raise ZeroDivisionError("inverse of zero")
         return _trusted(self.p, -self.v, pow(self.u, -1, self.p**self.M), self.M)
 
-    def __truediv__(self, other: "LocalElement") -> "LocalElement":
-        return self * other.inverse()
-
     def __neg__(self) -> "LocalElement":
         if self.is_zero:
             return self

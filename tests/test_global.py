@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,9 +66,31 @@ def test_arch_params_validation():
 
 
 def test_arch_params_rejects_nan_t():
-    # an infinite t is a form whose normalization underflows (NumericalError)
     with pytest.raises(ConfigError, match="spectral parameter t, got nan"):
         ArchParams("maass", t=math.nan)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_arch_params_rejects_an_infinite_t(t):
+    # refused where the archimedean data is built, not left to the kernels
+    with pytest.raises(ConfigError, match=f"spectral parameter t, got {t}"):
+        ArchParams("maass", t=t)
+
+
+@pytest.mark.parametrize("k", [12.0, 12.5, "12", Fraction(12)])
+def test_arch_params_rejects_a_weight_that_is_not_an_integer(k):
+    with pytest.raises(ConfigError, match="weight k must be an integer"):
+        ArchParams("holomorphic", k=k)
+
+
+@pytest.mark.parametrize("k", [0, -2, np.int64(7)])
+def test_arch_params_rejects_a_weight_below_two_or_odd(k):
+    with pytest.raises(ConfigError, match="weight k must be >= 2|even weight k >= 2"):
+        ArchParams("holomorphic", k=k)
+
+
+def test_arch_params_takes_a_numpy_integer_weight():
+    assert ArchParams("holomorphic", k=np.int64(12)).T == 12
 
 
 def test_kappa_holomorphic_peak_and_decay():
@@ -133,7 +156,7 @@ def test_c_infty_maass_underflow_raises_without_bessel(monkeypatch):
     def no_bessel(t, x):
         raise AssertionError("c_infty must not call the Bessel quadrature")
     monkeypatch.setattr("minvec.global_whittaker.bessel_K_imag", no_bessel)
-    for t in (500.0, -500.0, math.inf):
+    for t in (500.0, -500.0):
         with pytest.raises(NumericalError, match=f"t = {t:g}"):
             c_infty(ArchParams("maass", t=t))
         with pytest.raises(NumericalError):
@@ -1207,6 +1230,12 @@ def test_scan_rows_per_decade_must_be_a_positive_integer(rams, rows_per_decade):
     with pytest.raises(ConfigError, match="rows_per_decade must be"):
         scan_supnorm(rams[1], CoefficientSource.all_ones(), ArchParams("holomorphic", k=12),
                      rows_per_decade=rows_per_decade)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, 0.0, -1.0])
+def test_evaluate_phi_y_must_be_positive_and_finite(rams, y):
+    with pytest.raises(ConfigError, match="y must be positive and finite"):
+        evaluate_phi(0.1, y, rams[1], CoefficientSource.all_ones(), ArchParams("holomorphic", k=12))
 
 
 @pytest.mark.parametrize("cutoff", [-5, 2.5, 0])

@@ -1,7 +1,7 @@
 """Every name a module imports is used somewhere in that module, every import
 sits at module level, every function, class and method is used outside the
-tests, and every parameter and dataclass field with a default is set outside
-the tests."""
+tests (a method sharing its name with another class's names its caller), and
+every parameter and dataclass field with a default is set outside the tests."""
 
 import ast
 import math
@@ -19,6 +19,33 @@ TEST_ONLY = {
     "kernel_peak_ratio": "sup of the normalized kernel, checked against h(pi_inf)",
     "CoefficientSource.check_ramanujan": "bound check on the coefficient models",
     "reassemble_B1T": "inverse of decompose_B1T for its round-trip test",
+    "Mat2Local.agrees_with": "entrywise comparison in the decompose_B1T round-trip tests",
+}
+
+# Methods whose bare name another class of MODULES also defines.  The guard
+# sees a use of any one of them as a use of all, so each names the caller
+# outside the tests, as 'module.function' or 'module.Class.method' of a file
+# in _callers(), that reaches it; None marks a test reference in TEST_ONLY.
+SHARED_METHODS = {
+    "ThetaChar.value": "characters.MinimalVectorSpec.theta_at",
+    "CoefficientSource.value": "global_whittaker.CoefficientSource.values_upto",
+    "MinimalVectorSpec.build": "cli._build_mv",
+    "ChiEvaluator.build": "characters.MinimalVectorSpec.chi_evaluator",
+    "RamifiedData.build": "cli.cmd_scan_supnorm",
+    "MinimalVectorSpec.p": "characters.chi_value",
+    "Mat2Local.p": "matgroups._alpha_for",
+    "ScanReport.as_dict": "cli.cmd_scan_supnorm",
+    "QueReport.as_dict": "cli.cmd_que",
+    "LocalElement.inverse": "matgroups.decompose_B1T",
+    "UnitRoot.inverse": "global_whittaker.gamma_TD",
+    "LocalElement.scale_by_power": "minimal.whittaker_closed",
+    "Mat2Local.scale_by_power": "characters.chi_value",
+    "LocalElement.agrees_with": "matgroups.torus_extract",
+    "Mat2Local.agrees_with": None,
+    "WhittakerValue.to_complex": "global_whittaker.lambda_prime",
+    "UnitRoot.to_complex": "minimal.matrix_coefficient",
+    "LocalElement.one": "matgroups.a_mat",
+    "UnitRoot.one": "global_whittaker.gamma_TD",
 }
 
 # Defaulted parameters that only tests set, each a deliberate test hook.
@@ -104,16 +131,54 @@ def _references() -> tuple[set[str], set[str]]:
 
 def test_every_definition_is_used_outside_tests():
     # a method is reached only through an attribute (or a TIMED path), so a
-    # local variable of the same name does not count as a use
+    # local variable of the same name does not count as a use; a method in
+    # SHARED_METHODS is used when it names a caller there
     defined, (names, attrs) = _definitions(), _references()
 
     def used(qual, name):
+        if qual in SHARED_METHODS:
+            return SHARED_METHODS[qual] is not None
         return name in attrs or ("." not in qual and name in names)
 
     dead = sorted(q for q, name in defined.items() if not used(q, name) and q not in TEST_ONLY)
     assert not dead, f"defined but used only by tests (or not at all): {dead}"
     stale = sorted(q for q in TEST_ONLY if q not in defined or used(q, defined[q]))
     assert not stale, f"TEST_ONLY entries that are gone or now used outside tests: {stale}"
+
+
+def _functions() -> dict[str, ast.FunctionDef]:
+    """'module.function' and 'module.Class.method' -> its node, for every
+    function of the files in _callers()."""
+    out = {}
+    for path in _callers():
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                out[f"{path.stem}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                out.update((f"{path.stem}.{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, ast.FunctionDef))
+    return out
+
+
+def test_shared_method_names_are_listed_with_their_callers():
+    defined = _definitions()
+    owners = {}
+    for qual, name in defined.items():
+        if "." in qual:
+            owners.setdefault(name, []).append(qual)
+    shared = {qual for quals in owners.values() if len(quals) > 1 for qual in quals}
+    listed = set(SHARED_METHODS)
+    assert shared == listed, (f"methods sharing a name with another class, unlisted: "
+                              f"{sorted(shared - listed)}; no longer shared: {sorted(listed - shared)}")
+    functions = _functions()
+    for qual, caller in SHARED_METHODS.items():
+        if caller is None:
+            assert qual in TEST_ONLY, f"{qual} is marked a test reference but is not in TEST_ONLY"
+            continue
+        assert caller in functions, f"{qual}: caller {caller} is not a function outside the tests"
+        name = defined[qual]
+        assert any(isinstance(node, ast.Attribute) and node.attr == name
+                   for node in ast.walk(functions[caller])), f"{caller} does not reach .{name}"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,13 +1,16 @@
 import dataclasses
-import random
+import functools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.matgroups import (Mat2Local, TorusSpec, canonical_alpha, decompose_B1T,
-                              left_m_valuation, reassemble_B1T, subgroup_member,
-                              torus_extract)
+                              reassemble_B1T, subgroup_member, torus_extract)
+from minvec.minimal import oracle_window
 from minvec.residues import LocalElement, is_square_mod_p
 
 
@@ -62,20 +65,58 @@ def test_det_is_cached_and_not_a_field():
     assert "det" not in repr(g)
 
 
+def _valuation(x: Fraction, p: int) -> float:
+    """v_p of an exact rational, math.inf at 0."""
+    if x == 0:
+        return math.inf
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@functools.cache
+def _minimal_vector(p, n):
+    spec = TorusSpec(p, n)
+    return MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+
+
+@st.composite
+def _invertible_matrices(draw):
+    """(p, n) in (3,1), (5,1), (7,1), (3,2) and the entries of an invertible g:
+    numerators in [-p^3, p^3] over p^0, p^1 or p^2, so det takes any valuation.
+    Tracked at precision 20, above the at most 10 digits that ad - bc or
+    ac + alpha bd can cancel with such entries: times p^4 either is an
+    integer below (1 + alpha) p^10 < p^11."""
+    p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]))
+    entries = [Fraction(draw(st.integers(-p**3, p**3)), p ** draw(st.integers(0, 2)))
+               for _ in range(4)]
+    a, b, c, d = entries
+    assume(a * d != b * c)
+    return p, n, entries
+
+
 # side="left" is the one value the keyword accepts; perfbench/workloads.py passes it
 @pytest.mark.parametrize("side", ["left"])
-def test_decompose_roundtrip_random(side):
-    random.seed(11)
-    spec = TorusSpec(3, 1)
-    for _ in range(40):
-        ents = [Fraction(random.randint(-40, 40), 3 ** random.randint(0, 1)) for _ in range(4)]
-        g = Mat2Local.from_rationals(3, ents, 10)
-        if g.det.is_zero:
-            continue
-        u, m, t = decompose_B1T(g, spec, side=side)
-        torus_extract(t, spec)  # t really lies in the torus
-        assert reassemble_B1T(u, m, t).agrees_with(g)
-        assert left_m_valuation(g, spec) == m.v
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=_invertible_matrices())
+def test_decompose_roundtrip_random(side, case):
+    p, n, entries = case
+    mv = _minimal_vector(p, n)
+    spec = mv.torus
+    g = Mat2Local.from_rationals(p, entries, 20)
+    u, m, t = decompose_B1T(g, spec, side=side)
+    torus_extract(t, spec)  # t really lies in the torus
+    assert reassemble_B1T(u, m, t).agrees_with(g)
+    # m against the exact rational (ac + alpha bd) / (c^2 + alpha d^2)
+    a, b, c, d = entries
+    m_exact = (a * c + spec.alpha * b * d) / (c * c + spec.alpha * d * d)
+    vm = _valuation(m_exact, p)
+    assert m.v == vm
+    assert m.agrees_with(LocalElement.from_rational(p, m_exact, 20))
+    assert oracle_window(mv, g) == (-vm if vm < -n else n)
 
 
 def test_decompose_upper_triangular_identity():
