@@ -32,13 +32,13 @@ class NumericalError(MinvecError):
     """A numerical route failed to reach, or to confirm, the accuracy it needs."""
 
 
-def require_int(name: str, value, low: int) -> int:
+def require_int(name: str, value, low: int | None) -> int:
     """value as an int, read through operator.index; ConfigError unless it is
-    an integer >= low."""
+    an integer, and >= low unless low is None."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
+    if low is not None and value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return value

@@ -9,6 +9,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -219,24 +220,45 @@ def _first_uniforms(words: list[np.ndarray]) -> np.ndarray:
     return (out >> 11).astype(float) * 2.0**-53
 
 
+def _first_uniform(entropy: int) -> float:
+    """default_rng(entropy).uniform() without a Generator: 0 + 1 times
+    PCG64's next_double, (next_uint64 >> 11) 2^-53."""
+    return (int(np.random.PCG64(entropy).random_raw()) >> 11) * 2.0**-53
+
+
 # A prime set smaller than this is drawn one prime at a time: below it one
-# default_rng per prime costs less than the fixed cost of the array pass (the
+# PCG64 per prime costs less than the fixed cost of the array pass (the
 # SeedSequence hash on uint32 arrays and the 60-step array bisection).
 _ARRAY_DRAW_PRIMES = 35
 
+_TWO_PI = 2 * math.pi
 
-def _sato_tate_lambda(entropy: int) -> float:
-    """2 cos theta for the one u = default_rng(entropy).uniform(), by the
-    60-step inverse-CDF bisection of _draw's array route, in math."""
-    u = np.random.default_rng(entropy).uniform()
+
+def _sato_tate_lambda(u: float) -> float:
+    """2 cos theta, theta ~ (2/pi) sin^2 on [0, pi], at the uniform u: a
+    60-step inverse-CDF bisection in math.  The CDF at mid = s/2, s = lo + hi,
+    is (s - sin s) / (2 pi), the bits of (mid - sin(2 mid)/2) / pi: halving is
+    exact here (s >= pi 2^-59) and 2 * math.pi is exactly twice math.pi."""
     lo, hi = 0.0, math.pi
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if (mid - 0.5 * math.sin(2 * mid)) / math.pi < u:
-            lo = mid
+        s = lo + hi
+        if (s - math.sin(s)) / _TWO_PI < u:
+            lo = 0.5 * s
         else:
-            hi = mid
+            hi = 0.5 * s
     return 2.0 * math.cos(0.5 * (lo + hi))
+
+
+def _sato_tate_lambdas(u: np.ndarray) -> np.ndarray:
+    """_sato_tate_lambda elementwise: one bisection over an array of u."""
+    lo, hi = np.zeros(len(u)), np.full(len(u), math.pi)
+    for _ in range(60):
+        s = lo + hi
+        below = (s - np.sin(s)) / _TWO_PI < u
+        s *= 0.5
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+    return 2.0 * np.cos(0.5 * (lo + hi))
 
 
 def _ramanujan_bound(m: int, delta: float) -> float:
@@ -290,39 +312,24 @@ class CoefficientSource:
                 raise ConfigError(f"coefficient at m={m} violates the Ramanujan bound")
         return src
 
-    def _draw(self, primes: list[int]) -> None:
-        """Draw the Sato-Tate lambda(p) = 2 cos theta_p of every p in primes
-        into prime_values.
-
-        theta ~ (2/pi) sin^2 by a 60-step inverse-CDF bisection of [0, pi],
-        with u the first uniform of the prime's own stream
-        default_rng(seed 1_000_003 + p).  A set of fewer than
-        _ARRAY_DRAW_PRIMES primes, or one whose entropy reaches 2^128, is
-        drawn one prime at a time (_sato_tate_lambda).  A larger set takes
-        its u's at once from _first_uniforms and runs one bisection over the
-        whole u array, with _sato_tate_lambda's expressions elementwise.  So
-        the value of a prime does not depend on the route: both equal the
-        one-prime math loop on default_rng bit for bit (the loop is the
-        reference in the tests).
-        """
+    def _draw(self, primes: list[int]) -> np.ndarray:
+        """Draw the Sato-Tate lambda(p) of the primes, from the first uniform
+        of default_rng(seed 1_000_003 + p), into prime_values; return them.
+        Fewer than _ARRAY_DRAW_PRIMES primes, or an entropy past 2^128, are
+        drawn one at a time, others in one array pass: both give the bits of
+        the one-prime default_rng loop the tests keep as the reference."""
         base = self.seed * 1_000_003
         if len(primes) < _ARRAY_DRAW_PRIMES or (base + max(primes)) >> 128:
-            self.prime_values.update((p, _sato_tate_lambda(base + p)) for p in primes)
-            return
-        # the entropy base + p as two uint64 halves, carrying out of the low one
-        ps = np.array(primes, dtype=np.uint64)
-        lo = np.uint64(base & _M64) + ps
-        hi = np.uint64(base >> 64) + (lo < ps)
-        u = _first_uniforms([(half >> shift & _M32).astype(np.uint32)
-                             for half in (lo, hi) for shift in (0, 32)])
-        lo, hi = np.zeros(len(u)), np.full(len(u), math.pi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            # CDF of the (2/pi) sin^2(theta) density on [0, pi]
-            below = (mid - 0.5 * np.sin(2 * mid)) / math.pi < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        self.prime_values.update(zip(primes, (2.0 * np.cos(0.5 * (lo + hi))).tolist()))
+            lams = np.array([_sato_tate_lambda(_first_uniform(base + p)) for p in primes])
+        else:
+            # the entropy base + p as two uint64 halves, carrying out of the low one
+            ps = np.array(primes, dtype=np.uint64)
+            lo = np.uint64(base & _M64) + ps
+            hi = np.uint64(base >> 64) + (lo < ps)
+            lams = _sato_tate_lambdas(_first_uniforms([(half >> shift & _M32).astype(np.uint32)
+                                                       for half in (lo, hi) for shift in (0, 32)]))
+        self.prime_values.update(zip(primes, lams.tolist()))
+        return lams
 
     def _lambda_ppow(self, p: int, e: int) -> float:
         """lambda(p^e), e >= 1, from a drawn lambda(p)."""
@@ -333,7 +340,7 @@ class CoefficientSource:
         return b
 
     def value(self, m: int) -> float:
-        m = abs(m)
+        m = abs(require_int("coefficient index m", m, None))
         if m == 0:
             raise ValueError("lambda(0) undefined")
         if self.kind == "file":
@@ -349,19 +356,23 @@ class CoefficientSource:
             out *= self._lambda_ppow(p, e)
         return out
 
-    def values_upto(self, limit: int) -> np.ndarray:
-        """lambda(1..limit) by a multiplicative sieve; index 0 unused.
+    def values_upto(self, limit: int, modulus: int = 1, residues: tuple = (0,)) -> np.ndarray:
+        """lambda(1..limit) by a multiplicative sieve; index 0 unused.  Only
+        the residue classes mod modulus (all by default) are read: a
+        Sato-Tate source draws just the new primes that divide a read index,
+        and the others enter as NaN, so a read index has the full sieve's
+        bits and any other may be NaN.  limit >= 0, modulus >= 1 and the
+        residues (taken mod modulus) must be integers (ConfigError).
 
-        The primes p <= limit are walked in descending order, and lambda(p^e)
-        multiplies the multiples of p^e that p^(e+1) does not divide.  So
-        lambda(m) for m = p1^e1 ... pk^ek (p1 < ... < pk) is the float product
-        lambda(p1^e1) (lambda(p2^e2) (... lambda(pk^ek))).  The primes above
-        isqrt(limit) come first and touch only m with pk = p, ek = 1, so one
-        scatter writes their lambda(p) in place of that part of the walk.  A
-        Sato-Tate source first draws every prime p <= limit not yet in
-        prime_values with one _draw: one array pass, or one prime at a time
-        if fewer than _ARRAY_DRAW_PRIMES are new.
+        The primes are walked in descending order, and lambda(p^e) multiplies
+        the multiples of p^e that p^(e+1) does not divide: lambda(m) is the
+        float product lambda(p1^e1) (... lambda(pk^ek)) over p1 < ... < pk.
+        The primes above isqrt(limit) touch only m with pk = p, ek = 1, so one
+        scatter writes their lambda(p), and such a p is read iff a target is.
         """
+        limit = require_int("sieve limit", limit, 0)
+        modulus = require_int("modulus", modulus, 1)
+        classes = {require_int("residue", r, None) % modulus for r in residues}
         if self.kind == "all-ones":
             return np.ones(limit + 1)
         out = np.ones(limit + 1)
@@ -371,26 +382,41 @@ class CoefficientSource:
             return out
         is_prime = np.ones(limit + 1, dtype=bool)
         is_prime[:2] = False
-        for q in range(2, math.isqrt(limit) + 1):
+        root = math.isqrt(limit)
+        for q in range(2, root + 1):
             if is_prime[q]:
                 is_prime[q * q::q] = False
-        primes = np.flatnonzero(is_prime).tolist()
-        self._draw([p for p in primes if p not in self.prime_values])
+        primes = np.flatnonzero(is_prime)
         # a multiple p j <= limit of a prime p > isqrt(limit) has j < p, so p is
         # its largest prime and lambda(p) its first factor: one scatter sets them
-        small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-        big = np.array(primes[small:], dtype=np.int64)
+        small = int(np.searchsorted(primes, root, side="right"))
+        big = primes[small:]
         counts = limit // big
+        firsts = np.cumsum(counts) - counts
         p_of = np.repeat(big, counts)
-        j = np.arange(len(p_of)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        out[p_of * j] = np.repeat([self.prime_values[p] for p in primes[small:]], counts)
-        for p in primes[:small][::-1]:
-            # f[j] = lambda(p^e) for the multiple (j + 1) p, exactly divisible by p^e
-            f = np.full(limit // p, self._lambda_ppow(p, 1))
-            e, step = 2, p
+        targets = p_of * (np.arange(len(p_of)) - np.repeat(firsts, counts) + 1)
+        read = np.zeros(limit + 1, dtype=bool)
+        for r in classes:
+            read[r::modulus] = True
+        wanted = np.concatenate([np.array([read[p::p].any() for p in primes[:small].tolist()],
+                                          dtype=bool), np.logical_or.reduceat(read[targets], firsts)])
+        lam = np.full(len(primes), math.nan)
+        if self.prime_values:
+            lam = np.fromiter(map(self.prime_values.get, primes.tolist(), repeat(math.nan)),
+                              dtype=float, count=len(primes))
+        new = np.flatnonzero(wanted & np.isnan(lam))
+        if new.size:
+            lam[new] = self._draw(primes[new].tolist())
+        out[targets] = np.repeat(lam[small:], counts)
+        for p, lp in zip(primes[:small].tolist()[::-1], lam[:small].tolist()[::-1]):
+            # f[j] = lambda(p^e) for the multiple (j + 1) p, exactly divisible
+            # by p^e, by _lambda_ppow's recursion
+            f = np.full(limit // p, lp)
+            prev, cur, step = 1.0, lp, p
             while step * p <= limit:
-                f[step - 1::step] = self._lambda_ppow(p, e)
-                e, step = e + 1, step * p
+                prev, cur = cur, lp * cur - prev
+                f[step - 1::step] = cur
+                step *= p
             out[p::p] *= f
         return out
 
@@ -411,9 +437,9 @@ class RamifiedData:
     The form is read at the identity translate, where each local Whittaker
     function W(a(y)) is supported on one unit class of y with constant value
     sqrt(phi(p^n)): so lambda'(m) is the amplitude on m == b (mod N) and 0
-    elsewhere.  Any integer b names its class: it is reduced mod N here, once,
-    so that every reader (a translate built by dataclasses.replace included)
-    sees 0 <= b < N.
+    elsewhere.  N >= 1 and b must be integers (ConfigError).  Any integer b
+    names its class: it is reduced mod N here, once, so that every reader
+    (a translate built by dataclasses.replace included) sees 0 <= b < N.
     """
 
     N: int
@@ -422,9 +448,8 @@ class RamifiedData:
     mvs: list[MinimalVectorSpec]
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"modulus N must be >= 1, got {self.N}")
-        self.b %= self.N
+        self.N = require_int("modulus N", self.N, 1)
+        self.b = require_int("progression residue b", self.b, None) % self.N
 
     @classmethod
     def build(cls, mvs: list[MinimalVectorSpec]) -> "RamifiedData":
@@ -737,7 +762,8 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     Each row's sup and first argmax are therefore read from j = 0..L/2 of one
     rfft, and the argmax x lies in [0, N/2].
 
-    lambda is sieved once per scan, up to the bottom row's cutoff.  The rows
+    lambda is sieved once per scan, up to the bottom row's cutoff, on the
+    classes the terms read: |m| == b (mod N), and -b for a Maass form.  The rows
     are planned before any is scanned (_row_blocks): the cutoffs of all rows
     are probed together, with a scalar guard band (_cutoffs: one kappa call
     for the rows' starts, then one per _LOOK_AHEAD x1.3 steps of the rows
@@ -765,7 +791,8 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     y_max = max(2.0, N2 * arch.T)
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
-    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN))
+    holo = arch.case == "holomorphic"
+    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN), N, (ram.b,) if holo else (ram.b, -ram.b))
 
     yp, start, lens, L = _row_blocks(ram, arch, ys)
     n = len(yp)

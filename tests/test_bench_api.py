@@ -2,7 +2,8 @@
 
 pytest collects only tests/, so these checks keep a rename or deletion that
 breaks the benchmark from passing the suite: every layer the tracer wraps must
-resolve, and the harness's own oracle window must agree with the library's.
+resolve, a traced scan must record the layers it runs, and the harness's own
+oracle window must agree with the library's.
 """
 
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from minvec import minimal
+from minvec import global_whittaker, minimal
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.matgroups import TorusSpec
 
@@ -25,6 +26,24 @@ def test_every_traced_layer_resolves():
     tracer = tracing.Tracer()
     tracer.install()
     tracer.uninstall()
+
+
+def test_a_traced_sato_tate_holo_scan_records_the_sieve_and_the_kernel():
+    # one holo-scan job (N = 21, k = 120); a change to how the scan calls the
+    # sieve or the kernel must not leave their layers empty
+    rams = workloads._scan_setup([21])
+    arch = global_whittaker.ArchParams("holomorphic", k=120)
+    job = workloads._scan_job("N=21 k=120 sato-tate", rams[21], arch, "sato-tate", 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rep = job.run()
+    finally:
+        tracer.uninstall()
+    assert job.check(rep) == len(rep.rows) > 0
+    stats = tracer.layer_stats()
+    for layer in ("global_whittaker.values_upto", "global_whittaker.kappa"):
+        assert stats[layer]["calls"] > 0 and stats[layer]["self_s"] > 0, layer
 
 
 @pytest.mark.parametrize("seed", [1, 2])

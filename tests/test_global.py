@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minvec.bessel import bessel_K_imag
@@ -19,12 +19,14 @@ from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PER
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff, _cutoffs,
                                      _ramanujan_bound, _row_coefficients,
-                                     _row_progressions, _row_spans,
+                                     _row_progressions, _row_spans, _sato_tate_lambda,
+                                     _sato_tate_lambdas,
                                      build_D, c_infty, evaluate_phi, gamma_TD,
                                      kappa, kernel_peak_ratio, lambda_prime,
                                      lambda_prime_fast, log_c_infty, log_kappa,
                                      scan_supnorm)
 from minvec.matgroups import TorusSpec
+from minvec.residues import factorize
 from test_bessel import oscillation_floor, reference_K_imag, reference_row, signed_progression
 
 
@@ -444,6 +446,120 @@ def test_values_upto_matches_per_m_sieve_other_kinds(tmp_path):
     assert np.array_equal(src.values_upto(60), _per_m_sieve(src, 60))
 
 
+def _reference_bisection(u):
+    """reference_lambda_p's bisection at a given u, with the CDF in its first
+    form (mid - sin(2 mid) / 2) / pi: the reference for both bisection routes."""
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (mid - 0.5 * math.sin(2 * mid)) / math.pi < u:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * math.cos(0.5 * (lo + hi))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(us=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+@example(us=[0.0, 2.0**-53, 5e-324, 3e-13, 1e-12 * 0.999])
+@example(us=[1.0 - 2.0**-53, 1.0 - 3e-13, 1.0 - 1e-12 * 0.999, 0.5])
+def test_sato_tate_bisection_keeps_the_bits_of_the_first_cdf_form(us):
+    # the CDF as (s - sin s) / (2 pi) at s = lo + hi: the scalar and the
+    # array route both give the bits of the first form, at every u in [0, 1)
+    want = [_reference_bisection(u).hex() for u in us]
+    assert [_sato_tate_lambda(u).hex() for u in us] == want
+    assert [v.hex() for v in _sato_tate_lambdas(np.array(us)).tolist()] == want
+
+
+# the holo-scan and maass-scan jobs of the benchmark, (N, arch)
+SCAN_JOBS = ([(N, ArchParams("holomorphic", k=k)) for N in (1, 3, 5, 15, 21) for k in (12, 40, 120)]
+             + [(N, ArchParams("maass", t=t))
+                for N, t in [(1, 2.0), (3, 2.0), (5, 5.0), (3, 5.0), (1, 10.0)]])
+
+
+def _assert_restricted_sieve_matches_full(seed, limit, N, classes):
+    """values_upto restricted to the classes mod N equals the full sieve bit
+    for bit on every index in them, and has NaN only outside them; the
+    source draws exactly the primes of those indices, each the reference's;
+    a later full sieve on it equals a fresh one."""
+    src = CoefficientSource.sato_tate(seed=seed)
+    got = src.values_upto(limit, N, classes)
+    full = CoefficientSource.sato_tate(seed=seed).values_upto(limit)
+    read_ms = [m for m in range(1, limit + 1) if m % N in {r % N for r in classes}]
+    read = np.zeros(limit + 1, dtype=bool)
+    read[read_ms] = True
+    assert np.array_equal(got[read].view(np.int64), full[read].view(np.int64)), (limit, N, classes)
+    assert not (np.isnan(got) & read).any()
+    _assert_draws_match_reference(src, sorted({p for m in read_ms for p, _ in factorize(m)}))
+    assert np.array_equal(src.values_upto(limit).view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("N, arch", SCAN_JOBS,
+                         ids=[f"N{N}-" + (f"k{a.k}" if a.k else f"t{a.t:g}") for N, a in SCAN_JOBS])
+def test_restricted_sieve_matches_the_full_sieve_on_every_scan_job(rams, N, arch):
+    # the limit and the read classes of the scan: |m| = b, and -b for a Maass form
+    b = rams[N].b
+    classes = (b,) if arch.case == "holomorphic" else (b, -b)
+    _assert_restricted_sieve_matches_full(3, _cutoff(N, arch, Y_MIN), N, classes)
+
+
+def test_restricted_sieve_matches_the_full_sieve_around_isqrt(rams):
+    # 48 to 50, 120, 121 and 169 put a prime on either side of isqrt(limit);
+    # every class b of each level, with and without -b, and two classes at once
+    for limit in (2, 3, 4, 48, 49, 50, 120, 121, 169):
+        for N in (3, 5, 15, 21):
+            for b in range(N):
+                for classes in ((b,), (b, -b), (b, b + 1)):
+                    _assert_restricted_sieve_matches_full(1, limit, N, classes)
+
+
+def test_a_holomorphic_scan_draws_only_the_primes_of_its_progression(rams, monkeypatch):
+    # N = 21, k = 120 sieves up to 13729, which holds 1625 primes
+    drawn, draw = [], CoefficientSource._draw
+
+    def spy(self, primes):
+        drawn.extend(primes)
+        return draw(self, primes)
+
+    monkeypatch.setattr(CoefficientSource, "_draw", spy)
+    arch = ArchParams("holomorphic", k=120)
+    assert _cutoff(21, arch, Y_MIN) == 13729 and len(_primes_upto(13729)) == 1625
+    scan_supnorm(rams[21], CoefficientSource.sato_tate(seed=3), arch, rows_per_decade=64)
+    assert 0 < len(drawn) < 1625 / 3 and len(set(drawn)) == len(drawn)
+
+
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "sieve limit must be >= 0, got -1"),
+    ((2.5,), "sieve limit must be an integer, got 2.5"),
+    ((10, 0), "modulus must be >= 1, got 0"),
+    ((10, 2.5), "modulus must be an integer, got 2.5"),
+    ((10, 3, (1.5,)), "residue must be an integer, got 1.5"),
+    ((10, 3, (1, "2")), "residue must be an integer, got '2'")])
+def test_values_upto_rejects_a_bad_limit_modulus_or_residue(kind, args, message):
+    with pytest.raises(ConfigError) as err:
+        _source(kind, 1).values_upto(*args)
+    assert str(err.value) == message
+
+
+def test_values_upto_takes_numpy_integers_and_any_integer_residue():
+    got = CoefficientSource.sato_tate(seed=1).values_upto(np.int64(200), np.int64(7), (np.int64(-4),))
+    want = CoefficientSource.sato_tate(seed=1).values_upto(200)
+    assert np.array_equal(got[3::7], want[3::7])
+
+
+@pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])
+@pytest.mark.parametrize("m", [2.5, 6.0, "6", None])
+def test_value_rejects_a_non_integer_index(kind, m):
+    with pytest.raises(ConfigError, match="coefficient index m must be an integer"):
+        _source(kind, 1).value(m)
+
+
+def test_value_takes_a_negative_or_numpy_index():
+    src = CoefficientSource.sato_tate(seed=1)
+    assert src.value(-12) == src.value(np.int64(12)) == src.value(12)
+
+
 # -- ramified data and lambda' -------------------------------------------------
 
 def test_lambda_prime_law_exhaustive(mv31, mv51):
@@ -484,6 +600,32 @@ def test_ramified_data_rejects_a_modulus_below_one():
     for N in (0, -3):
         with pytest.raises(ConfigError, match="modulus N must be >= 1"):
             RamifiedData(N, 1, 1.0, [])
+
+
+@pytest.mark.parametrize("N, b, message", [
+    (0, 1, "modulus N must be >= 1, got 0"),
+    (3.0, 1, "modulus N must be an integer, got 3.0"),
+    ("3", 1, "modulus N must be an integer, got '3'"),
+    (3, 2.0, "progression residue b must be an integer, got 2.0"),
+    (3, 2.5, "progression residue b must be an integer, got 2.5"),
+    (3, None, "progression residue b must be an integer, got None")])
+def test_ramified_data_rejects_a_bad_modulus_or_residue(N, b, message):
+    with pytest.raises(ConfigError) as err:
+        RamifiedData(N, b, 1.0, [])
+    assert str(err.value) == message
+
+
+def test_ramified_data_translate_rejects_a_non_integer_residue(rams):
+    # before any scan or evaluate_phi reads b (as a class, or for the sieve)
+    for N in (3, 21):
+        with pytest.raises(ConfigError, match="progression residue b must be an integer"):
+            dataclasses.replace(rams[N], b=2.5)
+
+
+def test_ramified_data_takes_numpy_integers(rams):
+    ram = RamifiedData(np.int64(21), np.int64(-4), 1.0, [])
+    assert (type(ram.N), type(ram.b), ram.N, ram.b) == (int, int, 21, 17)
+    assert dataclasses.replace(rams[21], b=np.int64(rams[21].b + 21)).b == rams[21].b
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
