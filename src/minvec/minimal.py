@@ -14,13 +14,17 @@ import numpy as np
 from .characters import MinimalVectorSpec, chi_value
 from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys,
                      mul_mod, product_keys, random_kt_elements)
-from .errors import NotInSupport, NumericalError, PrecisionError, SizeGuard, require_int
+from .errors import (ConfigError, NotInSupport, NumericalError, PrecisionError, SizeGuard,
+                     require_int)
 from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
-# bytes of one (block, S) temporary in the exhaustive pair scan
+# bytes of one (block, S) temporary in the exhaustive pair scan, and of one
+# block's arrays in the random scan: under 128 bytes a pair (draws, products,
+# exponents and their temporaries)
 PAIR_BLOCK_BYTES = 1 << 21
+RANDOM_PAIR_BLOCK = PAIR_BLOCK_BYTES // 128
 
 
 def matrix_coefficient(mv: MinimalVectorSpec, g: Mat2Local) -> complex:
@@ -70,19 +74,20 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     The exhaustive mode checks every ordered pair of the support, one block of
     left factors at a time (PAIR_BLOCK_BYTES per temporary); it raises
     SizeGuard unless exhaustive_fits(p, n).  The random mode checks `pairs`
-    pairs of independent uniform support elements drawn from `seed`:
-    random_kt_elements reads each from the congruences a = d, c = -alpha b
-    mod p^n that cut out the support, through a bijection from uniform unit
-    pairs (a, b) and uniform lifts of c and d, so each is uniform on it.  It
-    raises ConfigError, before drawing, unless `pairs` is a positive integer.
+    pairs of independent uniform support elements (random_kt_elements) drawn
+    from `seed`, RANDOM_PAIR_BLOCK pairs at a time: a block draws its left
+    factors, then its right ones, so memory does not grow with `pairs`.
+    ConfigError, before any table or draw, for an unknown mode, or a `pairs`
+    or `seed` that is not an integer >= 1 or >= 0.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
     pm = p ** (2 * n)
     if mode not in ("exhaustive", "random"):
-        raise ValueError("mode must be 'exhaustive' or 'random'")
+        raise ConfigError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     if mode == "random":
         pairs = require_int("random pair count", pairs, 1)
+        seed = require_int("random pair seed", seed, 0)
     if mode == "exhaustive" and not exhaustive_fits(p, n):
         raise SizeGuard(f"exhaustive pair scan for (p, n) = ({p}, {n}) needs p^{8 * n} keys, "
                         "beyond the enumeration bound")
@@ -110,14 +115,16 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         checked = S * S
     else:
         rng = np.random.default_rng(seed)
-        g1 = random_kt_elements(spec, pairs, rng)
-        g2 = random_kt_elements(spec, pairs, rng)
-        prod = entry_major(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm))
-        in_supp = kt_membership_mask(prod, spec)
-        closure_bad = int((~in_supp).sum())
-        want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
-        got = ev.exponents(prod)
-        mult_bad = int((got[in_supp] != want[in_supp]).sum())
+        closure_bad = mult_bad = 0
+        for lo in range(0, pairs, RANDOM_PAIR_BLOCK):
+            size = min(RANDOM_PAIR_BLOCK, pairs - lo)
+            g1 = random_kt_elements(spec, size, rng)
+            g2 = random_kt_elements(spec, size, rng)
+            prod = entry_major(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm))
+            in_supp = kt_membership_mask(prod, spec)
+            closure_bad += size - int(np.count_nonzero(in_supp))
+            want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
+            mult_bad += int(np.count_nonzero((ev.exponents(prod) != want) & in_supp))
         checked = pairs
     # |chi| = 1 on the support, so the L2 mass equals the support volume
     return ConvolutionReport(delta, checked, closure_bad, mult_bad, delta)

@@ -46,6 +46,27 @@ def test_a_traced_sato_tate_holo_scan_records_the_sieve_and_the_kernel():
         assert stats[layer]["calls"] > 0 and stats[layer]["self_s"] > 0, layer
 
 
+def test_a_traced_random_pair_job_records_its_layers_once_per_row():
+    # the (3,2) random job of pair-scan: every draw and exponent lookup is
+    # traced, and each pair's three exponents are computed once
+    job = next(j for j in workloads._pair_jobs(workloads._pair_setup(), 3)
+               if j.name == "(3,2) random")
+    pairs = next(count for p, n, mode, count in workloads.PAIR_JOBS
+                 if (p, n, mode) == (3, 2, "random"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rep = job.run()
+    finally:
+        tracer.uninstall()
+    assert job.check(rep) == pairs
+    stats = tracer.layer_stats()
+    for layer in ("cosets.random_kt_elements", "characters.ChiEvaluator.exponents"):
+        assert stats[layer]["calls"] > 0 and stats[layer]["self_s"] > 0, layer
+    assert tracer.counts["characters.ChiEvaluator.exponents.rows"] == 3 * pairs
+    assert tracer.counts["minimal.convolution_check.pairs"] == pairs
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_harness_oracle_window_matches_the_library(seed):
     spec = TorusSpec(3, 1)

@@ -1367,6 +1367,36 @@ def test_level_one_scan_finds_delta_at_rho(delta_source, rows_per_decade):
     assert rep.argmax == (0.5, math.sqrt(3) / 2)
 
 
+def _assert_hecke_relations(lam):
+    """lambda(mn) = lambda(m) lambda(n) for coprime m, n (relative 1e-12) and
+    lambda(p) lambda(p^e) = lambda(p^(e+1)) + lambda(p^(e-1)) (absolute 1e-12)
+    on lam[1..limit]."""
+    limit = len(lam) - 1
+    for m in range(2, math.isqrt(limit) + 1):
+        n = np.arange(m + 1, limit // m + 1)
+        n = n[np.gcd(n, m) == 1]
+        assert np.all(np.abs(lam[m * n] - lam[m] * lam[n]) <= 1e-12 * np.abs(lam[m * n])), m
+    for p in range(2, math.isqrt(limit) + 1):
+        if any(p % r == 0 for r in range(2, p)):
+            continue
+        pe = p
+        while pe * p <= limit:
+            assert abs(lam[p] * lam[pe] - lam[pe * p] - lam[pe // p]) <= 1e-12, (p, pe)
+            pe *= p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sato_tate_sieve_satisfies_the_hecke_relations(seed):
+    lam = CoefficientSource.sato_tate(seed=seed).values_upto(5000)
+    assert np.isfinite(lam[1:]).all() and lam[1] == 1.0
+    _assert_hecke_relations(lam)
+
+
+def test_delta_file_sieve_satisfies_the_hecke_relations(delta_source):
+    # tau's own relations, read from independent floats tau(m) / m^(11/2)
+    _assert_hecke_relations(delta_source.values_upto(200))
+
+
 @pytest.mark.parametrize("rows_per_decade", [0, -3, 2.5])
 def test_scan_rows_per_decade_must_be_a_positive_integer(rams, rows_per_decade):
     with pytest.raises(ConfigError, match="rows_per_decade must be"):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,19 @@ def test_random_scan_rejects_a_pair_count_that_is_not_positive(mv32, monkeypatch
         convolution_check(mv32, "random", pairs=pairs)
 
 
+@pytest.mark.parametrize("mode, seed, error", [("random", -1, "seed must be >= 0"),
+                                                ("random", 1.5, "seed must be an integer"),
+                                                ("sampled", 0, "mode must be")])
+def test_scan_rejects_a_bad_seed_or_mode_before_any_table(mv32, monkeypatch, mode, seed, error):
+    def no_work(*args):
+        raise AssertionError("the seed and mode must be checked before any table or draw")
+    monkeypatch.setattr(minimal, "random_kt_elements", no_work)
+    monkeypatch.setattr(minimal, "kt_support", no_work)
+    monkeypatch.setattr(ChiEvaluator, "exponents", no_work)
+    with pytest.raises(ConfigError, match=error):
+        convolution_check(mv32, mode, pairs=50, seed=seed)
+
+
 def test_random_scan_takes_a_numpy_integer_pair_count(mv32):
     rep = convolution_check(mv32, "random", pairs=np.int64(50), seed=1)
     assert rep.ok and rep.pairs_checked == 50 and type(rep.pairs_checked) is int
@@ -134,6 +148,62 @@ def test_random_scan_reports_a_planted_non_member(mv32, monkeypatch):
     monkeypatch.setattr(minimal, "random_kt_elements", planted)
     rep = convolution_check(mv32, "random", pairs=2000, seed=3)
     assert rep.closure_violations > 0 and not rep.ok
+
+
+# -- the random scan in blocks of pairs -----------------------------------------
+
+BLOCK = 64
+BLOCKED_PAIRS = 3 * BLOCK + 5
+
+
+def test_random_scan_counts_every_pair_across_blocks(mv32, monkeypatch):
+    monkeypatch.setattr(minimal, "RANDOM_PAIR_BLOCK", BLOCK)
+    rep = convolution_check(mv32, "random", pairs=BLOCKED_PAIRS, seed=3)
+    assert rep.ok and rep.pairs_checked == BLOCKED_PAIRS
+
+
+def test_random_scan_counts_a_non_member_in_every_block(mv32, monkeypatch):
+    # planted at the head of every draw, left and right: outside @ outside =
+    # [[1, 2], [0, 1]] is outside too, one closure violation per block
+    monkeypatch.setattr(minimal, "RANDOM_PAIR_BLOCK", BLOCK)
+    outside = np.array([[1, 1], [0, 1]])
+    draws, sizes = minimal.random_kt_elements, []
+
+    def planted(spec, size, rng):
+        sizes.append(size)
+        mats = draws(spec, size, rng)
+        mats[0] = outside
+        return mats
+    monkeypatch.setattr(minimal, "random_kt_elements", planted)
+    rep = convolution_check(mv32, "random", pairs=BLOCKED_PAIRS, seed=3)
+    assert sizes == [BLOCK] * 6 + [5, 5]
+    assert rep.closure_violations == 4 and rep.multiplicativity_violations == 0
+
+
+def test_random_scan_reports_a_wrong_exponent_in_the_last_block(mv32, monkeypatch):
+    # a block draws its left factors, then its right ones, from one stream
+    rng = np.random.default_rng(3)
+    for _ in range(2 * 3):
+        random_kt_elements(mv32.torus, BLOCK, rng)
+    _shift_chi_at(monkeypatch, random_kt_elements(mv32.torus, 5, rng)[0])
+    monkeypatch.setattr(minimal, "RANDOM_PAIR_BLOCK", BLOCK)
+    rep = convolution_check(mv32, "random", pairs=BLOCKED_PAIRS, seed=3)
+    assert rep.multiplicativity_violations > 0 and rep.closure_violations == 0
+
+
+def test_random_scan_memory_does_not_grow_with_the_pair_count(mv32):
+    block = minimal.RANDOM_PAIR_BLOCK
+    convolution_check(mv32, "random", pairs=8, seed=0)    # tables built outside the trace
+    peaks = []
+    for pairs in (block, 8 * block):
+        tracemalloc.start()
+        try:
+            assert convolution_check(mv32, "random", pairs=pairs, seed=1).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= minimal.PAIR_BLOCK_BYTES
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_whittaker_closed_on_diagonal(mv31):
