@@ -13,8 +13,9 @@ import numpy as np
 
 from .cosets import all_distinct, inverse_table
 from .errors import NoSolution, NotInSupport, SizeGuard
-from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member, torus_extract
-from .residues import ENUMERATION_BOUND, UnitRoot, factorize, psi_numerator, unit_enumeration
+from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member
+from .residues import (ENUMERATION_BOUND, LocalElement, UnitRoot, factorize, psi_numerator,
+                       unit_enumeration)
 
 STRUCTURE_BOUND = 10**5
 
@@ -24,20 +25,13 @@ STRUCTURE_BOUND = 10**5
 @dataclass
 class AbelianPresentation:
     """The unit group of o_E/p^m as Z/d1 x Z/d2, with x + y*sqrt(delta) coded
-    as x*p^m + y: the two generators as pairs (x, y), their orders d1 and d2,
-    every unit code with its exponent row, and the discrete log indexed by
-    code (rows of -1 at non-units), which every reader looks up."""
+    as x*p^m + y: the orders d1 and d2 of its two generators, and the
+    discrete log indexed by code (rows of -1 at non-units), which every
+    reader looks up."""
 
     modulus: int                 # p^m
-    generators: list[tuple[int, int]]
     orders: list[int]
-    elements: np.ndarray = field(repr=False, compare=False)
-    logs: np.ndarray = field(repr=False, compare=False)
-    log_table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.log_table = np.full((self.modulus**2, len(self.orders)), -1, dtype=np.int64)
-        self.log_table[self.elements] = self.logs
+    log_table: np.ndarray = field(repr=False, compare=False)
 
     @property
     def exponent(self) -> int:
@@ -111,8 +105,9 @@ def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
     elements = codes[e1 * a1 % P, (e1 * b1 + e2 * b2) % q, (e1 * c1 + e2 * c2) % q]
     if not all_distinct(elements):
         raise NoSolution(f"the generators failed to span the units mod {p}^{m}")
-    gens = [divmod(int(g), pm) for g in (g1, codes[0, b2, c2])]
-    return AbelianPresentation(pm, gens, [P * q, q], elements, np.stack([e1, e2], axis=1))
+    log_table = np.full((pm * pm, 2), -1, dtype=np.int64)
+    log_table[elements] = np.stack([e1, e2], axis=1)
+    return AbelianPresentation(pm, [P * q, q], log_table)
 
 
 @dataclass(frozen=True)
@@ -231,10 +226,10 @@ class MinimalVectorSpec:
         p, n = self.p, self.n
         return (-self.a_theta * self.torus.alpha) % p**n
 
-    def theta_at(self, t: Mat2Local) -> UnitRoot:
-        """theta at the torus matrix t = [[x, y], [-alpha*y, x]], read from
-        (x, y) mod p^{2n}; raises ValueError if t is not a torus matrix."""
-        x, y = torus_extract(t, self.torus)
+    def theta_at(self, t: tuple[LocalElement, LocalElement]) -> UnitRoot:
+        """theta at the torus element t = (x, y), x + y*sqrt(-alpha), as
+        decompose_B1T returns it, read mod p^{2n}."""
+        x, y = t
         m = 2 * self.n
         return self.theta.value((x.residue(m), y.residue(m)))
 
@@ -248,7 +243,8 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
     """chi on its group: scalars times the depth-n torus-congruence subgroup.
 
     Raises NotInSupport outside.  Normalized with trivial value on the scalar
-    p and on unit scalars.
+    p and on unit scalars.  On the subgroup, chi is theta at the torus pair t
+    of g0 = [[u, m], [0, 1]] t (decompose_B1T) times a psi phase of m.
     """
     spec = mv.torus
     p, n = mv.p, mv.n

@@ -289,28 +289,34 @@ class CoefficientSource:
 
     @classmethod
     def from_file(cls, path: str) -> "CoefficientSource":
-        """Plain records 'm <tab> lambda', header line '# delta <value>'."""
-        delta = 0.0
-        explicit = {}
+        """Plain records 'm <tab> lambda', header line '# delta <value>'.  ConfigError
+        names the line of a malformed record or delta line, a non-finite value
+        or an index m < 1; and a lambda(m) past the Ramanujan bound."""
+        delta, explicit = 0.0, {}
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for i, line in enumerate(fh, 1):
+                line, where = line.strip(), f"{path}, line {i}"
+                header = line.startswith("#")
+                fields = line[1:].split() if header else line.split("\t")
+                if not line or header and fields[:1] != ["delta"]:
                     continue
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts and parts[0] == "delta":
-                        delta = float(parts[1])
-                    continue
-                ms, ls = line.split("\t")
-                if int(ms) < 1:
-                    raise ConfigError(f"coefficient index m={ms} is not positive")
-                explicit[int(ms)] = float(ls)
-        src = cls("file", delta, explicit=explicit)
+                try:
+                    key, text = fields
+                    m, value = (0 if header else int(key)), float(text)
+                except ValueError:
+                    raise ConfigError(f"{where}: malformed line {line!r}") from None
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}: {text} is not finite")
+                if header:
+                    delta = value
+                elif m < 1:
+                    raise ConfigError(f"{where}: coefficient index m={m} is not positive")
+                else:
+                    explicit[m] = value
         for m, lam in explicit.items():
             if abs(lam) > _ramanujan_bound(m, delta) * (1 + 1e-12):
                 raise ConfigError(f"coefficient at m={m} violates the Ramanujan bound")
-        return src
+        return cls("file", delta, explicit=explicit)
 
     def _draw(self, primes: list[int]) -> np.ndarray:
         """Draw the Sato-Tate lambda(p) of the primes, from the first uniform
@@ -387,8 +393,6 @@ class CoefficientSource:
             if is_prime[q]:
                 is_prime[q * q::q] = False
         primes = np.flatnonzero(is_prime)
-        # a multiple p j <= limit of a prime p > isqrt(limit) has j < p, so p is
-        # its largest prime and lambda(p) its first factor: one scatter sets them
         small = int(np.searchsorted(primes, root, side="right"))
         big = primes[small:]
         counts = limit // big
@@ -457,9 +461,7 @@ class RamifiedData:
         if len(set(primes)) != len(primes):
             raise ConfigError("one minimal vector per prime")
         N = _level(mvs)
-        residues = []
-        moduli = []
-        amp = 1.0
+        residues, moduli, amp = [], [], 1.0
         for mv in mvs:
             pn = mv.p**mv.n
             # W(a(y)) is supported on y = p^(-2n) b (1 + p^n o) with b the
@@ -528,7 +530,6 @@ _CUTOFF_EPS = 0.1
 # _cutoffs decides a probe within this distance of -30 by the scalar
 # _log_term, as np.log and math.log may differ in the last ulp.
 _GUARD = 1e-6
-# _cutoffs probes this many x1.3 steps of each still-open row in one call.
 _LOOK_AHEAD = 8
 
 
@@ -625,10 +626,10 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     PREF c_inf^{-1} sum_{m = b (N), 0<|m|<=R}
         |m|^{-1/2} e(m x / N^2) kappa(m y / N^2) lambda(m) lambda'(m).
 
-    The lambda(m) come from coeffs.values_upto, so a file source must cover
-    every m in 1..R (1..2R with check_stability), as scan_supnorm requires.
-    y must be positive and finite, and a given cutoff R a positive integer
-    (ConfigError otherwise).
+    The lambda(m) come from coeffs.values_upto on _read_classes, so a file
+    source must cover every m in 1..R (1..2R with check_stability), as
+    scan_supnorm requires.  y must be positive and finite, and a given
+    cutoff R a positive integer (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
     below eps sqrt(#terms) sum |c_m| (strictly, so an all-zero sum gives 0).
     """
@@ -636,7 +637,7 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
         raise ConfigError(f"y must be positive and finite, got {y}")
     R = require_int("cutoff", cutoff, 1) if cutoff is not None else _cutoff(ram.N, arch, y)
     cutoffs = np.array([R, 2 * R] if check_stability else [R])
-    lam_all = coeffs.values_upto(int(cutoffs[-1]))
+    lam_all = coeffs.values_upto(int(cutoffs[-1]), *_read_classes(ram, arch))
     ms_rows, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, cutoffs))
     vals = []
     for r in range(len(cutoffs)):
@@ -665,6 +666,11 @@ def _row_spans(ram: RamifiedData, arch: ArchParams, R: np.ndarray):
     holo = arch.case == "holomorphic"
     start = np.full(len(R), b or N) if holo else -R + (b + R) % N
     return start, (R - start) // N + (holo or b != 0)
+
+
+def _read_classes(ram: RamifiedData, arch: ArchParams):
+    """values_upto's (modulus, residues) of _row_spans' terms: |m| = b, and -b if Maass."""
+    return ram.N, (ram.b,) if arch.case == "holomorphic" else (ram.b, -ram.b)
 
 
 def _row_progressions(ram: RamifiedData, arch: ArchParams, start: np.ndarray,
@@ -732,11 +738,8 @@ class ScanReport:
 # least X_STEPS_PER_PERIOD points per unit of x.
 Y_MIN = math.sqrt(3) / 2.0
 X_STEPS_PER_PERIOD = 64
-# Consecutive rows that share one transform length L are transformed as one
-# block, whose real (rows, L) array holds at most this many elements; a row
-# longer than that is a block of its own.  The coefficients are assembled
-# for chunks of consecutive rows of at most half as many terms (a row with
-# more is a chunk of its own), and a chunk's blocks share its assembly.
+# The most elements of a transform block's real (rows, L) array, and twice
+# the most terms of a chunk of rows assembled together (scan_supnorm).
 _SCAN_BLOCK_ELEMENTS = 2**14
 
 
@@ -763,36 +766,30 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     rfft, and the argmax x lies in [0, N/2].
 
     lambda is sieved once per scan, up to the bottom row's cutoff, on the
-    classes the terms read: |m| == b (mod N), and -b for a Maass form.  The rows
-    are planned before any is scanned (_row_blocks): the cutoffs of all rows
-    are probed together, with a scalar guard band (_cutoffs: one kappa call
-    for the rows' starts, then one per _LOOK_AHEAD x1.3 steps of the rows
-    still open), and each row's first m and term count follow from its R by
-    _row_spans, evaluate_phi's progression builder.
+    classes the terms read (_read_classes).  The rows are planned before any
+    is scanned (_row_blocks: all cutoffs from one _cutoffs probe, and each
+    row's first m and term count from _row_spans, as in evaluate_phi).
 
     The plan is walked in chunks of consecutive rows holding at most
     _SCAN_BLOCK_ELEMENTS // 2 terms (at least one row).  A chunk builds its
     rows' progressions end to end (_row_progressions), takes their
-    coefficients from one _row_coefficients call (evaluate_phi's assembly:
-    one kappa call per chunk, for a Maass form one Bessel quadrature) and
-    each row's witness, its largest |c_m| and the first m that reaches it,
-    from one maximum.reduceat.  Within the chunk, each run of rows that
-    share X/N is cut into blocks of at most _SCAN_BLOCK_ELEMENTS elements
+    coefficients from one _row_coefficients call (evaluate_phi's assembly, one
+    kappa call) and each row's witness, its largest |c_m| and the first m that
+    reaches it, from one maximum.reduceat.  Within the chunk, each run of rows
+    that share X/N is cut into blocks of at most _SCAN_BLOCK_ELEMENTS elements
     (or one row), and a block only scatters its coefficients into one real
-    (rows, X/N) array and takes one rfft along its rows.  Every coefficient
-    is elementwise (a Maass kernel value depends on its x alone) and each
-    row's rfft does not depend on its block, so every row equals the one-row
+    (rows, X/N) array and takes one rfft along its rows.  Every coefficient is
+    elementwise (a Maass kernel value depends on its x alone) and each row's
+    rfft does not depend on its block, so every row equals the one-row
     assembly bit for bit.  The scan's sup and witness are the first maxima
     over all rows, as a row-by-row strict > would keep them.
     """
     rows_per_decade = require_int("rows_per_decade", rows_per_decade, 1)
-    N = ram.N
-    N2 = N * N
+    N, N2 = ram.N, ram.N**2
     y_max = max(2.0, N2 * arch.T)
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
-    holo = arch.case == "holomorphic"
-    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN), N, (ram.b,) if holo else (ram.b, -ram.b))
+    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN), *_read_classes(ram, arch))
 
     yp, start, lens, L = _row_blocks(ram, arch, ys)
     n = len(yp)
@@ -866,9 +863,7 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
 
 def build_D(mvs: list[MinimalVectorSpec]) -> int:
     """CRT lift of the local alpha's: D = alpha_p mod p^{n_p}."""
-    residues = [mv.torus.alpha % mv.p**mv.n for mv in mvs]
-    moduli = [mv.p**mv.n for mv in mvs]
-    return _crt(residues, moduli)
+    return _crt([mv.torus.alpha % mv.p**mv.n for mv in mvs], [mv.p**mv.n for mv in mvs])
 
 
 def gamma_TD(gamma, mvs: list[MinimalVectorSpec]):

@@ -2,8 +2,9 @@
 congruence subgroup K_T(p^r), and the left factorization g = [[y, x], [0, 1]] t
 through the torus that the characters and Whittaker functions are read from.
 
-The torus is read as matrices only: x + y*sqrt(-alpha) is [[x, y], [-alpha*y, x]],
-and torus_extract returns the pair (x, y) of such a matrix.
+The torus is read as pairs, as the array route reads it: x + y*sqrt(-alpha),
+the matrix [[x, y], [-alpha*y, x]], is the pair (x, y) that decompose_B1T
+returns for its torus factor.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class Mat2Local:
     def scale_by_power(self, k: int) -> "Mat2Local":
         return Mat2Local(*(e.scale_by_power(k) for e in self.entries()))
 
-    def agrees_with(self, o: "Mat2Local") -> bool:
-        return all(x.agrees_with(y) for x, y in zip(self.entries(), o.entries()))
-
 
 def a_mat(y: LocalElement) -> Mat2Local:
     one, zero = LocalElement.one(y.p, y.M), LocalElement.zero(y.p, y.M)
@@ -97,15 +95,6 @@ def a_mat(y: LocalElement) -> Mat2Local:
 def n_mat(x: LocalElement) -> Mat2Local:
     one, zero = LocalElement.one(x.p, x.M), LocalElement.zero(x.p, x.M)
     return Mat2Local(one, x, zero, one)
-
-
-def torus_extract(t: Mat2Local, spec: TorusSpec) -> tuple[LocalElement, LocalElement]:
-    """The pair (x, y) of a torus matrix [[x, y], [-alpha*y, x]]; raises
-    ValueError unless t has that shape to tracked precision."""
-    alpha = LocalElement.from_int(spec.p, spec.alpha, t.a.M)
-    if not t.d.agrees_with(t.a) or not t.c.agrees_with(-(alpha * t.b)):
-        raise ValueError("matrix is not in the canonical torus")
-    return t.a, t.b
 
 
 def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:
@@ -120,7 +109,8 @@ def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:
 def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
     """Factor g = [[u, m], [0, 1]] * t with t in the canonical inert torus.
 
-    Returns (u, m, t), read in closed form: with q = c^2 + alpha d^2,
+    Returns (u, m, t) with t as its pair (x, y), read in closed form: with
+    q = c^2 + alpha d^2,
 
         t = (d, -c/alpha) = [[d, -c/alpha], [c, d]],
         u = alpha det / q,  m = (ac + alpha bd) / q,
@@ -141,14 +131,18 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
     a, b, c, d = g.entries()
     alpha = _alpha_for(g, spec)
     q_inv = (c * c + d * d * alpha).inverse()
-    t = Mat2Local(d, -(c * alpha.inverse()), c, d)
-    return alpha * det * q_inv, (a * c + alpha * b * d) * q_inv, t
+    return alpha * det * q_inv, (a * c + alpha * b * d) * q_inv, (d, -(c * alpha.inverse()))
 
 
 def _alpha_for(g: Mat2Local, spec: TorusSpec) -> LocalElement:
     return LocalElement.from_int(g.p, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
 
 
-def reassemble_B1T(u: LocalElement, m: LocalElement, t: Mat2Local) -> Mat2Local:
-    """[[u, m], [0, 1]] * t: the product that decompose_B1T factors."""
-    return Mat2Local(u, m, LocalElement.zero(u.p, u.M), LocalElement.one(u.p, u.M)) * t
+def reassemble_B1T(u: LocalElement, m: LocalElement, t: tuple[LocalElement, LocalElement],
+                   spec: TorusSpec) -> Mat2Local:
+    """[[u, m], [0, 1]] [[x, y], [-alpha*y, x]] for the pair t = (x, y): the
+    product that decompose_B1T factors."""
+    x, y = t
+    alpha = LocalElement.from_int(y.p, spec.alpha, y.M)
+    return (Mat2Local(u, m, LocalElement.zero(u.p, u.M), LocalElement.one(u.p, u.M))
+            * Mat2Local(x, y, -(alpha * y), x))

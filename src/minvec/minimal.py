@@ -145,10 +145,10 @@ class WhittakerValue:
 
 
 def whittaker_closed(mv: MinimalVectorSpec, g: Mat2Local) -> WhittakerValue:
-    """Closed form: factor g = [[y, x], [0, 1]] t with t in the torus; the value
-    is sqrt(phi(p^n)) psi(x) theta(t) (mv.magnitude_squared) when y lies in the
-    single coset p^(-2n) * b * (1 + p^n) with b = -a_theta * alpha, and zero
-    otherwise.
+    """Closed form: factor g = [[y, x], [0, 1]] t with t the torus pair of
+    decompose_B1T; the value is sqrt(phi(p^n)) psi(x) theta(t)
+    (mv.magnitude_squared) when y lies in the single coset
+    p^(-2n) * b * (1 + p^n) with b = -a_theta * alpha, and zero otherwise.
     """
     spec = mv.torus
     p, n = mv.p, mv.n

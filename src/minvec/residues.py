@@ -8,7 +8,7 @@ mod 1) until a caller explicitly complexifies them.
 
 The unramified quadratic extension E has no element type: its units mod p^m
 are the integer codes x*p^m + y of characters.quad_unit_presentation, and
-E^x acts as the torus matrices of matgroups.
+the torus factor of matgroups.decompose_B1T is the pair (x, y).
 """
 
 from __future__ import annotations
@@ -221,12 +221,6 @@ class LocalElement:
     def _truncate(self, M: int) -> "LocalElement":
         """The same element known only mod p^(v+M), for 1 <= M <= self.M."""
         return _trusted(self.p, self.v, self.u % self.p**M, M)
-
-    def agrees_with(self, other: "LocalElement") -> bool:
-        """Equality to the common tracked precision."""
-        self._check(other)
-        diff = self - other
-        return diff.is_zero
 
     def __repr__(self):
         if self.is_zero:

@@ -1,8 +1,17 @@
 """Session hooks: the flipped-sign suite of test_psi_flip.py starts in its
 subprocess as soon as collection finishes, so that it runs beside the rest
-of the session; its test then waits on it."""
+of the session; its test then waits on it.  Also the comparison of p-adic
+elements and matrices to tracked precision that the tests share."""
 
 FLIP_TEST = "test_invariant_suites_pass_with_psi_sign_flipped"
+
+
+def agrees(a, b) -> bool:
+    """Whether two LocalElements, or two Mat2Locals entry by entry, are equal
+    to their common tracked precision: their difference is the exact zero."""
+    if hasattr(a, "entries"):
+        return all(agrees(x, y) for x, y in zip(a.entries(), b.entries()))
+    return (a - b).is_zero
 
 
 def _flip_module(session):

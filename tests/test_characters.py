@@ -25,7 +25,11 @@ def test_quad_unit_presentation_structure():
     assert pres.orders == [8, 1]
     pres2 = quad_unit_presentation(3, 2, -1)
     assert pres2.orders == [24, 3] and pres2.exponent == 24
-    assert len(pres2.elements) == 72 == np.count_nonzero(pres2.log_table[:, 0] >= 0)
+    # the 72 unit codes x*9 + y (x or y prime to 3) are the rows with a log, each whole
+    units = np.flatnonzero(pres2.log_table[:, 0] >= 0)
+    assert len(units) == 72
+    assert units.tolist() == [c for c in range(81) if c // 9 % 3 or c % 9 % 3]
+    assert ((pres2.log_table >= 0) == (pres2.log_table[:, :1] >= 0)).all()
 
 
 def _group_pow(g, k, mul, one):
@@ -103,7 +107,10 @@ def test_coset_naming_matches_min_over_coset(p, m):
                 want[z[0] * pm + z[1]] = e
                 want[z[0] * pm + z[1], i] = k
     pres = quad_unit_presentation(p, m, delta)
-    assert (pres.generators, pres.orders) == (gens, orders)
+    # the generators are the codes whose logs are (1, 0) and (0, 1)
+    pres_gens = [divmod(int(np.flatnonzero((pres.log_table == row).all(axis=1))[0]), pm)
+                 for row in ((1, 0), (0, 1))]
+    assert (pres_gens, pres.orders) == (gens, orders)
     assert np.array_equal(pres.log_table, want)
 
 
@@ -124,7 +131,8 @@ def test_log_is_a_homomorphism(presentations, pn, seed):
     # log(zw) = log z + log w mod the orders, on 256 random pairs of units
     pres, delta = presentations[pn], TorusSpec(*pn).delta
     pm = pres.modulus
-    z, w = np.random.default_rng(seed).choice(pres.elements, size=(2, 256))
+    units = np.flatnonzero(pres.log_table[:, 0] >= 0)
+    z, w = np.random.default_rng(seed).choice(units, size=(2, 256))
     (zx, zy), (wx, wy) = divmod(z, pm), divmod(w, pm)
     zw = (zx * wx + delta * zy * wy) % pm * pm + (zx * wy + zy * wx) % pm
     assert (pres.log_table[z] >= 0).all()

@@ -266,6 +266,19 @@ def test_unusable_scan_input_exits_config(argv, tmp_path, capsys):
     assert not out.exists() and not samples.exists()
 
 
+# coefficient files that CoefficientSource.from_file refuses: a delta line
+# with no value (once an IndexError traceback) and a NaN lambda (once a
+# "sup": NaN report with exit 0)
+@pytest.mark.parametrize("text", ["# delta\n1\t1.0\n", "1\tnan\n"], ids=["delta-no-value", "nan"])
+def test_bad_coefficient_file_exits_config(text, tmp_path, capsys):
+    coeffs, out = tmp_path / "coeffs.tsv", tmp_path / "r.json"
+    coeffs.write_text(text)
+    assert run(["scan-supnorm", "--N", "1", "--k", "12", "--coeffs", f"file:{coeffs}",
+                "--out", str(out)]) == 2
+    assert f"{coeffs}, line" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config_hash", [
     (["character-table", "--p", "3", "--n", "1"], "39a6cf313bfb9d55"),
     (["verify", "--pn", "3,1;5,1;3,2"], "3db741cc10c114e0"),

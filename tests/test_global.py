@@ -18,7 +18,7 @@ from minvec import bessel, global_whittaker
 from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PERIOD, Y_MIN,
                                      ArchParams, CoefficientSource, RamifiedData, ScanReport,
                                      _bessel_support_bound, _cutoff, _cutoffs,
-                                     _ramanujan_bound, _row_coefficients,
+                                     _ramanujan_bound, _read_classes, _row_coefficients,
                                      _row_progressions, _row_spans, _sato_tate_lambda,
                                      _sato_tate_lambdas,
                                      build_D, c_infty, evaluate_phi, gamma_TD,
@@ -243,6 +243,31 @@ def test_file_source_rejects_ramanujan_violation(tmp_path):
         path.write_text(f"# delta 0.0\n{record}\n")
         with pytest.raises(ConfigError):
             CoefficientSource.from_file(str(path))
+
+
+# records that are malformed or not finite, each on line 2 after a comment:
+# a delta line with no value, a non-finite delta or lambda, no tab, a value
+# or an index that does not parse, and a third field
+BAD_RECORDS = {"delta-no-value": "# delta", "delta-nan": "# delta nan", "delta-inf": "# delta inf",
+               "lambda-nan": "1\tnan", "lambda-minus-inf": "1\t-inf", "no-tab": "1 1.0",
+               "lambda-abc": "1\tabc", "m-abc": "x\t1.0", "m-float": "1.5\t1.0",
+               "three-fields": "1\t1.0\t2.0"}
+
+
+@pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_file_source_names_the_line_of_a_bad_record(tmp_path, record):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# lambda(m) of a test form\n{record}\n2\t0.5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}, line 2: ")):
+        CoefficientSource.from_file(str(path))
+
+
+def test_file_source_skips_comments_and_blank_lines(tmp_path):
+    # a delta line may follow the records, and only '# delta' sets delta
+    path = tmp_path / "coeffs.tsv"
+    path.write_text("# a comment\n\n1\t1.0\n#\n2\t-2.5\n# deltas 9\n# delta 0.5\n")
+    src = CoefficientSource.from_file(str(path))
+    assert (src.delta, src.explicit) == (0.5, {1: 1.0, 2: -2.5})
 
 
 def test_ramanujan_bound_divisor_count():
@@ -498,8 +523,9 @@ def _assert_restricted_sieve_matches_full(seed, limit, N, classes):
                          ids=[f"N{N}-" + (f"k{a.k}" if a.k else f"t{a.t:g}") for N, a in SCAN_JOBS])
 def test_restricted_sieve_matches_the_full_sieve_on_every_scan_job(rams, N, arch):
     # the limit and the read classes of the scan: |m| = b, and -b for a Maass form
+    modulus, classes = _read_classes(rams[N], arch)
     b = rams[N].b
-    classes = (b,) if arch.case == "holomorphic" else (b, -b)
+    assert (modulus, classes) == (N, (b,) if arch.case == "holomorphic" else (b, -b))
     _assert_restricted_sieve_matches_full(3, _cutoff(N, arch, Y_MIN), N, classes)
 
 
@@ -526,6 +552,27 @@ def test_a_holomorphic_scan_draws_only_the_primes_of_its_progression(rams, monke
     assert _cutoff(21, arch, Y_MIN) == 13729 and len(_primes_upto(13729)) == 1625
     scan_supnorm(rams[21], CoefficientSource.sato_tate(seed=3), arch, rows_per_decade=64)
     assert 0 < len(drawn) < 1625 / 3 and len(set(drawn)) == len(drawn)
+
+
+@pytest.mark.parametrize("N, arch", [(15, ArchParams("holomorphic", k=40)),
+                                     (21, ArchParams("holomorphic", k=12)),
+                                     (5, ArchParams("maass", t=5.0))], ids=["N15-k40", "N21-k12", "N5-t5"])
+def test_evaluate_phi_draws_only_the_primes_of_its_progression(rams, N, arch, monkeypatch):
+    # the value equals, bit for bit, the one from a source sieved in full
+    full = CoefficientSource.sato_tate(seed=2)
+    R = _cutoff(N, arch, 1.1)
+    full.values_upto(2 * R)
+    drawn, draw = [], CoefficientSource._draw
+
+    def spy(self, primes):
+        drawn.extend(primes)
+        return draw(self, primes)
+
+    monkeypatch.setattr(CoefficientSource, "_draw", spy)
+    got = evaluate_phi(0.3, 1.1, rams[N], CoefficientSource.sato_tate(seed=2), arch,
+                       check_stability=True)
+    assert got == evaluate_phi(0.3, 1.1, rams[N], full, arch, check_stability=True)
+    assert 0 < len(drawn) < len(_primes_upto(2 * R)) and set(drawn) <= set(full.prime_values)
 
 
 @pytest.mark.parametrize("kind", ["sato-tate", "all-ones"])

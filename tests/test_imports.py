@@ -1,7 +1,8 @@
 """Every name a module imports is used somewhere in that module, every import
 sits at module level, every function, class and method is used outside the
-tests (a method sharing its name with another class's names its caller), and
-every parameter and dataclass field with a default is set outside the tests."""
+tests (a method sharing its name with another class's names its caller),
+every dataclass field is read outside the tests, and every parameter and
+dataclass field with a default is set outside the tests."""
 
 import ast
 import math
@@ -19,7 +20,6 @@ TEST_ONLY = {
     "kernel_peak_ratio": "sup of the normalized kernel, checked against h(pi_inf)",
     "CoefficientSource.check_ramanujan": "bound check on the coefficient models",
     "reassemble_B1T": "inverse of decompose_B1T for its round-trip test",
-    "Mat2Local.agrees_with": "entrywise comparison in the decompose_B1T round-trip tests",
 }
 
 # Methods whose bare name another class of MODULES also defines.  The guard
@@ -40,8 +40,6 @@ SHARED_METHODS = {
     "UnitRoot.inverse": "global_whittaker.gamma_TD",
     "LocalElement.scale_by_power": "minimal.whittaker_closed",
     "Mat2Local.scale_by_power": "characters.chi_value",
-    "LocalElement.agrees_with": "matgroups.torus_extract",
-    "Mat2Local.agrees_with": None,
     "WhittakerValue.to_complex": "global_whittaker.lambda_prime",
     "UnitRoot.to_complex": "minimal.matrix_coefficient",
     "LocalElement.one": "matgroups.a_mat",
@@ -184,6 +182,19 @@ def test_shared_method_names_are_listed_with_their_callers():
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
                for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    # a field is read through an attribute, matched by name over _callers()
+    # as test_every_definition_is_used_outside_tests matches a method
+    _, attrs = _references()
+    fields = [f"{node.name}.{item.target.id}"
+              for path in MODULES for node in ast.parse(path.read_text(), filename=str(path)).body
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    unread = sorted(q for q in fields if q.split(".")[1] not in attrs)
+    assert not unread, f"dataclass fields that nothing outside the tests reads: {unread}"
 
 
 def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:

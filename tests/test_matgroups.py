@@ -1,15 +1,17 @@
 import dataclasses
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import agrees
 from minvec.characters import MinimalVectorSpec, enumerate_theta
 from minvec.matgroups import (Mat2Local, TorusSpec, canonical_alpha, decompose_B1T,
-                              reassemble_B1T, subgroup_member, torus_extract)
+                              reassemble_B1T, subgroup_member)
 from minvec.minimal import oracle_window
 from minvec.residues import LocalElement, is_square_mod_p
 
@@ -34,22 +36,31 @@ def test_torus_spec_needs_an_odd_prime(p):
         TorusSpec(p, 1)
 
 
-def test_torus_products_extract_and_theta_is_multiplicative():
-    spec = TorusSpec(5, 1)
-    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
-    t1, t2 = torus_matrix(spec, 2, 3), torus_matrix(spec, 4, 1)
-    x, y = torus_extract(t1 * t2, spec)
-    # (2 + 3s)(4 + s) = (8 - 3 alpha) + 14 s for s^2 = -alpha
-    assert x.agrees_with(LocalElement.from_int(5, 8 - 3 * spec.alpha, spec.precision))
-    assert y.agrees_with(LocalElement.from_int(5, 14, spec.precision))
-    assert mv.theta_at(t1 * t2) == mv.theta_at(t1) * mv.theta_at(t2)
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2)], ids=["p5n1", "p3n2"])
+def test_theta_is_multiplicative_on_torus_pairs(pn):
+    # E's product (x1 + y1 s)(x2 + y2 s) = (x1 x2 - alpha y1 y2) + (x1 y2 + x2 y1) s
+    # for s^2 = -alpha, which the torus matrices multiply as, on random unit pairs
+    spec = TorusSpec(*pn)
+    p, alpha, M = spec.p, spec.alpha, spec.precision
+    thetas = enumerate_theta(spec)
+    rng = random.Random(7)
 
+    def unit_pair():
+        while True:
+            x, y = rng.randrange(p ** (2 * spec.n)), rng.randrange(p ** (2 * spec.n))
+            if x % p or y % p:
+                return x, y
 
-def test_theta_at_rejects_a_matrix_off_the_torus():
-    spec = TorusSpec(3, 1)
-    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
-    with pytest.raises(ValueError, match="not in the canonical torus"):
-        mv.theta_at(Mat2Local.from_rationals(3, (1, 1, 0, 1), spec.precision))
+    for theta in (thetas[0], thetas[-1]):
+        mv = MinimalVectorSpec.build(spec, theta)
+        for _ in range(60):
+            (x1, y1), (x2, y2) = unit_pair(), unit_pair()
+            x, y = x1 * x2 - alpha * y1 * y2, x1 * y2 + x2 * y1
+            assert agrees(torus_matrix(spec, x1, y1) * torus_matrix(spec, x2, y2),
+                          torus_matrix(spec, x, y))
+            t1, t2, t = ((LocalElement.from_int(p, a, M), LocalElement.from_int(p, b, M))
+                         for a, b in ((x1, y1), (x2, y2), (x, y)))
+            assert mv.theta_at(t) == mv.theta_at(t1) * mv.theta_at(t2)
 
 
 def test_det_is_cached_and_not_a_field():
@@ -107,25 +118,27 @@ def test_decompose_roundtrip_random(side, case):
     mv = _minimal_vector(p, n)
     spec = mv.torus
     g = Mat2Local.from_rationals(p, entries, 20)
-    u, m, t = decompose_B1T(g, spec, side=side)
-    torus_extract(t, spec)  # t really lies in the torus
-    assert reassemble_B1T(u, m, t).agrees_with(g)
-    # m against the exact rational (ac + alpha bd) / (c^2 + alpha d^2)
+    u, m, (x, y) = decompose_B1T(g, spec, side=side)
+    # the torus pair is (d, -c/alpha), and [[u, m], [0, 1]] [[x, y], [-alpha y, x]] = g
     a, b, c, d = entries
+    assert x == g.d
+    assert agrees(y, LocalElement.from_rational(p, -c / spec.alpha, 20))
+    assert agrees(reassemble_B1T(u, m, (x, y), spec), g)
+    # m against the exact rational (ac + alpha bd) / (c^2 + alpha d^2)
     m_exact = (a * c + spec.alpha * b * d) / (c * c + spec.alpha * d * d)
     vm = _valuation(m_exact, p)
     assert m.v == vm
-    assert m.agrees_with(LocalElement.from_rational(p, m_exact, 20))
+    assert agrees(m, LocalElement.from_rational(p, m_exact, 20))
     assert oracle_window(mv, g) == (-vm if vm < -n else n)
 
 
 def test_decompose_upper_triangular_identity():
     spec = TorusSpec(5, 1)
     g = Mat2Local.from_rationals(5, (3, 7, 0, 1), 8)
-    u, m, t = decompose_B1T(g, spec)
-    assert u.agrees_with(LocalElement.from_int(5, 3, 8))
-    assert m.agrees_with(LocalElement.from_int(5, 7, 8))
-    assert t.agrees_with(Mat2Local.identity(5, 8))
+    u, m, (x, y) = decompose_B1T(g, spec)
+    assert agrees(u, LocalElement.from_int(5, 3, 8))
+    assert agrees(m, LocalElement.from_int(5, 7, 8))
+    assert agrees(x, LocalElement.one(5, 8)) and y.is_zero
     with pytest.raises(ValueError, match="side"):
         decompose_B1T(g, spec, side="right")
 

@@ -247,7 +247,7 @@ def test_whittaker_right_eigenvector_law(mv31):
         w_gt = whittaker_closed(mv31, g * t)
         assert w_g.in_support == w_gt.in_support
         if w_g.in_support:
-            assert (w_gt.phase / w_g.phase).r == mv31.theta_at(t).r
+            assert (w_gt.phase / w_g.phase).r == mv31.theta_at((t.a, t.b)).r
 
 
 def test_oracle_on_diagonal_support_constant(mv31):
@@ -471,7 +471,8 @@ def test_chi_evaluator_theta_table(pn):
     for theta in (thetas[0], thetas[-1]):
         ev = ChiEvaluator.build(MinimalVectorSpec.build(spec, theta))
         want = np.full(pm * pm, -1, dtype=np.int64)
-        for z in (divmod(c, pm) for c in theta.presentation.elements.tolist()):
+        units = np.flatnonzero(theta.presentation.log_table[:, 0] >= 0)
+        for z in (divmod(c, pm) for c in units.tolist()):
             r = theta.value(z).r * ev.L
             assert r.denominator == 1  # L is a multiple of theta's order
             x, y = z

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import agrees
 from minvec.errors import PrecisionError, SizeGuard
 from minvec.residues import (LocalElement, UnitRoot, _require_odd_prime, factorize,
                              is_square_mod_p, psi, unit_enumeration)
@@ -21,7 +22,7 @@ def test_add_aligns_valuations():
     b = LocalElement.from_int(3, 2, 6)
     s = a + b
     assert s.v == 0 and s.residue(1) == 2 and s.residue(3) == 11
-    assert (s - a).agrees_with(b)
+    assert agrees(s - a, b)
 
 
 def test_cancellation_drops_precision():
@@ -39,7 +40,7 @@ def test_full_cancellation_is_zero_at_precision():
 
 def test_inverse_and_division():
     x = LocalElement.from_rational(7, Fraction(3, 49), 5)
-    assert (x * x.inverse()).agrees_with(LocalElement.one(7, 5))
+    assert agrees(x * x.inverse(), LocalElement.one(7, 5))
 
 
 def test_in_ideal_and_precision_error():
