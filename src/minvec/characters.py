@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cosets import all_distinct, inverse_table
+from .cosets import all_distinct, inverse_table, mod
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member
 from .residues import (ENUMERATION_BOUND, LocalElement, UnitRoot, factorize, psi_numerator,
@@ -308,8 +308,8 @@ class ChiEvaluator:
         a, b = mats[:, 0, 0], mats[:, 0, 1]
         cd = mats[:, 1, 0] * pm + mats[:, 1, 1]
         # a*m_a + b*m_b < 2 pm^2 = 2 p^(4n) <= 2 ENUMERATION_BOUND: int32 holds it
-        m = (a * self.m_a.take(cd) + b * self.m_b.take(cd)) % pm
-        out = (self.theta_cd.take(cd) + self.psi_m.take(m)) % self.L
+        m = mod(a * self.m_a.take(cd) + b * self.m_b.take(cd), pm)
+        out = mod(self.theta_cd.take(cd) + self.psi_m.take(m), self.L)
         return out.astype(mats.dtype, copy=False)
 
 

@@ -25,6 +25,21 @@ def gl2_order(p: int, m: int) -> int:
     return p ** (4 * (m - 1)) * (p * p - 1) * (p * p - p)
 
 
+def mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x % m for an integer array x and an int m >= 1, in the dtype of x.
+
+    NumPy (2.4) vectorizes integer floor division by a scalar but not the
+    remainder, so x - (x // m) m, the same floor-convention residue for
+    negative x too, is several times faster on the pair kernels' arrays.
+    Where (x // m) m wraps around (x near the dtype's minimum), the wrapped
+    difference is still exact, as the residue fits the dtype.  The product and
+    the difference are written into the quotient's array: no third temporary.
+    """
+    q = x // m
+    q *= m
+    return np.subtract(x, q, out=q)
+
+
 def mat_keys(mats: np.ndarray, pm: int) -> np.ndarray:
     """Injective integer key for matrices mod pm (row-major base-pm digits)."""
     f = mats.reshape(-1, 4) % pm
@@ -39,8 +54,8 @@ def mul_mod(x, y, pm: int):
     """
     a1, b1, c1, d1 = x
     a2, b2, c2, d2 = y
-    return ((a1 * a2 + b1 * c2) % pm, (a1 * b2 + b1 * d2) % pm,
-            (c1 * a2 + d1 * c2) % pm, (c1 * b2 + d1 * d2) % pm)
+    return (mod(a1 * a2 + b1 * c2, pm), mod(a1 * b2 + b1 * d2, pm),
+            mod(c1 * a2 + d1 * c2, pm), mod(c1 * b2 + d1 * d2, pm))
 
 
 def product_keys(left: np.ndarray, right: np.ndarray, pm: int) -> np.ndarray:
@@ -113,7 +128,7 @@ def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
     pn = spec.p**spec.n
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, d = mats[:, 1, 0], mats[:, 1, 1]
-    return ((a - d) % pn == 0) & ((c + spec.alpha * b) % pn == 0)
+    return (mod(a - d, pn) == 0) & (mod(c + spec.alpha * b, pn) == 0)
 
 
 def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,8 +150,6 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
     if pm * pm > ENUMERATION_BOUND:
         raise SizeGuard(f"random support draws for (p, n) = ({p}, {n}) need p^{4 * n} "
                         "beyond the enumeration bound")
-    residues = np.arange(pm, dtype=np.int32)
-    unit = residues % p != 0
     out = np.empty((4, size), dtype=np.int32)
     filled = 0
     while filled < size:
@@ -145,12 +158,12 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
         # deviations of margin make a second round rare
         count = need + need // (p * p - 1) + 4 * math.isqrt(need) // p + 8
         cand = rng.integers(0, pm, size=(2, count), dtype=np.int32)
-        kept = np.compress(unit.take(cand[0]) | unit.take(cand[1]), cand, axis=1)[:, :need]
+        kept = np.compress((mod(cand, p) != 0).any(axis=0), cand, axis=1)[:, :need]
         out[:2, filled:filled + kept.shape[1]] = kept
         filled += kept.shape[1]
     # the lifts p^n r and p^n s, then the residues of c and d mod p^n
     np.multiply(rng.integers(0, pn, size=(2, size), dtype=np.int32), pn, out=out[2:])
     a, b, c, d = out
-    c += ((-alpha * residues) % pn).take(b)
-    d += (residues % pn).take(a)
+    c += mod(-alpha * b, pn)
+    d += mod(a, pn)
     return out.T.reshape(-1, 2, 2)

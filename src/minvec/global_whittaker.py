@@ -364,11 +364,12 @@ class CoefficientSource:
 
     def values_upto(self, limit: int, modulus: int = 1, residues: tuple = (0,)) -> np.ndarray:
         """lambda(1..limit) by a multiplicative sieve; index 0 unused.  Only
-        the residue classes mod modulus (all by default) are read: a
-        Sato-Tate source draws just the new primes that divide a read index,
-        and the others enter as NaN, so a read index has the full sieve's
-        bits and any other may be NaN.  limit >= 0, modulus >= 1 and the
-        residues (taken mod modulus) must be integers (ConfigError).
+        the residue classes mod modulus (all by default) are read: a file
+        source looks up just the read indices, a Sato-Tate source draws just
+        the new primes that divide one, and the others enter as NaN, so a
+        read index has the full sieve's bits and any other may be NaN.
+        limit >= 0, modulus >= 1 and the residues (taken mod modulus) must be
+        integers (ConfigError).
 
         The primes are walked in descending order, and lambda(p^e) multiplies
         the multiples of p^e that p^(e+1) does not divide: lambda(m) is the
@@ -382,8 +383,12 @@ class CoefficientSource:
         if self.kind == "all-ones":
             return np.ones(limit + 1)
         out = np.ones(limit + 1)
+        read = np.zeros(limit + 1, dtype=bool)
+        for r in classes:
+            read[r::modulus] = True
         if self.kind == "file":
-            for m in range(1, limit + 1):
+            out[1:] = math.nan
+            for m in (np.flatnonzero(read[1:]) + 1).tolist():
                 out[m] = self.value(m)
             return out
         is_prime = np.ones(limit + 1, dtype=bool)
@@ -399,9 +404,6 @@ class CoefficientSource:
         firsts = np.cumsum(counts) - counts
         p_of = np.repeat(big, counts)
         targets = p_of * (np.arange(len(p_of)) - np.repeat(firsts, counts) + 1)
-        read = np.zeros(limit + 1, dtype=bool)
-        for r in classes:
-            read[r::modulus] = True
         wanted = np.concatenate([np.array([read[p::p].any() for p in primes[:small].tolist()],
                                           dtype=bool), np.logical_or.reduceat(read[targets], firsts)])
         lam = np.full(len(primes), math.nan)
@@ -627,9 +629,10 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
         |m|^{-1/2} e(m x / N^2) kappa(m y / N^2) lambda(m) lambda'(m).
 
     The lambda(m) come from coeffs.values_upto on _read_classes, so a file
-    source must cover every m in 1..R (1..2R with check_stability), as
-    scan_supnorm requires.  y must be positive and finite, and a given
-    cutoff R a positive integer (ConfigError otherwise).
+    source must cover the m in 1..R (1..2R with check_stability) that the
+    terms read, those with m = b or -b (mod N), as scan_supnorm requires.
+    y must be positive and finite, and a given cutoff R a positive integer
+    (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
     below eps sqrt(#terms) sum |c_m| (strictly, so an all-zero sum gives 0).
     """

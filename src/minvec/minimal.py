@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import MinimalVectorSpec, chi_value
-from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys,
+from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys, mod,
                      mul_mod, product_keys, random_kt_elements)
 from .errors import (ConfigError, NotInSupport, NumericalError, PrecisionError, SizeGuard,
                      require_int)
@@ -107,7 +107,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         closure_bad = mismatched = 0
         for lo in range(0, S, block):
             got = key_to_exp[product_keys(supp[lo:lo + block], supp, pm)]
-            want = (exps[lo:lo + block, None] + exps[None, :]) % ev.L
+            want = mod(exps[lo:lo + block, None] + exps[None, :], ev.L)
             closure_bad += int(np.count_nonzero(got < 0))
             mismatched += int(np.count_nonzero(got != want))
         # a product outside the support (-1) never equals an exponent in Z/L
@@ -123,7 +123,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
             prod = entry_major(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm))
             in_supp = kt_membership_mask(prod, spec)
             closure_bad += size - int(np.count_nonzero(in_supp))
-            want = (ev.exponents(g1) + ev.exponents(g2)) % ev.L
+            want = mod(ev.exponents(g1) + ev.exponents(g2), ev.L)
             mult_bad += int(np.count_nonzero((ev.exponents(prod) != want) & in_supp))
         checked = pairs
     # |chi| = 1 on the support, so the L2 mass equals the support volume

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minvec.characters import (ChiEvaluator, MinimalVectorSpec, chi_value,
                                enumerate_theta, quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
 from minvec import characters, minimal
 from minvec.cosets import (all_distinct, inverse_table, kt_membership_mask, kt_support,
-                           mat_keys, mul_mod, product_keys, random_kt_elements)
+                           mat_keys, mod, mul_mod, product_keys, random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec
 from minvec.residues import UnitRoot, factorize, psi_numerator
@@ -527,3 +528,40 @@ def test_exponents_agree_across_layouts_dtypes_and_the_scalar_route(layout_mvs, 
     for g, e in zip(row_major, got):
         h = Mat2Local.from_rationals(p, [int(v) for v in g.ravel()], mv.torus.precision)
         assert chi_value(mv, h).r == Fraction(int(e), ev.L) % 1
+
+
+# -- mod, the floor-division residue of the pair kernels ------------------------
+
+_MOD_SPECS = [(3, 1), (5, 1), (3, 2)]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(x=hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]),
+                    hnp.array_shapes(max_dims=2, max_side=40)),
+       pn=st.sampled_from(_MOD_SPECS), data=st.data())
+def test_mod_is_the_remainder_in_the_input_dtype(layout_mvs, x, pn, data):
+    # the kernels' moduli p^k, k <= 2n, and the exponent modulus L, on
+    # whole-range entries (negative ones and the dtype's extremes included),
+    # read contiguously or through a strided view
+    p, n = pn
+    m = data.draw(st.sampled_from([p**k for k in range(1, 2 * n + 1)]
+                                  + [layout_mvs[pn].chi_evaluator.L]))
+    x = x[::-1, ::2] if x.ndim == 2 and data.draw(st.booleans()) else x
+    got = mod(x, m)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert np.array_equal(got, x % m)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_membership_mask_matches_remainder_reference_on_every_matrix_mod_9(dtype):
+    # all 9^4 matrices mod 9 at (3,1): off the support, singular, and 2916
+    # of them with a - d < 0
+    spec = TorusSpec(3, 1)
+    mats = np.stack(np.meshgrid(*[np.arange(9, dtype=dtype)] * 4, indexing="ij"),
+                    axis=-1).reshape(-1, 2, 2)
+    a, b, c, d = (mats[:, i, j].astype(np.int64) for i in (0, 1) for j in (0, 1))
+    want = ((a - d) % 3 == 0) & ((c + spec.alpha * b) % 3 == 0)
+    got = kt_membership_mask(mats, spec)
+    assert len(mats) == 6561 and (a < d).sum() == 2916
+    assert np.array_equal(got, want) and got.sum() == 729
+    assert np.isin(mat_keys(kt_support(spec), 9), mat_keys(mats[got], 9)).all()

@@ -237,6 +237,29 @@ def test_file_source_roundtrip(tmp_path):
     assert src.value(12) == pytest.approx(src0.value(12))
 
 
+def test_file_source_holding_only_the_read_classes_scans_as_its_source(tmp_path, rams):
+    # a holomorphic scan at N = 3, b = 2 reads lambda(m) only at m = 2 (mod 3),
+    # up to the cutoff 81 at Y_MIN, so those 27 records stand in for Sato-Tate
+    # (b is set, as the sign of psi picks the class of rams[3])
+    ram = dataclasses.replace(rams[3], b=2)
+    st = CoefficientSource.sato_tate(seed=1)
+    path = tmp_path / "coeffs.tsv"
+    path.write_text("".join(f"{m}\t{st.value(m)!r}\n" for m in range(2, 82, 3)))
+    src, arch = CoefficientSource.from_file(str(path)), ArchParams("holomorphic", k=12)
+    lam = src.values_upto(81, 3, (2,))
+    assert np.array_equal(lam[2::3], [st.value(m) for m in range(2, 82, 3)])
+    assert np.isnan(lam[1:][np.arange(1, 82) % 3 != 2]).all()
+    rep = scan_supnorm(ram, src, arch, rows_per_decade=64)
+    assert rep == scan_supnorm(ram, CoefficientSource.sato_tate(seed=1), arch, rows_per_decade=64)
+    assert rep.sup == 2.5282977688748294
+    # a read record that is missing is still named, and a full sieve reads every m
+    path.write_text("".join(f"{m}\t{st.value(m)!r}\n" for m in range(2, 82, 3) if m != 50))
+    with pytest.raises(ConfigError, match="does not cover m=50"):
+        CoefficientSource.from_file(str(path)).values_upto(81, 3, (2,))
+    with pytest.raises(ConfigError, match="does not cover m=1"):
+        src.check_ramanujan(81)
+
+
 def test_file_source_rejects_ramanujan_violation(tmp_path):
     path = tmp_path / "bad.tsv"
     for record in ("6\t9.5", "0\t0.0", "-3\t1.0"):

@@ -310,3 +310,17 @@ def test_every_default_is_set_outside_tests():
     assert not unset, f"parameters with a default that only tests set (or none): {unset}"
     stale = sorted(q for q in TEST_HOOKS if q not in defaulted or is_set(*defaulted[q]))
     assert not stale, f"TEST_HOOKS entries that are gone or now set outside tests: {stale}"
+
+
+# The pair kernels reduce through cosets.mod: NumPy's integer remainder by a
+# scalar is not vectorized, and no correctness test can tell the two apart.
+PAIR_KERNELS = ["cosets.mul_mod", "cosets.kt_membership_mask", "cosets.random_kt_elements",
+                "characters.ChiEvaluator.exponents", "minimal.convolution_check"]
+
+
+@pytest.mark.parametrize("qual", PAIR_KERNELS)
+def test_pair_kernels_reduce_without_the_remainder_operator(qual):
+    node = _functions()[qual]
+    lines = sorted(n.lineno for n in ast.walk(node)
+                   if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mod))
+    assert not lines, f"{qual}: '%' at lines {lines}; reduce arrays with cosets.mod"
