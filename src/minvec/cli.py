@@ -125,9 +125,12 @@ def _build_mv(p: int, n: int, theta_index: int) -> MinimalVectorSpec:
 
 # -- subcommands --------------------------------------------------------------
 #
-# Each takes its option values (a namespace, see OPTIONS) and the report config.
+# Each takes its option values (a namespace, see OPTIONS) and returns
+# (passed, body, summary, samples): whether it passed, the report body, a
+# one-line summary, and its CSV as (header, rows) or None.  main writes every
+# file and prints the summary.
 
-def cmd_verify(o, config) -> int:
+def cmd_verify(o):
     """run the local verification suites"""
     results, ok = [], True
     for p, n in o.pn:
@@ -154,47 +157,33 @@ def cmd_verify(o, config) -> int:
             entry["error_type"] = type(e).__name__
         ok = ok and entry.get("ok", False)
         results.append(entry)
-    _write_report(o.out, "verify", config, {"results": results, "ok": ok})
-    print(f"verify: {'pass' if ok else 'FAIL'} -> {o.out}")
-    return EXIT_OK if ok else EXIT_FAIL
+    return ok, {"results": results, "ok": ok}, f"{'pass' if ok else 'FAIL'} -> {o.out}", None
 
 
-def cmd_character_table(o, config) -> int:
+def cmd_character_table(o):
     """theta table to CSV"""
     mv = _build_mv(o.p, o.n, o.theta_index)
     rows = character_table_rows(mv)
-    with o.samples.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "phase_numerator", "phase_denominator"])
-        w.writerows(rows)
-    _write_report(o.out, "character-table", config,
-                  {"a_theta": mv.a_theta, "entries": len(rows),
-                   "samples_file": str(o.samples)})
-    print(f"character-table: {len(rows)} entries -> {o.samples}")
-    return EXIT_OK
+    return (True, {"a_theta": mv.a_theta, "entries": len(rows)},
+            f"{len(rows)} entries -> {o.samples}",
+            (["x", "y", "phase_numerator", "phase_denominator"], rows))
 
 
-def cmd_whittaker(o, config) -> int:
+def cmd_whittaker(o):
     """closed-form Whittaker support profile"""
     p, n = o.p, o.n
     mv = _build_mv(p, n, o.theta_index)
     sweep = whittaker_unit_sweep(mv, Mat2Local.identity(p, mv.torus.precision + 2 * n))
     rows = [[u, -2 * n, w.magnitude if w.in_support else 0.0,
              str(w.phase.r) if w.in_support else ""] for u, w in sweep]
-    with o.samples.open("w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(["unit_class", "valuation", "magnitude", "phase"])
-        wcsv.writerows(rows)
     support = [u for u, w in sweep if w.in_support]
-    _write_report(o.out, "whittaker", config,
-                  {"support_unit": mv.support_unit(), "support_classes": support,
-                   "magnitude_squared": mv.magnitude_squared,
-                   "samples_file": str(o.samples)})
-    print(f"whittaker: support classes {support} -> {o.samples}")
-    return EXIT_OK if support == [mv.support_unit()] else EXIT_FAIL
+    body = {"support_unit": mv.support_unit(), "support_classes": support,
+            "magnitude_squared": mv.magnitude_squared}
+    return (support == [mv.support_unit()], body, f"support classes {support} -> {o.samples}",
+            (["unit_class", "valuation", "magnitude", "phase"], rows))
 
 
-def cmd_matrix_coeff(o, config) -> int:
+def cmd_matrix_coeff(o):
     """idempotent matrix coefficient (convolution) report"""
     mv = _build_mv(o.p, o.n, o.theta_index)
     mode = _pair_mode(o.p, o.n)
@@ -205,9 +194,7 @@ def cmd_matrix_coeff(o, config) -> int:
             "closure_violations": rep.closure_violations,
             "multiplicativity_violations": rep.multiplicativity_violations,
             "ok": rep.ok}
-    _write_report(o.out, "matrix-coeff", config, body)
-    print(f"matrix-coeff: {'pass' if rep.ok else 'FAIL'} (delta = {rep.density})")
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return rep.ok, body, f"{'pass' if rep.ok else 'FAIL'} (delta = {rep.density})", None
 
 
 def _coeff_source(text: str) -> CoefficientSource:
@@ -224,7 +211,7 @@ def _coeff_source(text: str) -> CoefficientSource:
     raise ConfigError(f"unknown coefficient source {text!r}")
 
 
-def cmd_scan_supnorm(o, config) -> int:
+def cmd_scan_supnorm(o):
     """global sup-norm scan against C^(1/8) k^(1/4)"""
     if o.k is not None and o.t is not None:
         raise ConfigError("give --k (holomorphic) or --t (maass), not both")
@@ -234,21 +221,14 @@ def cmd_scan_supnorm(o, config) -> int:
         arch = ArchParams("maass", t=o.t)
     else:
         raise ConfigError("need --k (holomorphic) or --t (maass)")
-    if o.N == 1:
-        ram = RamifiedData.unramified()
-    else:
-        ram = RamifiedData.build([_build_mv(p, e, 0) for p, e in factorize(o.N)])
+    ram = RamifiedData.build([_build_mv(p, e, 0) for p, e in factorize(o.N)])
     rep = scan_supnorm(ram, _coeff_source(o.coeffs), arch, keep_rows=True)
-    with o.samples.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "row_sup", "row_witness"])
-        w.writerows(rep.rows)
-    _write_report(o.out, "scan-supnorm", config, {**rep.as_dict(), "samples_file": str(o.samples)})
-    print(f"scan-supnorm: sup={rep.sup:.6g} ratio={rep.ratio:.4g} witness={rep.witness:.6g}")
-    return EXIT_OK
+    return (True, rep.as_dict(),
+            f"sup={rep.sup:.6g} ratio={rep.ratio:.4g} witness={rep.witness:.6g}",
+            (["y", "row_sup", "row_witness"], rep.rows))
 
 
-def cmd_que(o, config) -> int:
+def cmd_que(o):
     """QUE period normalization table"""
     rows = []
     for p, n in o.grid:
@@ -258,9 +238,7 @@ def cmd_que(o, config) -> int:
                          "conductor_pair": conductor_pair(p, n),
                          "Ip_times_cond_sqrt": float(rep.normalized),
                          "a3": a3, "distinguished": distinguished(a3, n)})
-    _write_report(o.out, "que", config, {"rows": rows})
-    print(f"que: {len(rows)} rows -> {o.out}")
-    return EXIT_OK
+    return True, {"rows": rows}, f"{len(rows)} rows -> {o.out}", None
 
 
 # -- options ------------------------------------------------------------------
@@ -331,14 +309,25 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         values = _options(args, _load_config(args.config))
-        config = {k: v for k, v in values.items() if k not in _OUTPUT_PATHS}
-        return _DISPATCH[args.command](argparse.Namespace(**values), config)
+        o = argparse.Namespace(**values)
+        passed, body, summary, samples = _DISPATCH[args.command](o)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except MinvecError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_FAIL
+    if samples is not None:
+        header, rows = samples
+        with o.samples.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        body = {**body, "samples_file": str(o.samples)}
+    config = {k: v for k, v in values.items() if k not in _OUTPUT_PATHS}
+    _write_report(o.out, args.command, config, body)
+    print(f"{args.command}: {summary}")
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -99,11 +99,13 @@ def n_mat(x: LocalElement) -> Mat2Local:
 
 def subgroup_member(g: Mat2Local, spec: TorusSpec, r: int) -> bool:
     """Whether g lies in K_T(p^r): integral with unit determinant, a = d and
-    c = -alpha*b mod p^r, to tracked precision (alpha at the entries' precision)."""
+    c = -alpha*b mod p^r, read on the entries' residues mod p^r as the array
+    route (cosets.kt_membership_mask) reads them.  PrecisionError when an
+    entry is not known mod p^r."""
     if not all(e.is_integral() for e in g.entries()) or g.det.is_zero or g.det.v != 0:
         return False
-    alpha = _alpha_for(g, spec)
-    return (g.a - g.d).in_ideal(r) and (g.c + alpha * g.b).in_ideal(r)
+    a, b, c, d = (e.residue(r) for e in g.entries())
+    return a == d and (c + spec.alpha * b) % spec.p**r == 0
 
 
 def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
@@ -135,7 +137,7 @@ def decompose_B1T(g: Mat2Local, spec: TorusSpec, side: str = "left"):
 
 
 def _alpha_for(g: Mat2Local, spec: TorusSpec) -> LocalElement:
-    return LocalElement.from_int(g.p, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
+    return LocalElement(g.p, 0, spec.alpha, max(e.M for e in g.entries() if not e.is_zero))
 
 
 def reassemble_B1T(u: LocalElement, m: LocalElement, t: tuple[LocalElement, LocalElement],
@@ -143,6 +145,6 @@ def reassemble_B1T(u: LocalElement, m: LocalElement, t: tuple[LocalElement, Loca
     """[[u, m], [0, 1]] [[x, y], [-alpha*y, x]] for the pair t = (x, y): the
     product that decompose_B1T factors."""
     x, y = t
-    alpha = LocalElement.from_int(y.p, spec.alpha, y.M)
+    alpha = LocalElement(y.p, 0, spec.alpha, y.M)
     return (Mat2Local(u, m, LocalElement.zero(u.p, u.M), LocalElement.one(u.p, u.M))
             * Mat2Local(x, y, -(alpha * y), x))

@@ -100,16 +100,6 @@ class LocalElement:
         return cls(p, 0, 1, M)
 
     @classmethod
-    def from_int(cls, p: int, k: int, M: int) -> "LocalElement":
-        if k == 0:
-            return cls.zero(p, M)
-        v = 0
-        while k % p == 0:
-            k //= p
-            v += 1
-        return cls(p, v, k % p**M, M)
-
-    @classmethod
     def from_rational(cls, p: int, x: Fraction | int, M: int) -> "LocalElement":
         x = Fraction(x)
         if x == 0:
@@ -135,14 +125,6 @@ class LocalElement:
 
     def is_integral(self) -> bool:
         return self.v >= 0
-
-    def in_ideal(self, r: int) -> bool:
-        """Whether the element lies in p^r * o, to tracked precision."""
-        if self.is_zero:
-            return True
-        if self.v + self.M < r:
-            raise PrecisionError(f"membership in p^{r} undetermined at precision {self.M}")
-        return self.v >= r
 
     def residue(self, m: int) -> int:
         """The value mod p^m as a canonical integer; requires integrality."""

@@ -136,7 +136,7 @@ def test_que_subcommand(tmp_path):
 
 
 def test_numerical_error_exits_one(monkeypatch, tmp_path, capsys):
-    def fail(args, cfg):
+    def fail(args):
         raise NumericalError("tail instability")
     monkeypatch.setitem(cli._DISPATCH, "verify", fail)
     assert run(["verify", "--pn", "3,1", "--out", str(tmp_path / "r.json")]) == 1

@@ -1,8 +1,9 @@
 """Every name a module imports is used somewhere in that module, every import
 sits at module level, every function, class and method is used outside the
 tests (a method sharing its name with another class's names its caller),
-every dataclass field is read outside the tests, and every parameter and
-dataclass field with a default is set outside the tests."""
+every dataclass field is read outside the tests, every parameter and
+dataclass field with a default is set outside the tests, and no CLI
+subcommand writes its own output."""
 
 import ast
 import math
@@ -324,3 +325,16 @@ def test_pair_kernels_reduce_without_the_remainder_operator(qual):
     lines = sorted(n.lineno for n in ast.walk(node)
                    if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Mod))
     assert not lines, f"{qual}: '%' at lines {lines}; reduce arrays with cosets.mod"
+
+
+# main writes every CLI report, CSV and summary line; a subcommand returns them.
+# No output test can tell which function wrote a file, so this reads the code.
+CLI_OUTPUT_CALLS = {"_write_report", "open", "print", "write_text", "write_bytes"}
+
+
+@pytest.mark.parametrize("qual", sorted(q for q in _functions() if q.startswith("cli.cmd_")))
+def test_cli_subcommands_write_no_output(qual):
+    calls = sorted((n.lineno, getattr(n.func, "id", getattr(n.func, "attr", None)))
+                   for n in ast.walk(_functions()[qual]) if isinstance(n, ast.Call))
+    found = [(line, name) for line, name in calls if name in CLI_OUTPUT_CALLS]
+    assert not found, f"{qual} writes output itself at {found}; return it to cli.main"

@@ -4,12 +4,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import agrees
 from minvec.characters import MinimalVectorSpec, enumerate_theta
+from minvec.cosets import kt_membership_mask, random_kt_elements
+from minvec.errors import PrecisionError
 from minvec.matgroups import (Mat2Local, TorusSpec, canonical_alpha, decompose_B1T,
                               reassemble_B1T, subgroup_member)
 from minvec.minimal import oracle_window
@@ -58,7 +61,7 @@ def test_theta_is_multiplicative_on_torus_pairs(pn):
             x, y = x1 * x2 - alpha * y1 * y2, x1 * y2 + x2 * y1
             assert agrees(torus_matrix(spec, x1, y1) * torus_matrix(spec, x2, y2),
                           torus_matrix(spec, x, y))
-            t1, t2, t = ((LocalElement.from_int(p, a, M), LocalElement.from_int(p, b, M))
+            t1, t2, t = ((LocalElement.from_rational(p, a, M), LocalElement.from_rational(p, b, M))
                          for a, b in ((x1, y1), (x2, y2), (x, y)))
             assert mv.theta_at(t) == mv.theta_at(t1) * mv.theta_at(t2)
 
@@ -136,8 +139,8 @@ def test_decompose_upper_triangular_identity():
     spec = TorusSpec(5, 1)
     g = Mat2Local.from_rationals(5, (3, 7, 0, 1), 8)
     u, m, (x, y) = decompose_B1T(g, spec)
-    assert agrees(u, LocalElement.from_int(5, 3, 8))
-    assert agrees(m, LocalElement.from_int(5, 7, 8))
+    assert agrees(u, LocalElement.from_rational(5, 3, 8))
+    assert agrees(m, LocalElement.from_rational(5, 7, 8))
     assert agrees(x, LocalElement.one(5, 8)) and y.is_zero
     with pytest.raises(ValueError, match="side"):
         decompose_B1T(g, spec, side="right")
@@ -174,10 +177,47 @@ def test_KT_contains_torus_and_block_and_products():
 
 
 def test_KT_alpha_takes_the_entries_precision():
-    # c + alpha*b = 3^4 has valuation 4 < 5 at the entries' precision 12; alpha
-    # must carry that precision, since at precision 4 the sum would cancel to a
-    # spurious exact zero
+    # c + alpha*b = 3^4 has valuation 4 < 5; alpha is an int, so the congruence
+    # is decided on the entries' residues mod 3^r, known at precision 12, and
+    # no truncated sum can cancel to a spurious exact zero
     spec = TorusSpec(3, 5)
     g = Mat2Local.from_rationals(3, (0, 1, -spec.alpha + 3**4, 3**5), 12)
     assert not subgroup_member(g, spec, 5)
     assert subgroup_member(g, spec, 4)
+
+
+def test_KT_membership_needs_the_entries_mod_p_r():
+    # a = d known only mod 3^2: a - d cancels to an exact zero that claims every
+    # digit, but membership at r = 3 reads a mod 3^3, which nobody knows
+    spec = TorusSpec(3, 1)
+    one, zero = LocalElement(3, 0, 1, 2), LocalElement.zero(3, 2)
+    g = Mat2Local(one, zero, zero, one)
+    assert subgroup_member(g, spec, 2)
+    with pytest.raises(PrecisionError):
+        subgroup_member(g, spec, 3)
+
+
+@st.composite
+def _unit_det_matrices(draw):
+    """A level among (3,1), (5,1), (3,2) and integer matrices mod p^(2n) with
+    a unit determinant: uniform ones by rejection and support draws of
+    random_kt_elements, which lie in K_T(p^n)."""
+    spec = TorusSpec(*draw(st.sampled_from([(3, 1), (5, 1), (3, 2)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pm = spec.p ** (2 * spec.n)
+    uniform = rng.integers(0, pm, size=(64, 2, 2))
+    det = uniform[:, 0, 0] * uniform[:, 1, 1] - uniform[:, 0, 1] * uniform[:, 1, 0]
+    mats = np.concatenate([uniform[det % spec.p != 0], random_kt_elements(spec, 8, rng)])
+    return spec, mats
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_unit_det_matrices())
+def test_KT_membership_agrees_with_the_array_mask(case):
+    spec, mats = case
+    want = kt_membership_mask(mats, spec)
+    got = [subgroup_member(Mat2Local.from_rationals(spec.p, [int(e) for e in g.ravel()],
+                                                    spec.precision), spec, spec.n)
+           for g in mats]
+    assert got == want.tolist()
+    assert want.any() and not want.all()

@@ -18,22 +18,22 @@ def test_from_rational_roundtrip():
 
 
 def test_add_aligns_valuations():
-    a = LocalElement.from_int(3, 9, 6)
-    b = LocalElement.from_int(3, 2, 6)
+    a = LocalElement.from_rational(3, 9, 6)
+    b = LocalElement.from_rational(3, 2, 6)
     s = a + b
     assert s.v == 0 and s.residue(1) == 2 and s.residue(3) == 11
     assert agrees(s - a, b)
 
 
 def test_cancellation_drops_precision():
-    a = LocalElement.from_int(3, 1 + 3**4, 5)
-    b = LocalElement.from_int(3, 1, 5)
+    a = LocalElement.from_rational(3, 1 + 3**4, 5)
+    b = LocalElement.from_rational(3, 1, 5)
     d = a - b
     assert d.v == 4 and d.M == 1
 
 
 def test_full_cancellation_is_zero_at_precision():
-    a = LocalElement.from_int(3, 1, 4)
+    a = LocalElement.from_rational(3, 1, 4)
     b = LocalElement(3, 0, 1 + 3**4, 4)  # same residue mod 3^4
     assert (a - b).is_zero
 
@@ -43,21 +43,14 @@ def test_inverse_and_division():
     assert agrees(x * x.inverse(), LocalElement.one(7, 5))
 
 
-def test_in_ideal_and_precision_error():
-    x = LocalElement.from_int(3, 27, 2)
-    assert x.in_ideal(2)
-    with pytest.raises(PrecisionError):
-        x.in_ideal(6)
-
-
 def test_frac_part():
     x = LocalElement.from_rational(3, Fraction(5, 9), 6)
     assert x.frac_part() == Fraction(5, 9)
-    assert LocalElement.from_int(3, 12, 4).frac_part() == 0
+    assert LocalElement.from_rational(3, 12, 4).frac_part() == 0
 
 
 def test_psi_trivial_on_integers_nontrivial_on_p_inverse():
-    assert psi(LocalElement.from_int(3, 7, 4)).is_one
+    assert psi(LocalElement.from_rational(3, 7, 4)).is_one
     assert not psi(LocalElement.from_rational(3, Fraction(1, 3), 4)).is_one
 
 
@@ -107,8 +100,7 @@ def test_public_constructors_validate():
         LocalElement(3, 1, 6, 4)          # u not a unit
     with pytest.raises(ValueError):
         LocalElement(3, 1, 2, 0)          # M < 1
-    for build in (lambda: LocalElement.zero(3, 0), lambda: LocalElement.from_int(3, 0, 0),
-                  lambda: LocalElement.from_int(3, 5, 0),
+    for build in (lambda: LocalElement.zero(3, 0), lambda: LocalElement.from_rational(3, 5, 0),
                   lambda: LocalElement.from_rational(3, Fraction(0), 0),
                   lambda: LocalElement.from_rational(3, Fraction(5, 9), 0)):
         with pytest.raises(ValueError):
