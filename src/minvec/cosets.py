@@ -11,8 +11,6 @@ products of entries mod p^(2n).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SizeGuard
@@ -42,7 +40,7 @@ def mod(x: np.ndarray, m: int) -> np.ndarray:
 
 def mat_keys(mats: np.ndarray, pm: int) -> np.ndarray:
     """Injective integer key for matrices mod pm (row-major base-pm digits)."""
-    f = mats.reshape(-1, 4) % pm
+    f = mod(mats.reshape(-1, 4), pm)
     return ((f[:, 0] * pm + f[:, 1]) * pm + f[:, 2]) * pm + f[:, 3]
 
 
@@ -106,17 +104,14 @@ def kt_support(spec: TorusSpec) -> np.ndarray:
     n_torus = pm * pm - (pm // p) ** 2
     if n_torus * pn * pn > 2 * ENUMERATION_BOUND:
         raise SizeGuard(f"support for (p, n) = ({p}, {n}) exceeds the configured bound")
-    xs, ys = np.meshgrid(np.arange(pm, dtype=np.int32), np.arange(pm, dtype=np.int32),
-                         indexing="ij")
-    unit = (xs % p != 0) | (ys % p != 0)
-    aa, bb = np.meshgrid(np.arange(pn, dtype=np.int32), np.arange(pn, dtype=np.int32),
-                         indexing="ij")
+    xs, ys = np.indices((pm, pm), dtype=np.int32)
+    unit = (mod(xs, p) != 0) | (mod(ys, p) != 0)
     # products t * b over the full grid: the torus units [[x, y], [-alpha y, x]]
     # down, the block elements [[1 + p^n a, p^n b], [0, 1]] across (for a, b
     # in [0, p^n) their entries are already residues mod p^(2n))
     x, y = xs[unit][:, None], ys[unit][:, None]
-    a, b = aa.ravel()[None, :], bb.ravel()[None, :]
-    mats = entry_major(mul_mod((x, y, (-alpha * y) % pm, x), (1 + pn * a, pn * b, 0, 1), pm))
+    a, b = np.indices((pn, pn), dtype=np.int32).reshape(2, -1)
+    mats = entry_major(mul_mod((x, y, mod(-alpha * y, pm), x), (1 + pn * a, pn * b, 0, 1), pm))
     # the size guard admits (3,1), (5,1), (7,1), (11,1), (13,1) and (3,2): every
     # key is below p^(8n) <= 13^8 < 2^31
     assert all_distinct(mat_keys(mats, pm)), "torus x block product failed to be injective"
@@ -141,29 +136,33 @@ def random_kt_elements(spec: TorusSpec, size: int, rng: np.random.Generator) -> 
     det g = a^2 + alpha b^2 mod p is a unit, as -alpha is a non-square.  So
     (a, b, r, s) -> [[a, b], [(-alpha b mod p^n) + p^n r, (a mod p^n) + p^n s]]
     is a bijection onto it from the unit pairs (a, b) mod p^{2n} times
-    r, s in [0, p^n), and uniform (a, b, r, s) give uniform support elements.
-    The unit pairs are drawn by rejection; the torus x block product stays
-    with kt_support, so the two routes build the support independently.
+    r, s in [0, p^n), and so is reading (a, b, r, s) from the digits of one
+    uniform index below (p^2 - 1) p^(6n-2), lowest first: s, r < p^n,
+    b1, a1 < p^(2n-1) and k < p^2 - 1, with a = p a1 + a0, b = p b1 + b0 and
+    (a0, b0) = divmod(k + 1, p) != (0, 0).  kt_support builds the support
+    independently, as the torus x block product.
     """
     p, n, alpha = spec.p, spec.n, spec.alpha
-    pm, pn = p ** (2 * n), p**n
+    pm, pn, ph = p ** (2 * n), p**n, p ** (2 * n - 1)
     if pm * pm > ENUMERATION_BOUND:
         raise SizeGuard(f"random support draws for (p, n) = ({p}, {n}) need p^{4 * n} "
                         "beyond the enumeration bound")
+    count = (p * p - 1) * p ** (6 * n - 2)
+    u = rng.integers(0, count, size=size, dtype=np.int32 if count <= 2**31 else np.int64)
     out = np.empty((4, size), dtype=np.int32)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        # a candidate pair is kept with probability 1 - 1/p^2; four standard
-        # deviations of margin make a second round rare
-        count = need + need // (p * p - 1) + 4 * math.isqrt(need) // p + 8
-        cand = rng.integers(0, pm, size=(2, count), dtype=np.int32)
-        kept = np.compress((mod(cand, p) != 0).any(axis=0), cand, axis=1)[:, :need]
-        out[:2, filled:filled + kept.shape[1]] = kept
-        filled += kept.shape[1]
-    # the lifts p^n r and p^n s, then the residues of c and d mod p^n
-    np.multiply(rng.integers(0, pn, size=(2, size), dtype=np.int32), pn, out=out[2:])
     a, b, c, d = out
+    # the digits s, r, b1, a1 into the rows d, c, b, a, then k + 1 = p a0 + b0
+    for row, base in ((d, pn), (c, pn), (b, ph), (a, ph)):
+        q = u // base
+        np.subtract(u, q * base, out=row)
+        u = q
+    u += 1
+    a0 = u // p
+    out[:2] *= p
+    a += a0
+    b += u - a0 * p
+    # the lifts p^n r and p^n s, then the residues of c and d mod p^n
+    out[2:] *= pn
     c += mod(-alpha * b, pn)
     d += mod(a, pn)
     return out.T.reshape(-1, 2, 2)

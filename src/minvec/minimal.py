@@ -74,9 +74,10 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     The exhaustive mode checks every ordered pair of the support, one block of
     left factors at a time (PAIR_BLOCK_BYTES per temporary); it raises
     SizeGuard unless exhaustive_fits(p, n).  The random mode checks `pairs`
-    pairs of independent uniform support elements (random_kt_elements) drawn
-    from `seed`, RANDOM_PAIR_BLOCK pairs at a time: a block draws its left
-    factors, then its right ones, so memory does not grow with `pairs`.
+    pairs of independent uniform support elements drawn from `seed`,
+    RANDOM_PAIR_BLOCK pairs at a time: a block draws its left factors, then its
+    right ones, each as one bounded draw of support indices
+    (random_kt_elements), so memory does not grow with `pairs`.
     ConfigError, before any table or draw, for an unknown mode, or a `pairs`
     or `seed` that is not an integer >= 1 or >= 0.
     """

@@ -357,18 +357,26 @@ def _einsum_support(spec):
     return (np.einsum("sij,tjk->stik", t, b) % pm).reshape(-1, 2, 2)
 
 
+def _support_count(spec):
+    """|J| = (p^2 - 1) p^(2(2n-1)) p^(2n): the unit pairs (a, b) mod p^(2n)
+    times r, s < p^n."""
+    p, n = spec.p, spec.n
+    return (p * p - 1) * p ** (2 * (2 * n - 1)) * p ** (2 * n)
+
+
 def _reference_draws(spec, size, rng):
-    """random_kt_elements' stream in int64: unit pairs (a, b) by rejection,
-    then c = (-alpha b mod p^n) + p^n r and d = (a mod p^n) + p^n s."""
-    p, pm, pn = spec.p, spec.p ** (2 * spec.n), spec.p**spec.n
-    a, b = np.empty((2, 0), dtype=np.int64)
-    while len(a) < size:
-        need = size - len(a)
-        count = need + need // (p * p - 1) + 4 * math.isqrt(need) // p + 8
-        x, y = rng.integers(0, pm, size=(2, count), dtype=np.int64)
-        good = (x % p != 0) | (y % p != 0)
-        a, b = np.concatenate([a, x[good][:need]]), np.concatenate([b, y[good][:need]])
-    r, s = rng.integers(0, pn, size=(2, size), dtype=np.int64)
+    """random_kt_elements' stream in int64: one index u below |J|, read as its
+    digits s, r < p^n, b1, a1 < p^(2n-1) and k < p^2 - 1, lowest first; then
+    (a0, b0) = divmod(k + 1, p), a = p a1 + a0, b = p b1 + b0,
+    c = (-alpha b mod p^n) + p^n r and d = (a mod p^n) + p^n s."""
+    p, pn, ph = spec.p, spec.p**spec.n, spec.p ** (2 * spec.n - 1)
+    u = rng.integers(0, _support_count(spec), size=size, dtype=np.int64)
+    u, s = np.divmod(u, pn)
+    u, r = np.divmod(u, pn)
+    u, b1 = np.divmod(u, ph)
+    k, a1 = np.divmod(u, ph)
+    a0, b0 = np.divmod(k + 1, p)
+    a, b = p * a1 + a0, p * b1 + b0
     c, d = (-spec.alpha * b) % pn + pn * r, a % pn + pn * s
     return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
@@ -380,11 +388,17 @@ def test_kt_support_matches_einsum_reference(p, n):
     assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
-# (53,1) and (7,2) sit just below the int32 bound p^(4n) <= ENUMERATION_BOUND
+# (53,1) and (7,2) sit just below the int32 bound p^(4n) <= ENUMERATION_BOUND,
+# and their |J| is beyond int32, so they take the int64 index; the others the int32 one
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (53, 1), (7, 2)])
 def test_random_draws_and_pair_products_match_einsum_reference(p, n):
     spec = TorusSpec(p, n)
     pm = p ** (2 * n)
+    wide = (p, n) in ((53, 1), (7, 2))
+    assert _support_count(spec) > 2**31 if wide else _support_count(spec) <= 2**31
+    rng = _CountingIndices()
+    random_kt_elements(spec, 10, rng)
+    assert rng.calls[0][3] == np.dtype(np.int64 if wide else np.int32)
     for seed in (0, 1, 2):
         got = random_kt_elements(spec, 1000, np.random.default_rng(seed))
         want = _reference_draws(spec, 1000, np.random.default_rng(seed))
@@ -449,25 +463,35 @@ def test_no_random_draws_give_an_empty_array(p, n):
     assert mats.shape == (0, 2, 2) and mats.dtype == np.int32
 
 
-class _HalfRejectedFirstRound:
-    """A generator whose first candidate pairs are (0, 0) in every other
-    column, so the rejection loop needs a second round."""
+class _CountingIndices:
+    """A generator stand-in whose integers() returns 0, 1, ..., size - 1 in the
+    requested dtype and records each call as (low, high, size, dtype)."""
 
-    def __init__(self, seed):
-        self.rng, self.first = np.random.default_rng(seed), True
+    def __init__(self):
+        self.calls = []
 
-    def integers(self, *args, **kwargs):
-        out = self.rng.integers(*args, **kwargs)
-        if self.first:
-            out[:, ::2], self.first = 0, False
-        return out
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if high is None:
+            low, high = 0, low
+        self.calls.append((low, high, size, np.dtype(dtype)))
+        return np.arange(size, dtype=dtype)
 
 
-def test_random_draws_fill_across_rejection_rounds():
-    spec = TorusSpec(5, 1)
-    mats = random_kt_elements(spec, 5000, _HalfRejectedFirstRound(0))
-    assert mats.shape == (5000, 2, 2)
-    assert np.isin(mat_keys(mats, 25), mat_keys(kt_support(spec), 25)).all()
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_index_map_is_a_bijection_onto_the_support(p, n):
+    # every index below |J| once gives every support element once
+    spec, pm = TorusSpec(p, n), p ** (2 * n)
+    count = _support_count(spec)
+    rng = _CountingIndices()
+    keys = mat_keys(random_kt_elements(spec, count, rng), pm)
+    assert rng.calls == [(0, count, count, np.dtype(np.int32))]
+    assert len(keys) == count and all_distinct(keys)
+    assert np.array_equal(np.sort(keys), np.sort(mat_keys(kt_support(spec), pm)))
+    # one bounded draw of exactly `size` indices, with no oversampling
+    for size in (0, 1, 1000):
+        rng = _CountingIndices()
+        assert random_kt_elements(spec, size, rng).shape == (size, 2, 2)
+        assert rng.calls == [(0, count, size, np.dtype(np.int32))]
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1)])

@@ -315,7 +315,8 @@ def test_every_default_is_set_outside_tests():
 
 # The pair kernels reduce through cosets.mod: NumPy's integer remainder by a
 # scalar is not vectorized, and no correctness test can tell the two apart.
-PAIR_KERNELS = ["cosets.mul_mod", "cosets.kt_membership_mask", "cosets.random_kt_elements",
+PAIR_KERNELS = ["cosets.mat_keys", "cosets.mul_mod", "cosets.kt_support",
+                "cosets.kt_membership_mask", "cosets.random_kt_elements",
                 "characters.ChiEvaluator.exponents", "minimal.convolution_check"]
 
 
