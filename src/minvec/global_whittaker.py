@@ -766,7 +766,13 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     Every c_m is real, so G[j] is the conjugate of the real-input forward
     transform at j, and |G[L - j]| = |G[j]|: the mirror |phi(x)| = |phi(N - x)|.
     Each row's sup and first argmax are therefore read from j = 0..L/2 of one
-    rfft, and the argmax x lies in [0, N/2].
+    rfft, and the argmax x lies in [0, N/2].  A row of one term m has
+    |phi| = |c_m| at every x, so its sup is exactly its witness, first
+    reached at x = 0, with no transform.  For m = b (every holomorphic
+    one-term row: b is a unit at N > 1, and R >= 8 gives an N = 1 row 8
+    terms) that is the rfft's result bit for bit, as the one-hot row at
+    column 0 transforms to c_m at every frequency; a Maass row of m = b - N
+    alone sits at column L - 1, where the rfft reads |c_m| only to rounding.
 
     lambda is sieved once per scan, up to the bottom row's cutoff, on the
     classes the terms read (_read_classes).  The rows are planned before any
@@ -779,12 +785,12 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     coefficients from one _row_coefficients call (evaluate_phi's assembly, one
     kappa call) and each row's witness, its largest |c_m| and the first m that
     reaches it, from one maximum.reduceat.  Within the chunk, each run of rows
-    that share X/N is cut into blocks of at most _SCAN_BLOCK_ELEMENTS elements
-    (or one row), and a block only scatters its coefficients into one real
-    (rows, X/N) array and takes one rfft along its rows.  Every coefficient is
-    elementwise (a Maass kernel value depends on its x alone) and each row's
-    rfft does not depend on its block, so every row equals the one-row
-    assembly bit for bit.  The scan's sup and witness are the first maxima
+    of more than one term that share X/N is cut into blocks of at most
+    _SCAN_BLOCK_ELEMENTS elements (or one row), and a block only scatters its
+    coefficients into one real (rows, X/N) array and takes one rfft along its
+    rows.  Every coefficient is elementwise (a Maass kernel value depends on
+    its x alone) and each row's rfft does not depend on its block, so every
+    row equals the one-row assembly bit for bit.  The scan's sup and witness are the first maxima
     over all rows, as a row-by-row strict > would keep them.
     """
     rows_per_decade = require_int("rows_per_decade", rows_per_decade, 1)
@@ -795,6 +801,9 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN), *_read_classes(ram, arch))
 
     yp, start, lens, L = _row_blocks(ram, arch, ys)
+    # a one-term row has |phi| = |c_m| at every x: its sup is its witness,
+    # first reached at x = 0, and it takes no transform (length 0 in Lt)
+    Lt = np.where(lens > 1, L, 0)
     n = len(yp)
     row_sup, row_w = np.empty(n), np.empty(n)
     jx, row_m = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -812,11 +821,14 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
         # are filled with len(mag), past every column
         j = np.minimum.reduceat(np.where(mag < w[row], len(mag), col), starts)
         row_w[lo:hi], row_m[lo:hi] = w, ms[starts + j]
+        row_sup[lo:hi], jx[lo:hi] = w, 0      # kept by the one-term rows
         jc = ms // N                     # m = b + N j' puts c_m at j' mod L
         bounds = np.append(starts, len(ms))
-        runs = np.flatnonzero(np.diff(L[lo:hi], prepend=0, append=0)).tolist()
+        runs = np.flatnonzero(np.diff(Lt[lo:hi], prepend=0, append=0)).tolist()
         for r0, r1 in zip(runs, runs[1:]):       # chunk rows of one L
-            Lr = int(L[lo + r0])
+            Lr = int(Lt[lo + r0])
+            if not Lr:
+                continue
             size = max(1, _SCAN_BLOCK_ELEMENTS // Lr)
             for b0 in range(r0, r1, size):
                 b1 = min(b0 + size, r1)
@@ -839,7 +851,7 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C,
                       sup / scale, witness / scale, rows,
-                      terms=int(lens.sum()), fft_points=int(L.sum()))
+                      terms=int(lens.sum()), fft_points=int(Lt.sum()))
 
 
 def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):

@@ -980,9 +980,10 @@ def _source(kind, seed):
 
 
 def _assert_rows_match_full_length_transform(ram, arch, kind, rows_per_decade):
-    """Every row sup, the terms and transform points, the sup and its argmax
-    of a scan against _full_length_row, row by row; a different argmax must
-    be a tie within rounding."""
+    """Every row sup, the terms and transform points (X/N for each row of
+    more than one term), the sup and its argmax of a scan against
+    _full_length_row, row by row; a different argmax must be a tie within
+    rounding."""
     N = ram.N
     rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=rows_per_decade,
                        keep_rows=True)
@@ -996,7 +997,7 @@ def _assert_rows_match_full_length_transform(ram, arch, kind, rows_per_decade):
         if sup > ref_sup:
             ref_sup, ref_argmax = sup, (x, y)
         terms += n_terms
-        fft_points += X // N
+        fft_points += X // N if n_terms > 1 else 0
     assert (rep.terms, rep.fft_points) == (terms, fft_points)
     assert rep.sup == pytest.approx(ref_sup, rel=1e-12)
     if rep.argmax != ref_argmax:
@@ -1058,7 +1059,8 @@ def reference_scan(ram, coeffs, arch, rows_per_decade):
     and sqrt|m| on the row's own progression, the coefficients as
     PREF lambda lambda' kappa / sqrt|m| in that order, and |G| from the row's
     own real FFT.  The reference for the per-scan factors and the block
-    transform, which must give the same bits."""
+    transform, which must give the same bits.  Like the scan, it counts the
+    transform points of the rows of more than one term only."""
     N = ram.N
     N2 = N * N
     y_max = max(2.0, N2 * arch.T)
@@ -1097,7 +1099,7 @@ def reference_scan(ram, coeffs, arch, rows_per_decade):
             sup, argmax = row_sup, (jx * N2 / X, float(yv))
         rows.append((float(yv), row_sup, float(mags[j])))
         terms += len(ms)
-        fft_points += L
+        fft_points += L if len(ms) > 1 else 0
     C = max(N, 1) ** 4
     scale = C ** (1.0 / 8.0) * arch.h_value
     return ScanReport(N, arch, sup, argmax, witness, witness_m, C, sup / scale,
@@ -1248,6 +1250,76 @@ def test_scan_with_small_chunks_is_bit_identical_to_per_row_assembly(rams, monke
     _assert_blocks_split_at_the_cap(blocks, len(ref.rows), 128)
     _assert_chunks_split_at_the_cap(chunks, ref, 64)
     assert len(chunks) > 4
+
+
+def _one_term_rows(ram, arch, rows_per_decade):
+    """Which rows of a scan's plan hold exactly one term, and their L."""
+    _, _, lens, L = global_whittaker._row_blocks(ram, arch, _scan_ys(ram.N, arch, rows_per_decade))
+    return lens == 1, L
+
+
+# at N = 15 and 21 the top rows of a holomorphic scan hold one term, m = b
+@pytest.mark.parametrize("N", [15, 21])
+@pytest.mark.parametrize("k", [12, 120])
+def test_one_term_rows_read_their_witness_without_a_transform(rams, monkeypatch, N, k):
+    # |phi| = |c_m| at every x of a one-term row: the scan transforms only
+    # the other rows, and still gives the per-row rfft's report bit for bit
+    arch = ArchParams("holomorphic", k=k)
+    one, L = _one_term_rows(rams[N], arch, 256)
+    assert one.any() and not one.all()
+    got, blocks, _ = _scan_with_blocks(monkeypatch, rams[N], "sato-tate", arch)
+    _assert_same_report(got, reference_scan(rams[N], _source("sato-tate", 3), arch, 256))
+    assert sum(n for _, n in blocks) == int((~one).sum())
+    assert sum(Lb * n for Lb, n in blocks) == got.fft_points == int(L[~one].sum())
+    rows = np.array(got.rows)
+    assert np.array_equal(rows[one, 1], rows[one, 2])
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["b", "N-b"])
+def test_maass_one_term_rows_read_their_witness_at_either_column(rams, monkeypatch, mirror):
+    # at N = 21 a Maass row with 8 <= R < 16 holds one term: m = b (column 0)
+    # in the class b = 5, m = b - N (column L - 1) in the class 16; the scan
+    # reads either as its exact witness, where the per-row rfft of column
+    # L - 1 reads it only to rounding.  Every other row, and the sup, argmax
+    # and witness, are the per-row rfft's bit for bit
+    ram, arch = rams[21], ArchParams("maass", t=2.0)
+    if mirror:
+        ram = dataclasses.replace(ram, b=21 - ram.b)
+    one, L = _one_term_rows(ram, arch, 64)
+    assert one.any() and not one.all()
+    got, blocks, _ = _scan_with_blocks(monkeypatch, ram, "sato-tate", arch, 64)
+    ref = reference_scan(ram, _source("sato-tate", 3), arch, 64)
+    for name in ("sup", "argmax", "witness", "witness_m", "terms", "fft_points"):
+        assert getattr(got, name) == getattr(ref, name), name
+    rows, ref_rows = np.array(got.rows), np.array(ref.rows)
+    assert np.array_equal(rows[~one], ref_rows[~one])
+    assert np.array_equal(rows[one][:, ::2], ref_rows[one][:, ::2])   # y and witness
+    assert np.array_equal(rows[one, 1], rows[one, 2])
+    np.testing.assert_allclose(ref_rows[one, 1], rows[one, 1], rtol=4 * np.finfo(float).eps)
+    assert sum(n for _, n in blocks) == int((~one).sum())
+    assert sum(Lb * n for Lb, n in blocks) == got.fft_points == int(L[~one].sum())
+
+
+@pytest.mark.parametrize("N", [15, 21])
+def test_a_scan_of_one_term_rows_peaks_at_x_zero(rams, monkeypatch, N):
+    # the plan cut down to its one-term rows: no transform, the sup is the
+    # largest witness, first reached at x = 0 on its row, where (as at any x)
+    # |phi| is that witness
+    arch, plan = ArchParams("holomorphic", k=12), global_whittaker._row_blocks
+
+    def one_term_plan(ram, arch, ys):
+        yp, start, lens, L = plan(ram, arch, ys)
+        one = lens == 1
+        return yp[one], start[one], lens[one], L[one]
+
+    monkeypatch.setattr(global_whittaker, "_row_blocks", one_term_plan)
+    rep, blocks, _ = _scan_with_blocks(monkeypatch, rams[N], "sato-tate", arch)
+    assert blocks == [] and rep.fft_points == 0 and len(rep.rows) > 50
+    y = next(y for y, _, w in rep.rows if w == rep.witness)
+    assert (rep.sup, rep.argmax) == (rep.witness, (0.0, y))
+    for x in (0.0, N / 3, 0.7):
+        phi = evaluate_phi(x, y, rams[N], _source("sato-tate", 3), arch)
+        assert abs(phi) == pytest.approx(rep.sup, rel=1e-12)
 
 
 def test_scan_memory_stays_within_the_block_cap(rams):
@@ -1435,6 +1507,30 @@ def test_level_one_scan_finds_delta_at_rho(delta_source, rows_per_decade):
     assert expect == pytest.approx(2.2917131644453, rel=1e-12)
     assert rep.sup == pytest.approx(expect, rel=1e-12)
     assert rep.argmax == (0.5, math.sqrt(3) / 2)
+
+
+@pytest.mark.parametrize("z", [0.2 + 0.7j, -0.35 + 0.55j, 0.45 + 0.8j])
+def test_level_one_phi_is_invariant_under_s_below_y_min(delta_source, z):
+    # |phi(-1/z)| = |phi(z)| at points the scan's Siegel set leaves out:
+    # the x-phase and kernel conventions of the expansion, off its rows
+    ram, w = RamifiedData.unramified(), -1 / z
+    assert z.imag < Y_MIN < w.imag
+    here = abs(evaluate_phi(z.real, z.imag, ram, delta_source, DELTA_ARCH))
+    there = abs(evaluate_phi(w.real, w.imag, ram, delta_source, DELTA_ARCH))
+    assert here == pytest.approx(there, rel=1e-12)
+
+
+def test_level_one_scan_bounds_delta_on_the_fundamental_domain(delta_source):
+    # y^6 |Delta| on a brute-force grid over |x| <= 1/2, |z| >= 1 (rho and
+    # its mirror included), from the product oracle, never passes the scan's sup
+    rep = scan_supnorm(RamifiedData.unramified(), delta_source, DELTA_ARCH)
+    scale = PREF / c_infty(DELTA_ARCH)
+    grid = [complex(x, y) for x in np.linspace(-0.5, 0.5, 81).tolist()
+            for y in np.geomspace(Y_MIN, 4.0, 80).tolist() if x * x + y * y >= 1 - 1e-12]
+    assert len(grid) == 6032
+    top = max(scale * z.imag**6 * abs(_delta(z)) for z in grid)
+    assert top <= rep.sup * (1 + 1e-12)
+    assert top == pytest.approx(rep.sup, rel=1e-12)
 
 
 def _assert_hecke_relations(lam):
