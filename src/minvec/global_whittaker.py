@@ -630,7 +630,8 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
 
     The lambda(m) come from coeffs.values_upto on _read_classes, so a file
     source must cover the m in 1..R (1..2R with check_stability) that the
-    terms read, those with m = b or -b (mod N), as scan_supnorm requires.
+    terms read, those with m = b or -b (mod N); scan_supnorm needs them up
+    to its plan's largest cutoff.
     y must be positive and finite, and a given cutoff R a positive integer
     (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
@@ -702,8 +703,7 @@ def _row_coefficients(ms: np.ndarray, y, ram: RamifiedData, arch: ArchParams,
     lambda_prime_fast and the normalized kernel from one array call.  Every
     factor is real, so the coefficients are float64, and elementwise in m, so
     a term's value does not depend on the other terms of the call (or on
-    how a scan cuts its rows into chunks).  The sieve read comes first, so a
-    term past the sieve raises IndexError before anything else is evaluated.
+    how a scan cuts its rows into chunks).
     """
     am = np.abs(ms)
     return (PREF * lam_all[am] * lambda_prime_fast(ms, ram) * kappa(am * y / ram.N**2, arch)
@@ -774,10 +774,11 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     column 0 transforms to c_m at every frequency; a Maass row of m = b - N
     alone sits at column L - 1, where the rfft reads |c_m| only to rounding.
 
-    lambda is sieved once per scan, up to the bottom row's cutoff, on the
-    classes the terms read (_read_classes).  The rows are planned before any
-    is scanned (_row_blocks: all cutoffs from one _cutoffs probe, and each
-    row's first m and term count from _row_spans, as in evaluate_phi).
+    The rows are planned before any is scanned (_row_blocks: all cutoffs
+    from one _cutoffs probe, and each row's first m and term count from
+    _row_spans, as in evaluate_phi).  lambda is then sieved once per scan,
+    up to the plan's largest cutoff, on the classes the terms read
+    (_read_classes).
 
     The plan is walked in chunks of consecutive rows holding at most
     _SCAN_BLOCK_ELEMENTS // 2 terms (at least one row).  A chunk builds its
@@ -798,9 +799,8 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
     y_max = max(2.0, N2 * arch.T)
     n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
     ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
-    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN), *_read_classes(ram, arch))
-
-    yp, start, lens, L = _row_blocks(ram, arch, ys)
+    yp, R, start, lens, L = _row_blocks(ram, arch, ys)
+    lam_all = coeffs.values_upto(int(R.max(initial=0)), *_read_classes(ram, arch))
     # a one-term row has |phi| = |c_m| at every x: its sup is its witness,
     # first reached at x = 0, and it takes no transform (length 0 in Lt)
     Lt = np.where(lens > 1, L, 0)
@@ -856,8 +856,9 @@ def scan_supnorm(ram: RamifiedData, coeffs: CoefficientSource, arch: ArchParams,
 
 def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
     """The scan plan: the rows with a nonempty progression, as arrays
-    (y, first m, terms, L = X/N).  scan_supnorm cuts it into chunks of rows
-    for assembly and blocks of one L for the transform.
+    (y, R, first m, terms, L = X/N).  scan_supnorm sieves lambda up to the
+    largest R and cuts the plan into chunks of rows for assembly and blocks
+    of one L for the transform.
 
     The cutoffs R of all rows are probed at once (_cutoffs, equal to the
     scalar _cutoff at each y), and each row's progression is _row_spans' at
@@ -871,7 +872,7 @@ def _row_blocks(ram: RamifiedData, arch: ArchParams, ys: np.ndarray):
     X = np.full(len(R), X_STEPS_PER_PERIOD * N * N)
     while (short := X <= 2 * R + 1).any():
         X[short] *= 2
-    return ys[keep], start, lens, X // N
+    return ys[keep], R, start, lens, X // N
 
 
 # -- classical congruence group ----------------------------------------------

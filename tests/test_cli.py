@@ -125,6 +125,18 @@ def test_scan_supnorm_runs_and_reports(tmp_path):
     assert doc["versions"]["scipy"] == scipy.__version__
 
 
+def test_maass_scan_whose_largest_cutoff_is_above_the_bottom_row_reports(tmp_path):
+    # at N = 3, t = 5 a row near y = 0.97 needs R = 67, more than the bottom
+    # row's 59; the scan sieves up to its plan's largest cutoff and finishes
+    out, samples = tmp_path / "r.json", tmp_path / "s.csv"
+    assert run(["scan-supnorm", "--N", "3", "--t", "5",
+                "--out", str(out), "--samples", str(samples)]) == 0
+    doc = json.loads(out.read_text())
+    assert np.isfinite(doc["sup"]) and doc["sup"] >= doc["witness"] > 0
+    lines = samples.read_text().splitlines()
+    assert lines[0].startswith("y,") and len(lines) > 1
+
+
 def test_que_subcommand(tmp_path):
     out = tmp_path / "r.json"
     assert run(["que", "--grid", "3,1;5,1", "--a3", "0,1",

@@ -549,7 +549,7 @@ def test_restricted_sieve_matches_the_full_sieve_on_every_scan_job(rams, N, arch
     modulus, classes = _read_classes(rams[N], arch)
     b = rams[N].b
     assert (modulus, classes) == (N, (b,) if arch.case == "holomorphic" else (b, -b))
-    _assert_restricted_sieve_matches_full(3, _cutoff(N, arch, Y_MIN), N, classes)
+    _assert_restricted_sieve_matches_full(3, _plan_limit(rams[N], arch, 64), N, classes)
 
 
 def test_restricted_sieve_matches_the_full_sieve_around_isqrt(rams):
@@ -871,6 +871,13 @@ def _scan_ys(N, arch, rows_per_decade):
     return np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
 
 
+def _plan_limit(ram, arch, rows_per_decade):
+    """The largest cutoff of a scan's row plan: how far its sieve reaches."""
+    _, R, _, _, _ = global_whittaker._row_blocks(ram, arch,
+                                                 _scan_ys(ram.N, arch, rows_per_decade))
+    return int(R.max())
+
+
 @pytest.mark.parametrize("rows_per_decade", [64, 256])
 def test_cutoffs_equal_the_scalar_cutoff_on_every_scan_row(rows_per_decade):
     # the holo-scan levels and weights (and k = 600), and the five maass-scan jobs
@@ -948,9 +955,10 @@ def test_row_plan_progressions_match_signed_progression(mv31, mv51, monkeypatch,
                 RamifiedData.build([mv51]), RamifiedData.build([mv31, mv51]),
                 RamifiedData(15, 0, 1.0, [])):
         expect = [signed_progression(ram.N, ram.b, int(R), holo) for R in Rs]
-        y_plan, start, lens, _ = global_whittaker._row_blocks(ram, arch, ys)
+        y_plan, R, start, lens, _ = global_whittaker._row_blocks(ram, arch, ys)
         ms, row, _, _ = global_whittaker._row_progressions(ram, arch, start, lens)
         assert y_plan.tolist() == [y for y, e in zip(ys, expect) if len(e)]
+        assert R.tolist() == [int(r) for r, e in zip(Rs, expect) if len(e)]
         assert np.array_equal(ms, np.concatenate(expect))
         assert np.array_equal(row, np.repeat(np.arange(len(y_plan)), [len(e) for e in expect if len(e)]))
 
@@ -987,7 +995,7 @@ def _assert_rows_match_full_length_transform(ram, arch, kind, rows_per_decade):
     N = ram.N
     rep = scan_supnorm(ram, _source(kind, 3), arch, rows_per_decade=rows_per_decade,
                        keep_rows=True)
-    lam_all = _source(kind, 3).values_upto(_cutoff(N, arch, Y_MIN))
+    lam_all = _source(kind, 3).values_upto(_plan_limit(ram, arch, rows_per_decade))
     ref_sup, ref_argmax = -1.0, None
     terms = fft_points = 0
     for y, row_sup, _ in rep.rows:
@@ -1060,21 +1068,20 @@ def reference_scan(ram, coeffs, arch, rows_per_decade):
     PREF lambda lambda' kappa / sqrt|m| in that order, and |G| from the row's
     own real FFT.  The reference for the per-scan factors and the block
     transform, which must give the same bits.  Like the scan, it counts the
-    transform points of the rows of more than one term only."""
+    transform points of the rows of more than one term only.  Each row's
+    cutoff is the scalar _cutoff, and the sieve reaches the largest."""
     N = ram.N
     N2 = N * N
-    y_max = max(2.0, N2 * arch.T)
-    n_rows = max(2, int(rows_per_decade * math.log10(y_max / Y_MIN)) + 1)
-    ys = np.exp(np.linspace(math.log(Y_MIN), math.log(y_max), n_rows))
+    ys = _scan_ys(N, arch, rows_per_decade)
     holo = arch.case == "holomorphic"
     base_X = X_STEPS_PER_PERIOD * max(N2, 1)
-    lam_all = coeffs.values_upto(_cutoff(N, arch, Y_MIN))
+    Rs = [_cutoff(N, arch, float(yv)) for yv in ys]
+    lam_all = coeffs.values_upto(max(Rs))
     sup, argmax = -1.0, (0.0, ys[0])
     witness, witness_m = -1.0, 0
     rows = []
     terms = fft_points = 0
-    for yv in ys:
-        R = _cutoff(N, arch, float(yv))
+    for yv, R in zip(ys, Rs):
         ms = signed_progression(N, ram.b, R, holo)
         if len(ms) == 0:
             continue
@@ -1123,9 +1130,49 @@ def test_holomorphic_scan_is_bit_identical_to_per_row_assembly(rams, N, k, kind)
     _assert_scans_equal(rams[N], kind, ArchParams("holomorphic", k=k))
 
 
-@pytest.mark.parametrize("N, t", [(1, 2.0), (3, 2.0), (5, 5.0), (1, 10.0)])
+@pytest.mark.parametrize("N, t", [(1, 2.0), (3, 2.0), (5, 5.0), (3, 5.0), (1, 10.0)])
 def test_maass_scan_is_bit_identical_to_per_row_assembly(rams, N, t):
     _assert_scans_equal(rams[N], "sato-tate", ArchParams("maass", t=t))
+
+
+@pytest.mark.parametrize("N, arch", SCAN_JOBS,
+                         ids=[f"N{N}-" + (f"k{a.k}" if a.k else f"t{a.t:g}") for N, a in SCAN_JOBS])
+def test_scan_sieves_up_to_its_plan_largest_cutoff(rams, monkeypatch, N, arch):
+    # one sieve per scan, on the read classes, up to the largest R of the
+    # plan: the bottom row's on every holomorphic job, but at N = 3, t = 5
+    # the row at y ~ 0.966 needs R = 67 where Y_MIN needs 59
+    sieves, values_upto = [], CoefficientSource.values_upto
+
+    def spy(self, limit, modulus=1, residues=(0,)):
+        sieves.append((limit, modulus, residues))
+        return values_upto(self, limit, modulus, residues)
+
+    monkeypatch.setattr(CoefficientSource, "values_upto", spy)
+    rep = scan_supnorm(rams[N], _source("sato-tate", 3), arch, rows_per_decade=64)
+    limit = _plan_limit(rams[N], arch, 64)
+    assert sieves == [(limit, *_read_classes(rams[N], arch))]
+    assert rep.sup >= rep.witness > 0
+    if arch.case == "holomorphic":
+        assert limit == _cutoff(N, arch, Y_MIN)
+    elif (N, arch.t) == (3, 5.0):
+        assert (limit, _cutoff(N, arch, Y_MIN)) == (67, 59)
+
+
+def test_maass_scan_makes_no_scalar_bessel_call(rams, monkeypatch):
+    # the cutoffs come from the plan's array probe and the kernel from one
+    # row quadrature per chunk, so the scalar bessel_K_imag is never called
+    calls = []
+
+    def no_scalar(t, x, *args):
+        calls.append((t, x))
+        return bessel_K_imag(t, x, *args)
+
+    monkeypatch.setattr(global_whittaker, "bessel_K_imag", no_scalar)
+    monkeypatch.setattr(bessel, "bessel_K_imag", no_scalar)
+    for N, arch in SCAN_JOBS:
+        if arch.case == "maass":
+            scan_supnorm(rams[N], _source("sato-tate", 3), arch, rows_per_decade=64)
+    assert calls == []
 
 
 @pytest.mark.parametrize("N, t", [(1, 2.0), (3, 2.0), (5, 5.0)])
@@ -1154,16 +1201,6 @@ def test_maass_scans_at_large_t_finish(rams, N, t):
     assert rep.sup >= rep.witness > 0
     direct = abs(evaluate_phi(*rep.argmax, rams[N], _source("all-ones", 1), arch))
     assert abs(direct - rep.sup) <= 1e-6 * rep.sup
-
-
-def test_maass_scan_past_the_sieve_raises_as_per_row_assembly(rams):
-    # a row at N = 3, t = 5 has a larger cutoff than the bottom row, and both
-    # routes fail at its sieve read with the same IndexError
-    arch = ArchParams("maass", t=5.0)
-    with pytest.raises(IndexError) as ref:
-        reference_scan(rams[3], _source("sato-tate", 3), arch, 64)
-    with pytest.raises(IndexError, match=re.escape(str(ref.value))):
-        scan_supnorm(rams[3], _source("sato-tate", 3), arch, rows_per_decade=64)
 
 
 def _scan_with_blocks(monkeypatch, ram, kind, arch, rows_per_decade=256):
@@ -1254,7 +1291,8 @@ def test_scan_with_small_chunks_is_bit_identical_to_per_row_assembly(rams, monke
 
 def _one_term_rows(ram, arch, rows_per_decade):
     """Which rows of a scan's plan hold exactly one term, and their L."""
-    _, _, lens, L = global_whittaker._row_blocks(ram, arch, _scan_ys(ram.N, arch, rows_per_decade))
+    _, _, _, lens, L = global_whittaker._row_blocks(ram, arch,
+                                                    _scan_ys(ram.N, arch, rows_per_decade))
     return lens == 1, L
 
 
@@ -1308,9 +1346,9 @@ def test_a_scan_of_one_term_rows_peaks_at_x_zero(rams, monkeypatch, N):
     arch, plan = ArchParams("holomorphic", k=12), global_whittaker._row_blocks
 
     def one_term_plan(ram, arch, ys):
-        yp, start, lens, L = plan(ram, arch, ys)
+        yp, R, start, lens, L = plan(ram, arch, ys)
         one = lens == 1
-        return yp[one], start[one], lens[one], L[one]
+        return yp[one], R[one], start[one], lens[one], L[one]
 
     monkeypatch.setattr(global_whittaker, "_row_blocks", one_term_plan)
     rep, blocks, _ = _scan_with_blocks(monkeypatch, rams[N], "sato-tate", arch)
