@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -120,11 +119,17 @@ class ThetaChar:
     presentation: AbelianPresentation = field(compare=False, hash=False)
 
     def value(self, z: tuple[int, int]) -> UnitRoot:
+        """theta at the unit z = (x, y), x + y*sqrt(delta), read from its own
+        log_table row (k_i): e(sum_i w_i k_i / d_i), summed in integers over the
+        exponent E as sum_i w_i k_i (E / d_i) mod E.  The array route, table,
+        is never read here, so the two stay independent."""
         pres = self.presentation
         e = pres.log_table[z[0] * pres.modulus + z[1]].tolist()
         if e[0] < 0:
             raise ValueError(f"{z} is not a unit mod {pres.modulus}")
-        return UnitRoot(sum(Fraction(w * k, d) for w, k, d in zip(self.weights, e, pres.orders)))
+        E = pres.exponent
+        return UnitRoot.exact(sum(w * k * (E // d) for w, k, d in
+                                  zip(self.weights, e, pres.orders)), E)
 
     def table(self, L: int) -> np.ndarray:
         """theta as exponents in Z/L, for L a multiple of the presentation's
@@ -244,13 +249,17 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
 
     Raises NotInSupport outside.  Normalized with trivial value on the scalar
     p and on unit scalars.  On the subgroup, chi is theta at the torus pair t
-    of g0 = [[u, m], [0, 1]] t (decompose_B1T) times a psi phase of m.
+    of g0 = [[u, m], [0, 1]] t (decompose_B1T) times a psi phase of m.  The
+    determinant is read once, on g (carried when g has one): g0 =
+    p^(-v(det)/2) g carries p^(-v(det)) det, which subgroup_member and
+    decompose_B1T then read.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
-    if g.det.is_zero or g.det.v % 2 != 0:
+    det = g.det
+    if det.is_zero or det.v % 2 != 0:
         raise NotInSupport("determinant valuation is odd or undetermined")
-    g0 = g.scale_by_power(-int(g.det.v) // 2)
+    g0 = g.scale_by_power(-int(det.v) // 2)
     if not subgroup_member(g0, spec, n):
         raise NotInSupport("not in the torus-congruence subgroup at depth n")
     u, m, t = decompose_B1T(g0, spec)
@@ -258,8 +267,7 @@ def chi_value(mv: MinimalVectorSpec, g: Mat2Local) -> UnitRoot:
     m_res = m.residue(2 * n)
     assert m_res % p**n == 0
     bd = m_res // p**n
-    psi_part = UnitRoot(Fraction(psi_numerator(-mv.a_theta * spec.alpha * bd) % p**n, p**n))
-    return tval * psi_part
+    return tval * UnitRoot.exact(psi_numerator(-mv.a_theta * spec.alpha * bd), p**n)
 
 
 @dataclass
@@ -299,18 +307,20 @@ class ChiEvaluator:
         return cls(mv, L, mv.theta.table(L)[d * pm + y].astype(np.int32),
                    m_a.astype(np.int16), m_b.astype(np.int16), psi_m.astype(np.int32))
 
-    def exponents(self, mats: np.ndarray) -> np.ndarray:
-        """chi as an exponent in Z/L, in the dtype of mats (int32 or int64),
-        whose entries must be residues in [0, p^(2n)), as those of every
-        support array and mul_mod product are.  Only valid on support rows;
-        every lookup stays in range on any such matrix."""
+    def exponents(self, a, b, c, d) -> np.ndarray:
+        """chi as an exponent in Z/L at the matrices [[a, b], [c, d]], given as
+        entry columns: a an array with one row per matrix, in whose dtype
+        (int32 or int64) the exponents come, and b, c, d integer arrays or
+        ints that broadcast against it, as mul_mod takes them.  The entries
+        must be residues in [0, p^(2n)), as those of every support array and
+        mul_mod product are.  Only valid on support rows; every lookup stays
+        in range on any such matrix."""
         pm = self.mv.p ** (2 * self.mv.n)
-        a, b = mats[:, 0, 0], mats[:, 0, 1]
-        cd = mats[:, 1, 0] * pm + mats[:, 1, 1]
+        cd = c * pm + d
         # a*m_a + b*m_b < 2 pm^2 = 2 p^(4n) <= 2 ENUMERATION_BOUND: int32 holds it
         m = mod(a * self.m_a.take(cd) + b * self.m_b.take(cd), pm)
         out = mod(self.theta_cd.take(cd) + self.psi_m.take(m), self.L)
-        return out.astype(mats.dtype, copy=False)
+        return out.astype(a.dtype, copy=False)
 
 
 def character_table_rows(mv: MinimalVectorSpec):

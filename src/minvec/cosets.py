@@ -93,6 +93,12 @@ def entry_major(entries) -> np.ndarray:
     return np.stack(entries).reshape(4, -1).T.reshape(-1, 2, 2)
 
 
+def entry_columns(mats: np.ndarray) -> np.ndarray:
+    """The entry columns (a, b, c, d) of (N, 2, 2) matrices, as a (4, N) view
+    whose rows are contiguous when mats is entry-major."""
+    return mats.reshape(-1, 4).T
+
+
 def kt_support(spec: TorusSpec) -> np.ndarray:
     """The support of the distinguished matrix coefficient inside GL2(Z/p^{2n})
     as an entry-major int32 (S, 2, 2) array of matrices mod p^{2n}: the
@@ -118,11 +124,12 @@ def kt_support(spec: TorusSpec) -> np.ndarray:
     return mats
 
 
-def kt_membership_mask(mats: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Vectorized membership test mod p^{2n} (entries assumed in GL2(Z/p^{2n}))."""
+def kt_membership_mask(spec: TorusSpec, a, b, c, d) -> np.ndarray:
+    """Vectorized membership test mod p^{2n} of the matrices [[a, b], [c, d]]
+    (entries assumed in GL2(Z/p^{2n})), given as entry columns: integer arrays
+    or ints that broadcast against each other, as mul_mod takes them, with a
+    or b an array."""
     pn = spec.p**spec.n
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
     return (mod(a - d, pn) == 0) & (mod(c + spec.alpha * b, pn) == 0)
 
 

@@ -63,8 +63,14 @@ class Mat2Local:
 
     @cached_property
     def det(self) -> LocalElement:
-        """ad - bc, computed on first read; not a field, so == and hash ignore it."""
+        """ad - bc, computed on first read unless the matrix was built carrying
+        it (scale_by_power, left_translate); not a field, so == and hash ignore it."""
         return self.a * self.d - self.b * self.c
+
+    def _carrying(self, det: LocalElement) -> "Mat2Local":
+        """This matrix with its det already read as `det`, a value of ad - bc."""
+        self.__dict__["det"] = det
+        return self
 
     @classmethod
     def from_rationals(cls, p: int, entries, M: int) -> "Mat2Local":
@@ -84,7 +90,27 @@ class Mat2Local:
                          self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
     def scale_by_power(self, k: int) -> "Mat2Local":
-        return Mat2Local(*(e.scale_by_power(k) for e in self.entries()))
+        """p^k times the matrix.  A det already read is carried as p^(2k) det:
+        each product of two scaled entries shifts by 2k and keeps its unit and
+        precision, so that is exactly ad - bc of the scaled entries."""
+        out = Mat2Local(*(e.scale_by_power(k) for e in self.entries()))
+        det = self.__dict__.get("det")
+        return out if det is None else out._carrying(det.scale_by_power(2 * k))
+
+    def left_translate(self, y: LocalElement, x: LocalElement) -> "Mat2Local":
+        """a(y) n(x) times this matrix, for y and x known to one precision M,
+        read from its entries and carrying det = y det:
+
+            [[y (a + x c), y (b + x d)], [c, d]].
+
+        Each entry has the valuation, unit and precision of the same entry of
+        a_mat(y) * n_mat(x) * self: there the top row is y a + (y x) c, and
+        the bottom row is 0 a + 1 c (and 0 b + 1 d), whose zero term caps
+        its precision at min(M, a.M, c.M)."""
+        a, b, c, d = self.entries()
+        M = y.M
+        return Mat2Local(y * (a + x * c), y * (b + x * d), c._truncate(min(M, a.M, c.M)),
+                         d._truncate(min(M, b.M, d.M)))._carrying(y * self.det)
 
 
 def a_mat(y: LocalElement) -> Mat2Local:

@@ -12,11 +12,11 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import MinimalVectorSpec, chi_value
-from .cosets import (entry_major, gl2_order, kt_membership_mask, kt_support, mat_keys, mod,
+from .cosets import (entry_columns, gl2_order, kt_membership_mask, kt_support, mat_keys, mod,
                      mul_mod, product_keys, random_kt_elements)
 from .errors import (ConfigError, NotInSupport, NumericalError, PrecisionError, SizeGuard,
                      require_int)
-from .matgroups import Mat2Local, a_mat, decompose_B1T, n_mat
+from .matgroups import Mat2Local, a_mat, decompose_B1T
 from .residues import ENUMERATION_BOUND, LocalElement, UnitRoot, psi, psi_numerator
 
 
@@ -96,7 +96,7 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
     delta = coefficient_density(mv)
     if mode == "exhaustive":
         supp = kt_support(spec)
-        exps = ev.exponents(supp)
+        exps = ev.exponents(*entry_columns(supp))
         # exhaustive_fits makes p^(8n) <= ENUMERATION_BOUND < 2^31, so int32
         # holds every key; L divides the order of the unit group mod p^(2n),
         # below p^(4n) < 2^12, so int16 holds every sum of two exponents
@@ -119,13 +119,13 @@ def convolution_check(mv: MinimalVectorSpec, mode: str = "exhaustive",
         closure_bad = mult_bad = 0
         for lo in range(0, pairs, RANDOM_PAIR_BLOCK):
             size = min(RANDOM_PAIR_BLOCK, pairs - lo)
-            g1 = random_kt_elements(spec, size, rng)
-            g2 = random_kt_elements(spec, size, rng)
-            prod = entry_major(mul_mod(g1.reshape(-1, 4).T, g2.reshape(-1, 4).T, pm))
-            in_supp = kt_membership_mask(prod, spec)
+            g1 = entry_columns(random_kt_elements(spec, size, rng))
+            g2 = entry_columns(random_kt_elements(spec, size, rng))
+            prod = mul_mod(g1, g2, pm)
+            in_supp = kt_membership_mask(spec, *prod)
             closure_bad += size - int(np.count_nonzero(in_supp))
-            want = mod(ev.exponents(g1) + ev.exponents(g2), ev.L)
-            mult_bad += int(np.count_nonzero((ev.exponents(prod) != want) & in_supp))
+            want = mod(ev.exponents(*g1) + ev.exponents(*g2), ev.L)
+            mult_bad += int(np.count_nonzero((ev.exponents(*prod) != want) & in_supp))
         checked = pairs
     # |chi| = 1 on the support, so the L2 mass equals the support volume
     return ConvolutionReport(delta, checked, closure_bad, mult_bad, delta)
@@ -185,9 +185,14 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     det(a(c) n(x) g) = c det g fixes s = v(det) / 2 for every x, and each entry
     of h0 = p^(-s) a(c) n(x) g is affine in xi.  Scaled by p^E to integral
     coefficients, the entries are known mod p^(E+2n), which decides
-    integrality and gives h0 mod p^(2n) for ChiEvaluator.  At the first
-    support point the exponent is checked against the scalar
-    matrix_coefficient; a mismatch raises NumericalError.
+    integrality and gives h0 mod p^(2n), as the top row's columns and the
+    bottom row's two ints, for kt_membership_mask and ChiEvaluator.
+
+    At the first support point x0 the exponent is checked against the scalar
+    matrix_coefficient; a mismatch raises NumericalError.  The scalar route
+    gets a(c) n(x0) g built from its entries, [[c (a + x0 c_g), c (b + x0 d_g)],
+    [c_g, d_g]], carrying det = c det g (Mat2Local.left_translate), so
+    chi_value reads no determinant from entries.
     """
     spec = mv.torus
     p, n = mv.p, mv.n
@@ -225,20 +230,19 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     xi = np.arange(window, dtype=np.int64)
     A, B = (a0 + a1 * xi) % P, (b0 + b1 * xi) % P
     keep = np.flatnonzero((A % pE == 0) & (B % pE == 0))
-    mats = np.empty((len(keep), 2, 2), dtype=np.int32)
-    mats[:, 0, 0], mats[:, 0, 1] = A[keep] // pE, B[keep] // pE
-    mats[:, 1, 0], mats[:, 1, 1] = c0 // pE, d0 // pE
+    # h0 mod p^(2n) as entry columns: its bottom row (C, D) is the same at every x
+    A, B, C, D = A[keep] // pE, B[keep] // pE, c0 // pE, d0 // pE
     ev = mv.chi_evaluator
-    in_kt = kt_membership_mask(mats, spec)
-    keep, mats = keep[in_kt], mats[in_kt]
+    in_kt = kt_membership_mask(spec, A, B, C, D)
+    keep, A, B = keep[in_kt], A[in_kt], B[in_kt]
     if not len(keep):
         return 0j
-    exps = ev.exponents(mats)
+    exps = ev.exponents(A, B, C, D)
     # spot check against the scalar route at the first support point
     M = max(spec.precision, 2 * n + L + low + 6)
     c = LocalElement.from_rational(p, Fraction(p ** (2 * n), mv.support_unit()), M)
     x0 = LocalElement.from_rational(p, Fraction(int(keep[0]), pl), M)
-    scalar = matrix_coefficient(mv, a_mat(c) * n_mat(x0) * g)
+    scalar = matrix_coefficient(mv, g.left_translate(c, x0))
     if abs(scalar - np.exp(2j * np.pi * exps[0] / ev.L)) > 1e-9:
         raise NumericalError(f"vectorized chi exponent {exps[0]}/{ev.L} disagrees with the "
                              f"scalar matrix coefficient {scalar} at x = {x0}")

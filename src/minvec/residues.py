@@ -235,8 +235,16 @@ class UnitRoot:
     def one(cls) -> "UnitRoot":
         return cls(Fraction(0))
 
+    @classmethod
+    def exact(cls, num: int, den: int) -> "UnitRoot":
+        """e(num/den) for integers num and den >= 1: num is reduced mod den in
+        integers, then made one Fraction."""
+        return _root(Fraction(num % den, den))
+
     def __mul__(self, other: "UnitRoot") -> "UnitRoot":
-        return UnitRoot(self.r + other.r)
+        # r and other.r lie in [0, 1), so one step of 1 brings the sum back
+        r = self.r + other.r
+        return _root(r - 1 if r >= 1 else r)
 
     def __truediv__(self, other: "UnitRoot") -> "UnitRoot":
         return UnitRoot(self.r - other.r)
@@ -255,9 +263,17 @@ class UnitRoot:
         return f"UnitRoot({self.r})"
 
 
+def _root(r: Fraction) -> UnitRoot:
+    """A UnitRoot built without __post_init__, for r already a Fraction in [0, 1)."""
+    z = _new(UnitRoot)
+    z.__dict__["r"] = r
+    return z
+
+
 def psi(x: LocalElement) -> UnitRoot:
     """The fixed additive character of F: trivial on o, nontrivial on p^-1 o."""
-    return UnitRoot(PSI_SIGN * x.frac_part())
+    f = x.frac_part()
+    return UnitRoot.exact(psi_numerator(f.numerator), f.denominator)
 
 
 def psi_numerator(k):

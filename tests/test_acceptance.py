@@ -13,7 +13,7 @@ import pytest
 from minvec.bessel import bessel_K_imag
 from minvec.characters import (ChiEvaluator, MinimalVectorSpec,
                                enumerate_theta, solve_a_theta, verify_a_theta)
-from minvec.cosets import gl2_order, kt_membership_mask, kt_support
+from minvec.cosets import entry_columns, gl2_order, kt_membership_mask, kt_support
 from minvec.global_whittaker import (ArchParams, CoefficientSource,
                                      RamifiedData, evaluate_phi, gamma_TD,
                                      lambda_prime, scan_supnorm)
@@ -121,19 +121,19 @@ def test_criterion_3_matrix_coefficient_algebra(mv31, mv51, pair_scans):
     supp = kt_support(mv31.torus)
     ev = ChiEvaluator.build(mv31)
     pm = 9
-    exps = ev.exponents(supp)
+    exps = ev.exponents(*entry_columns(supp))
     inv = _mat_inverse_mod(supp, pm, 3)
     for idx in (0, 17, 123):
         h = supp[idx]
         q = np.einsum("sij,jk->sik", inv, h) % pm
-        mask = kt_membership_mask(q, mv31.torus)
+        mask = kt_membership_mask(mv31.torus, *entry_columns(q))
         ok = ok and bool(mask.all())
-        total_exp = (exps + ev.exponents(q)) % ev.L
+        total_exp = (exps + ev.exponents(*entry_columns(q))) % ev.L
         ok = ok and bool((total_exp == exps[idx]).all())   # exact, term by term
     for h in (np.array([[1, 1], [0, 1]]), np.array([[2, 0], [0, 1]])):
         q = np.einsum("sij,jk->sik", inv, h % pm) % pm
-        mask = kt_membership_mask(q, mv31.torus)
-        roots = np.exp(2j * np.pi * ev.exponents(q[mask]) / ev.L)
+        mask = kt_membership_mask(mv31.torus, *entry_columns(q))
+        roots = np.exp(2j * np.pi * ev.exponents(*entry_columns(q[mask])) / ev.L)
         s = np.sum(np.exp(2j * np.pi * exps[mask] / ev.L) * roots)
         ok = ok and abs(s) < 1e-9 * len(supp)
     _line(3, ok, "delta = 1/6, 1/20 exact; norm = delta; q^{2n} delta = q/(q-1)")

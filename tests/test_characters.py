@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from minvec.characters import (ChiEvaluator, MinimalVectorSpec, chi_value,
+from minvec.characters import (ChiEvaluator, MinimalVectorSpec, ThetaChar, chi_value,
                                enumerate_theta, quad_unit_presentation, solve_a_theta,
                                verify_a_theta)
 from minvec import characters, minimal
-from minvec.cosets import (all_distinct, inverse_table, kt_membership_mask, kt_support,
-                           mat_keys, mod, mul_mod, product_keys, random_kt_elements)
+from minvec.cosets import (all_distinct, entry_columns, inverse_table, kt_membership_mask,
+                           kt_support, mat_keys, mod, mul_mod, product_keys,
+                           random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec
 from minvec.residues import UnitRoot, factorize, psi_numerator
@@ -179,6 +183,40 @@ def test_theta_trivial_on_scalars_and_exact_depth():
             th.value((3, 6))
 
 
+# -- theta's scalar route, independent of its table -----------------------------
+
+def _fraction_sum_theta(theta, z):
+    """theta(z) as the sum of Fractions w_i k_i / d_i over the log (k_i) of z:
+    the formula ThetaChar.value's integer sum replaced, kept as a reference."""
+    pres = theta.presentation
+    e = pres.log_table[z[0] * pres.modulus + z[1]].tolist()
+    return UnitRoot(sum(Fraction(w * k, d) for w, k, d in zip(theta.weights, e, pres.orders)))
+
+
+def test_theta_value_reads_no_table():
+    # value is the scalar route that test_chi_evaluator_theta_table checks
+    # the table against, so it must not be built from it
+    tree = ast.parse(textwrap.dedent(inspect.getsource(ThetaChar.value)))
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "table" not in names
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (5, 1), (3, 2)])
+def test_theta_value_matches_the_fraction_sum_on_every_unit(pn, monkeypatch):
+    def no_table(self, L):
+        raise AssertionError("ThetaChar.value read ThetaChar.table")
+    monkeypatch.setattr(ThetaChar, "table", no_table)
+    thetas = enumerate_theta(TorusSpec(*pn))
+    for theta in (thetas[0], thetas[len(thetas) // 2], thetas[-1]):
+        pres = theta.presentation
+        units = np.flatnonzero(pres.log_table[:, 0] >= 0).tolist()
+        assert len(units) == pres.modulus**2 - (pres.modulus // pn[0]) ** 2
+        for z in (divmod(code, pres.modulus) for code in units):
+            got, want = theta.value(z), _fraction_sum_theta(theta, z)
+            assert type(got.r) is Fraction and got.r == want.r
+
+
 def test_a_theta_unique_and_verified():
     for p, n in [(3, 1), (5, 1)]:
         spec = TorusSpec(p, n)
@@ -234,8 +272,8 @@ def test_fast_evaluator_matches_slow(p, n):
     ev = ChiEvaluator.build(mv)
     rng = np.random.default_rng(7)
     mats = random_kt_elements(spec, 80, rng)
-    assert kt_membership_mask(mats, spec).all()
-    exps = ev.exponents(mats)
+    assert kt_membership_mask(spec, *entry_columns(mats)).all()
+    exps = ev.exponents(*entry_columns(mats))
     for i in range(80):
         g = Mat2Local.from_rationals(p, [int(v) for v in mats[i].ravel()], spec.precision)
         assert chi_value(mv, g).r == Fraction(int(exps[i]), ev.L) % 1
@@ -252,7 +290,7 @@ def test_support_is_group_closed():
     det_inv = inverse_table(pm, 3)[(a * d - b * c) % pm]
     inv_mats = np.stack([d * det_inv % pm, (-b) * det_inv % pm,
                          (-c) * det_inv % pm, a * det_inv % pm], axis=-1).reshape(-1, 2, 2)
-    assert kt_membership_mask(inv_mats, spec).all()
+    assert kt_membership_mask(spec, *entry_columns(inv_mats)).all()
 
 
 # -- the det/u2/m2 chain the closed-form evaluator replaced, kept as a reference --
@@ -282,7 +320,7 @@ def _chain_exponents(mv, mats):
 def _assert_matches_chain(mv, mats):
     ev = ChiEvaluator.build(mv)
     for m in (mats, mats.astype(np.int64)):
-        got, want = ev.exponents(m), _chain_exponents(mv, m)
+        got, want = ev.exponents(*entry_columns(m)), _chain_exponents(mv, m)
         assert got.dtype == want.dtype == m.dtype
         assert np.array_equal(got, want)
 
@@ -451,7 +489,7 @@ def test_random_draws_at_the_int32_edge_are_support_elements(p, n):
     assert mats.dtype == np.int32 and mats.shape == (20000, 2, 2)
     assert all(mats[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
     assert mats.min() >= 0 and mats.max() < pm
-    assert kt_membership_mask(mats, spec).all()
+    assert kt_membership_mask(spec, *entry_columns(mats)).all()
     wide = mats.astype(np.int64)
     det = wide[:, 0, 0] * wide[:, 1, 1] - wide[:, 0, 1] * wide[:, 1, 0]
     assert (det % p != 0).all()
@@ -534,7 +572,7 @@ def test_support_arrays_are_int32_entry_major(p, n, layout_mvs):
     for mats in (kt_support(spec), random_kt_elements(spec, 50, np.random.default_rng(0))):
         assert mats.dtype == np.int32 and mats.shape[1:] == (2, 2)
         assert all(mats[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
-        assert layout_mvs[p, n].chi_evaluator.exponents(mats).dtype == np.int32
+        assert layout_mvs[p, n].chi_evaluator.exponents(*entry_columns(mats)).dtype == np.int32
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -545,10 +583,10 @@ def test_exponents_agree_across_layouts_dtypes_and_the_scalar_route(layout_mvs, 
     mv = layout_mvs[pn]
     ev = mv.chi_evaluator
     mats = random_kt_elements(mv.torus, size, np.random.default_rng(seed))
-    got = ev.exponents(mats)
+    got = ev.exponents(*entry_columns(mats))
     row_major = np.array(mats, dtype=np.int64, order="C")
     assert row_major.flags.c_contiguous
-    assert np.array_equal(ev.exponents(row_major), got)
+    assert np.array_equal(ev.exponents(*entry_columns(row_major)), got)
     for g, e in zip(row_major, got):
         h = Mat2Local.from_rationals(p, [int(v) for v in g.ravel()], mv.torus.precision)
         assert chi_value(mv, h).r == Fraction(int(e), ev.L) % 1
@@ -585,7 +623,7 @@ def test_membership_mask_matches_remainder_reference_on_every_matrix_mod_9(dtype
                     axis=-1).reshape(-1, 2, 2)
     a, b, c, d = (mats[:, i, j].astype(np.int64) for i in (0, 1) for j in (0, 1))
     want = ((a - d) % 3 == 0) & ((c + spec.alpha * b) % 3 == 0)
-    got = kt_membership_mask(mats, spec)
+    got = kt_membership_mask(spec, *entry_columns(mats))
     assert len(mats) == 6561 and (a < d).sum() == 2916
     assert np.array_equal(got, want) and got.sum() == 729
     assert np.isin(mat_keys(kt_support(spec), 9), mat_keys(mats[got], 9)).all()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import agrees
 from minvec.characters import MinimalVectorSpec, enumerate_theta
-from minvec.cosets import kt_membership_mask, random_kt_elements
+from minvec.cosets import entry_columns, kt_membership_mask, random_kt_elements
 from minvec.errors import PrecisionError
 from minvec.matgroups import (Mat2Local, TorusSpec, canonical_alpha, decompose_B1T,
                               reassemble_B1T, subgroup_member)
@@ -77,6 +77,25 @@ def test_det_is_cached_and_not_a_field():
     assert "det" not in vars(h)
     assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
     assert "det" not in repr(g)
+
+
+def _digits(e):
+    return (e.v, e.u, e.M)
+
+
+@pytest.mark.parametrize("entries", [(2, Fraction(5, 3), 7, 1), (1, 2, 2, 4), (0, 1, 3, 0),
+                                     (Fraction(1, 9), 0, 0, 27)])
+def test_scale_by_power_carries_a_read_det(entries):
+    # p^(2k) det is exactly ad - bc of the entries scaled by p^k, digit for
+    # digit, a cancelled (zero) det included; an unread det is not carried
+    g = Mat2Local.from_rationals(3, entries, 8)
+    for k in (-2, -1, 1, 3):
+        assert "det" not in vars(g.scale_by_power(k))
+    g.det
+    for k in (-2, -1, 1, 3):
+        h = g.scale_by_power(k)
+        assert "det" in vars(h)
+        assert _digits(h.det) == _digits(Mat2Local(*h.entries()).det)
 
 
 def _valuation(x: Fraction, p: int) -> float:
@@ -215,7 +234,7 @@ def _unit_det_matrices(draw):
 @given(_unit_det_matrices())
 def test_KT_membership_agrees_with_the_array_mask(case):
     spec, mats = case
-    want = kt_membership_mask(mats, spec)
+    want = kt_membership_mask(spec, *entry_columns(mats))
     got = [subgroup_member(Mat2Local.from_rationals(spec.p, [int(e) for e in g.ravel()],
                                                     spec.precision), spec, spec.n)
            for g in mats]

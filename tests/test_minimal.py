@@ -9,7 +9,7 @@ import pytest
 
 from minvec import minimal
 from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
-from minvec.cosets import kt_membership_mask, kt_support, random_kt_elements
+from minvec.cosets import entry_columns, kt_membership_mask, kt_support, random_kt_elements
 from minvec.errors import ConfigError, NumericalError, PrecisionError, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat
 from minvec.minimal import (convolution_check, coefficient_density,
@@ -113,10 +113,11 @@ def _shift_chi_at(monkeypatch, target):
     """Make ChiEvaluator.exponents off by one at the matrix `target` (mod p^(2n))."""
     exponents = ChiEvaluator.exponents
 
-    def shifted(self, mats):
-        out = exponents(self, mats).copy()
+    def shifted(self, a, b, c, d):
+        out = exponents(self, a, b, c, d).copy()
         pm = self.mv.p ** (2 * self.mv.n)
-        hit = (mats.reshape(-1, 4) % pm == target.reshape(4) % pm).all(axis=1)
+        mats = np.stack(np.broadcast_arrays(a, b, c, d), axis=1)
+        hit = (mats % pm == target.reshape(4) % pm).all(axis=1)
         out[hit] = (out[hit] + 1) % self.L
         return out
     monkeypatch.setattr(ChiEvaluator, "exponents", shifted)
@@ -138,7 +139,7 @@ def test_random_scan_reports_a_wrong_exponent(mv32, monkeypatch):
 
 def test_random_scan_reports_a_planted_non_member(mv32, monkeypatch):
     outside = np.array([[1, 1], [0, 1]])     # c + alpha b = alpha, a unit
-    assert not kt_membership_mask(outside[None], mv32.torus).any()
+    assert not kt_membership_mask(mv32.torus, *entry_columns(outside[None])).any()
     draws = minimal.random_kt_elements
 
     def planted(spec, size, rng):
@@ -459,6 +460,93 @@ def test_oracle_spot_check_catches_a_wrong_route(mv31, monkeypatch):
     monkeypatch.setattr(minimal, "matrix_coefficient", lambda mv, h: 1.0 + 0.0j)
     with pytest.raises(NumericalError):
         whittaker_oracle(mv31, g)
+
+
+# -- the spot check's matrix a(c) n(x0) g, read from its entries ------------------
+
+def _entry_digits(h):
+    return [(e.v, e.u, e.M) for e in h.entries()]
+
+
+def _assert_carries_its_det(h):
+    """h carries a det, and ad - bc of its entries has the same valuation and
+    agrees with it mod p^M at the precision M both know."""
+    assert "det" in vars(h)
+    carried, computed = h.det, h.a * h.d - h.b * h.c
+    assert carried.is_zero == computed.is_zero
+    if not carried.is_zero:
+        M = min(carried.M, computed.M)
+        assert carried.v == computed.v
+        assert carried.scale_by_power(-carried.v).residue(M) == \
+            computed.scale_by_power(-computed.v).residue(M)
+
+
+def test_spot_check_matrix_is_the_product_read_from_its_entries(mv31, mv51, mv32, monkeypatch):
+    seen = []
+    translate = Mat2Local.left_translate
+
+    def recording(g, c, x0):
+        h = translate(g, c, x0)
+        seen.append((g, c, x0, h))
+        return h
+    monkeypatch.setattr(Mat2Local, "left_translate", recording)
+    for mv, gs in ((mv31, _criterion4_samples(mv31, 40, seed=141)),
+                   (mv51, _criterion4_samples(mv51, 20, seed=151)),
+                   (mv32, _criterion4_samples(mv32, 8, seed=132, windows={2, 3, 4}))):
+        seen.clear()
+        for g in gs:
+            whittaker_oracle(mv, g)
+        assert [s[0] for s in seen] == gs
+        for g, c, x0, h in seen:
+            assert _entry_digits(h) == _entry_digits(a_mat(c) * n_mat(x0) * g)
+            _assert_carries_its_det(h)
+
+
+def test_left_translate_on_the_zero_and_odd_valuation_cases(mv31):
+    # the matrices of test_oracle_zero_cases_match_scalar, at every x of two
+    # windows: zero entries, x = 0, and precisions above and below the
+    # entries'; then entries of mixed precision, where a.M and b.M cap the
+    # bottom row below min(M, c.M) and min(M, d.M)
+    M = 12
+    k = Mat2Local.from_rationals(3, (1, 2, 0, 1), M)
+    mixed = Mat2Local(LocalElement(3, 0, 1, 8), LocalElement(3, 1, 2, 9),
+                      LocalElement(3, -1, 1, 16), LocalElement(3, 0, 4, 16))
+    gs = [a_mat(LocalElement(3, -1, 1, M)) * k, a_mat(LocalElement(3, 0, 1, M)), mixed]
+    assert [g.det.v for g in gs] == [-1, 0, 0]
+    for level, low in ((3, 1), (4, 2)):
+        Ms = max(mv31.torus.precision, 2 + level + low + 6)
+        c = LocalElement.from_rational(3, Fraction(9, mv31.support_unit()), Ms)
+        for g in gs:
+            for xi in range(3 ** (level + low)):
+                x0 = LocalElement.from_rational(3, Fraction(xi, 3**low), Ms)
+                h = g.left_translate(c, x0)
+                assert _entry_digits(h) == _entry_digits(a_mat(c) * n_mat(x0) * g)
+                _assert_carries_its_det(h)
+
+
+def test_spot_check_reads_at_most_one_det_from_entries(mv31, monkeypatch):
+    computed = []
+    det = Mat2Local.det.func
+    monkeypatch.setattr(Mat2Local.det, "func", lambda h: computed.append(h) or det(h))
+    per_call = []
+    coefficient = minimal.matrix_coefficient
+
+    def counting(mv, h):
+        before = len(computed)
+        out = coefficient(mv, h)
+        per_call.append(len(computed) - before)
+        return out
+    monkeypatch.setattr(minimal, "matrix_coefficient", counting)
+    gs = _criterion4_samples(mv31, 20, seed=9)
+    for g in gs:
+        whittaker_oracle(mv31, g)
+    assert len(per_call) == len(gs) and max(per_call) <= 1
+    # a matrix built without a det: chi_value reads it once, and g0 carries it
+    for g in gs:
+        fresh = Mat2Local(*g.entries())
+        before = len(computed)
+        coefficient(mv31, fresh)
+        assert len(computed) - before == 1
 
 
 @pytest.mark.parametrize("pn", [(3, 1), (5, 1), (3, 2)])

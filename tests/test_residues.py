@@ -60,6 +60,21 @@ def test_unit_root_algebra():
     assert abs(z.to_complex() - complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))) < 1e-15
 
 
+def test_unit_root_arithmetic_matches_the_normalizing_constructor():
+    # exact and * skip __post_init__; each must give the Fraction in [0, 1)
+    # that UnitRoot(r) reduces to
+    rs = [Fraction(k, d) for d in (1, 2, 3, 9, 40) for k in range(-d, 2 * d + 1)]
+    for r in rs:
+        z = UnitRoot(r)
+        got, want = [UnitRoot.exact(r.numerator, r.denominator)], [z]
+        for s in rs[::5]:
+            got.append(z * UnitRoot(s))
+            want.append(UnitRoot(r + s))
+        for u, w in zip(got, want):
+            assert type(u.r) is Fraction and 0 <= u.r < 1 and u.r == w.r
+    assert UnitRoot.exact(-7, 7).r == 0
+
+
 def test_unit_enumeration_counts():
     assert len(unit_enumeration(3, 2)) == 6
     with pytest.raises(SizeGuard):
