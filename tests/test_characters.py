@@ -19,7 +19,7 @@ from minvec.cosets import (all_distinct, entry_columns, inverse_table, kt_member
                            random_kt_elements)
 from minvec.errors import NoSolution, NotInSupport, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec
-from minvec.residues import UnitRoot, factorize, psi_numerator
+from minvec.residues import ENUMERATION_BOUND, UnitRoot, factorize, psi_numerator
 from test_matgroups import torus_matrix
 
 
@@ -119,9 +119,10 @@ def test_coset_naming_matches_min_over_coset(p, m):
     assert np.array_equal(pres.log_table, want)
 
 
-# every buildable torus: p^(4n) <= ENUMERATION_BOUND and a unit group of at
-# most STRUCTURE_BOUND elements
-_BUILDABLE = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (3, 2)]
+# buildable tori (p^(4n) <= ENUMERATION_BOUND) whose presentations build in
+# well under a second: (53,1) and (7,2) also build, but take 0.5 GB or more
+_BUILDABLE = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (3, 2), (5, 2),
+              (3, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +153,11 @@ def test_square_delta_has_no_presentation(p, m, delta):
 
 
 @pytest.mark.parametrize("p,n,text", [
-    (19, 1, "group of order 129960 exceeds the structure bound"),
-    (3, 3, "group of order 472392 exceeds the structure bound"),
+    (59, 1, "unit enumeration for p=59, m=2 exceeds configured bound"),
+    (3, 4, "unit enumeration for p=3, m=8 exceeds configured bound"),
+    (11, 2, "unit enumeration for p=11, m=4 exceeds configured bound"),
     (101, 1, "unit enumeration for p=101, m=2 exceeds configured bound"),
-], ids=["structure-19-1", "structure-3-3", "enumeration-101-1"])
+], ids=["enumeration-59-1", "enumeration-3-4", "enumeration-11-2", "enumeration-101-1"])
 def test_size_guards_fire_before_any_array(p, n, text, monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("an array was built before the size guards")
@@ -165,6 +167,24 @@ def test_size_guards_fire_before_any_array(p, n, text, monkeypatch):
     with pytest.raises(SizeGuard) as err:
         enumerate_theta(TorusSpec(p, n))
     assert str(err.value) == text
+
+
+class _FirstArray(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p,n", [(53, 1), (7, 2), (3, 3), (5, 2)])
+def test_every_torus_within_the_enumeration_bound_reaches_its_first_array(p, n, monkeypatch):
+    # p^(4n) <= ENUMERATION_BOUND is the one size rule: these pass every guard
+    # and stop at the first _pow, without allocating the group
+    assert p ** (4 * n) <= ENUMERATION_BOUND
+
+    def first_array(*args, **kwargs):
+        raise _FirstArray
+
+    monkeypatch.setattr(characters, "_pow", first_array)
+    with pytest.raises(_FirstArray):
+        enumerate_theta(TorusSpec(p, n))
 
 
 def test_theta_counts():

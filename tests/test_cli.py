@@ -38,14 +38,38 @@ def test_verify_error_entries_name_their_type(tmp_path):
 
 def test_verify_size_guards_keep_their_texts(tmp_path):
     out = tmp_path / "r.json"
-    assert run(["verify", "--pn", "3,1;19,1;3,3;101,1", "--out", str(out)]) == 1
+    assert run(["verify", "--pn", "3,1;59,1;3,4;11,2;101,1", "--out", str(out)]) == 1
     results = json.loads(out.read_text())["results"]
     assert results[0]["ok"]
     assert [(r["error_type"], r["error"]) for r in results[1:]] == [
-        ("SizeGuard", "group of order 129960 exceeds the structure bound"),
-        ("SizeGuard", "group of order 472392 exceeds the structure bound"),
+        ("SizeGuard", "unit enumeration for p=59, m=2 exceeds configured bound"),
+        ("SizeGuard", "unit enumeration for p=3, m=8 exceeds configured bound"),
+        ("SizeGuard", "unit enumeration for p=11, m=4 exceeds configured bound"),
         ("SizeGuard", "unit enumeration for p=101, m=2 exceeds configured bound"),
     ]
+
+
+def test_verify_samples_pairs_beyond_10_to_the_5_units(tmp_path):
+    # unit groups of 129960, 375000 and 472392 elements, within the enumeration bound
+    out = tmp_path / "r.json"
+    assert run(["verify", "--pn", "19,1;5,2;3,3", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [(r["p"], r["n"], r["theta_count"]) for r in results] == [
+        (19, 1, 360), (5, 2, 600), (3, 3, 648)]
+    for r in results:
+        conv = r["convolution"]
+        assert r["ok"] and conv["mode"] == "random" and conv["pairs"] == 100000
+        assert conv["closure_violations"] == conv["multiplicativity_violations"] == 0
+
+
+@pytest.mark.parametrize("N", [19, 25])
+def test_scan_supnorm_beyond_10_to_the_5_units(tmp_path, N):
+    # levels 19 and 25 are ramified at (19,1) and (5,2)
+    out = tmp_path / "r.json"
+    assert run(["scan-supnorm", "--N", str(N), "--k", "12", "--out", str(out),
+                "--samples", str(tmp_path / "s.csv")]) == 0
+    doc = json.loads(out.read_text())
+    assert np.isfinite(doc["sup"]) and doc["sup"] >= doc["witness"] > 0
 
 
 def test_invalid_even_prime_exits_config(tmp_path):

@@ -307,7 +307,7 @@ def test_support_profile_matches_scan(mv31):
         assert whittaker_support_scan(mv31, k) == [b]
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (19, 1), (5, 2)])
 def test_identity_support_class_is_the_support_unit(p, n):
     # RamifiedData.build reads the class at the identity as mv.support_unit(),
     # and the CLI's whittaker table is the unit-class sweep at k = 1, whose
@@ -587,3 +587,12 @@ def test_oracle_matches_closed_criterion4_32(mv32):
     gs = _criterion4_samples(mv32, 100, seed=32, windows={2, 3, 4})
     assert {_default_window(mv32, g) for g in gs} == {2, 3, 4}
     assert _ratio_spread(mv32, gs) < RATIO_TOL
+
+
+@pytest.mark.parametrize("p,n,count,seed", [(19, 1, 6, 191), (5, 2, 12, 52), (3, 3, 12, 33)])
+def test_oracle_matches_closed_criterion4_beyond_10_to_the_5_units(p, n, count, seed):
+    # unit groups of more than 10^5 elements, within the enumeration bound: the
+    # dual route holds there too.  At (19,1) every window is 19^5 points, so
+    # six samples keep the test near 0.8 s
+    mv = _mv(p, n)
+    assert _ratio_spread(mv, _criterion4_samples(mv, count, seed=seed)) < RATIO_TOL
