@@ -30,7 +30,7 @@ print(f"\nsupport: valuation -2, unit class {b} mod 3; magnitude^2 = q - 1 = 2")
 g = n_mat(LocalElement.from_rational(3, Fraction(2, 9), M)) * a_mat(
     LocalElement(3, -2, b, M))
 wc = whittaker_closed(mv, g).to_complex()
-wo = whittaker_oracle(mv, g, level=3)
+wo = whittaker_oracle(mv, g)
 print("\nclosed form :", wc)
 print("oracle      :", wo)
 print("ratio       :", wo / wc, " (the constant 3/sqrt(2) = %.6f)" % (3 / 2**0.5))

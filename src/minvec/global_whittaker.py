@@ -220,14 +220,8 @@ def _first_uniforms(words: list[np.ndarray]) -> np.ndarray:
     return (out >> 11).astype(float) * 2.0**-53
 
 
-def _first_uniform(entropy: int) -> float:
-    """default_rng(entropy).uniform() without a Generator: 0 + 1 times
-    PCG64's next_double, (next_uint64 >> 11) 2^-53."""
-    return (int(np.random.PCG64(entropy).random_raw()) >> 11) * 2.0**-53
-
-
 # A prime set smaller than this is drawn one prime at a time: below it one
-# PCG64 per prime costs less than the fixed cost of the array pass (the
+# default_rng per prime costs less than the fixed cost of the array pass (the
 # SeedSequence hash on uint32 arrays and the 60-step array bisection).
 _ARRAY_DRAW_PRIMES = 35
 
@@ -326,7 +320,8 @@ class CoefficientSource:
         the one-prime default_rng loop the tests keep as the reference."""
         base = self.seed * 1_000_003
         if len(primes) < _ARRAY_DRAW_PRIMES or (base + max(primes)) >> 128:
-            lams = np.array([_sato_tate_lambda(_first_uniform(base + p)) for p in primes])
+            lams = np.array([_sato_tate_lambda(np.random.default_rng(base + p).uniform())
+                             for p in primes])
         else:
             # the entropy base + p as two uint64 halves, carrying out of the low one
             ps = np.array(primes, dtype=np.uint64)

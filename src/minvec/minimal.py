@@ -169,19 +169,20 @@ def oracle_window(mv: MinimalVectorSpec, g: Mat2Local) -> int:
     return -m.v if m.v < -mv.n else mv.n
 
 
-def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
-                     level: int | None = None, low: int | None = None) -> complex:
+def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local, low: int | None = None) -> complex:
     """Independent route: the additive-twist transform of the matrix coefficient,
 
-        W(g) = sum over x in p^(-low) o / p^L o of  p^(-L) Phi_0(a(c) n(x) g) psi(-x),
+        W(g) = sum over x in p^(-low) o / o of  Phi_0(a(c) n(x) g) psi(-x),
 
-    with c = p^(2n) / (support unit), computed at truncation `level` L.
-    The integrand has compact support in x, so the value is exact once the
-    window [p^(-low), p^L] covers it; `low` defaults to a window derived from
-    the valuation of the upper-triangular part of g (a truncation hint only —
-    the value itself still comes from the transform).
+    with c = p^(2n) / (support unit).  Summing x mod o is exact: for delta in o,
+    a(c) n(x + delta) g = n(c delta) a(c) n(x) g with v(c delta) >= 2n, and
+    chi(n(p^(2n) o)) = theta(1) psi(0) = 1, so the integrand is o-periodic.
+    Its support in x is compact, so the value is exact once p^(-low) o covers
+    it; `low` defaults to a window derived from the valuation of the
+    upper-triangular part of g (a hint only -- the value still comes from
+    the transform).
 
-    The window x = xi / p^low, 0 <= xi < p^(L+low), is one integer pass:
+    The window x = xi / p^low, 0 <= xi < p^low, is one integer pass:
     det(a(c) n(x) g) = c det g fixes s = v(det) / 2 for every x, and each entry
     of h0 = p^(-s) a(c) n(x) g is affine in xi.  Scaled by p^E to integral
     coefficients, the entries are known mod p^(E+2n), which decides
@@ -198,7 +199,6 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     p, n = mv.p, mv.n
     if g.det.is_zero:
         return 0j
-    L = level if level is not None else n + 2
     if low is None:
         low = oracle_window(mv, g)
     v_det = 2 * n + int(g.det.v)
@@ -217,9 +217,8 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     E = max([0] + [-(e.v + k) for e, k, _ in terms if not e.is_zero])
     pE, pm, pl = p**E, p ** (2 * n), p**low
     P = pE * pm
-    window = p ** (L + low)
-    if window > ENUMERATION_BOUND or P * window >= 2**62:
-        raise SizeGuard(f"oracle window p^{L + low} at modulus p^{E + 2 * n} exceeds "
+    if pl > ENUMERATION_BOUND or P * pl >= 2**62:
+        raise SizeGuard(f"oracle window p^{low} at modulus p^{E + 2 * n} exceeds "
                         "the enumeration bound or int64 range")
     cu = pow(mv.support_unit(), -1, P)
     a0, a1, b0, b1, c0, d0 = (0 if e.is_zero else
@@ -227,7 +226,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
                               for e, k, scaled in terms)
     if c0 % pE or d0 % pE:
         return 0j
-    xi = np.arange(window, dtype=np.int64)
+    xi = np.arange(pl, dtype=np.int64)
     A, B = (a0 + a1 * xi) % P, (b0 + b1 * xi) % P
     keep = np.flatnonzero((A % pE == 0) & (B % pE == 0))
     # h0 mod p^(2n) as entry columns: its bottom row (C, D) is the same at every x
@@ -239,7 +238,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
         return 0j
     exps = ev.exponents(A, B, C, D)
     # spot check against the scalar route at the first support point
-    M = max(spec.precision, 2 * n + L + low + 6)
+    M = max(spec.precision, 2 * n + low + 6)
     c = LocalElement.from_rational(p, Fraction(p ** (2 * n), mv.support_unit()), M)
     x0 = LocalElement.from_rational(p, Fraction(int(keep[0]), pl), M)
     scalar = matrix_coefficient(mv, g.left_translate(c, x0))
@@ -250,7 +249,7 @@ def whittaker_oracle(mv: MinimalVectorSpec, g: Mat2Local,
     # Lt = lcm(L, p^low) is not bounded by p^(4n), so the phases are int64
     phase = (exps.astype(np.int64) * (Lt // ev.L)
              + psi_numerator((-keep) % pl) * (Lt // pl)) % Lt
-    return float(Fraction(1, p**L)) * complex(np.exp(2j * np.pi * phase / Lt).sum())
+    return complex(np.exp(2j * np.pi * phase / Lt).sum())
 
 
 def support_profile(mv: MinimalVectorSpec, k: Mat2Local):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minvec import minimal
-from minvec.characters import ChiEvaluator, MinimalVectorSpec, enumerate_theta
+from minvec.characters import ChiEvaluator, MinimalVectorSpec, chi_value, enumerate_theta
 from minvec.cosets import entry_columns, kt_membership_mask, kt_support, random_kt_elements
 from minvec.errors import ConfigError, NumericalError, PrecisionError, SizeGuard
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, decompose_B1T, n_mat
@@ -256,7 +256,7 @@ def test_oracle_on_diagonal_support_constant(mv31):
     b = mv31.support_unit()
     vals = []
     for u in (b, b + 3, b + 6):
-        w = whittaker_oracle(mv31, a_mat(LocalElement(3, -2, u % 9, M)), level=3)
+        w = whittaker_oracle(mv31, a_mat(LocalElement(3, -2, u % 9, M)))
         vals.append(w)
     assert max(abs(v - vals[0]) for v in vals) < 1e-12
     assert abs(vals[0]) > 0.1
@@ -264,7 +264,7 @@ def test_oracle_on_diagonal_support_constant(mv31):
 
 def test_oracle_zero_at_unit_diagonal(mv31):
     M = 12
-    assert abs(whittaker_oracle(mv31, a_mat(LocalElement(3, 0, 1, M)), level=3)) < 1e-12
+    assert abs(whittaker_oracle(mv31, a_mat(LocalElement(3, 0, 1, M)))) < 1e-12
 
 
 def test_oracle_matches_closed_up_to_global_scalar(mv31):
@@ -281,19 +281,40 @@ def test_oracle_matches_closed_up_to_global_scalar(mv31):
         wc = whittaker_closed(mv31, g)
         if not wc.in_support:
             continue
-        ratios.append(whittaker_oracle(mv31, g, level=3) / wc.to_complex())
+        ratios.append(whittaker_oracle(mv31, g) / wc.to_complex())
     assert len(ratios) > 10
     r0 = ratios[0]
     assert max(abs(r / r0 - 1) for r in ratios) < 1e-9
 
 
 def test_oracle_refinement_stability(mv31):
+    # the oracle sums x mod o; the scalar transform truncated at p^L o with
+    # weight p^(-L) gives the same value at L = n + 2 and at L = n + 3
     M = 14
-    b = mv31.support_unit()
-    g = a_mat(LocalElement(3, -2, b, M))
-    w3 = whittaker_oracle(mv31, g, level=3)
-    w4 = whittaker_oracle(mv31, g, level=4)
-    assert abs(w4 - w3) <= 1e-12 * abs(w3)
+    g = a_mat(LocalElement(3, -2, mv31.support_unit(), M))
+    for level in (3, 4):
+        _assert_matches_scalar(mv31, g, level=level)
+
+
+def test_chi_is_one_on_n_of_p_to_the_2n_and_not_above():
+    # why the oracle sums x mod o: with v(c) = 2n, n(c o) is where chi is
+    # trivial on n(.), and n(p^(2n-1) o) is not, so o is the coarsest period
+    for p, n in ((3, 1), (5, 1), (3, 2)):
+        spec = TorusSpec(p, n)
+        M = spec.precision + 2 * n
+        for theta in enumerate_theta(spec):
+            mv = MinimalVectorSpec.build(spec, theta)
+            for u in range(1, p**n):
+                if u % p:
+                    assert chi_value(mv, n_mat(LocalElement(p, 2 * n, u, M))).is_one
+                    for k in range(n, 2 * n):
+                        assert not chi_value(mv, n_mat(LocalElement(p, k, u, M))).is_one
+
+
+def test_oracle_window_guard_names_the_window(mv31):
+    g = a_mat(LocalElement(3, -2, mv31.support_unit(), 40))
+    with pytest.raises(SizeGuard, match=r"oracle window p\^15 "):
+        whittaker_oracle(mv31, g, low=15)
 
 
 def test_support_profile_matches_scan(mv31):
@@ -396,9 +417,12 @@ def test_oracle_window_is_n_when_m_vanishes(mv31, mv51, mv32):
 
 
 def _assert_matches_scalar(mv, g, level=None, low=None):
+    """The oracle against _scalar_oracle truncated at p^level o (n + 2 unless
+    given): that sum weights p^level copies of the oracle's sum over x mod o
+    by p^(-level)."""
     L = level if level is not None else mv.n + 2
     want = _scalar_oracle(mv, g, L, low if low is not None else _default_window(mv, g))
-    got = whittaker_oracle(mv, g, level=level, low=low)
+    got = whittaker_oracle(mv, g, low=low)
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
     assert abs(want) > 0.1
 
@@ -440,7 +464,7 @@ def test_oracle_zero_cases_match_scalar(mv31):
     assert whittaker_oracle(mv31, odd) == 0
     assert _scalar_oracle(mv31, odd, 3, 1) == 0
     unit = a_mat(LocalElement(3, 0, 1, M))
-    assert abs(whittaker_oracle(mv31, unit, level=3)) < 1e-12
+    assert abs(whittaker_oracle(mv31, unit)) < 1e-12
     assert abs(_scalar_oracle(mv31, unit, 3, 1)) < 1e-12
 
 
@@ -589,10 +613,11 @@ def test_oracle_matches_closed_criterion4_32(mv32):
     assert _ratio_spread(mv32, gs) < RATIO_TOL
 
 
-@pytest.mark.parametrize("p,n,count,seed", [(19, 1, 6, 191), (5, 2, 12, 52), (3, 3, 12, 33)])
+@pytest.mark.parametrize("p,n,count,seed", [(19, 1, 12, 191), (29, 1, 12, 291),
+                                            (5, 2, 12, 52), (3, 3, 12, 33)])
 def test_oracle_matches_closed_criterion4_beyond_10_to_the_5_units(p, n, count, seed):
     # unit groups of more than 10^5 elements, within the enumeration bound: the
-    # dual route holds there too.  At (19,1) every window is 19^5 points, so
-    # six samples keep the test near 0.8 s
+    # dual route holds there too.  A window is p^low points, and these samples
+    # have low <= 2 at depth 1, within the window guard at every buildable p
     mv = _mv(p, n)
     assert _ratio_spread(mv, _criterion4_samples(mv, count, seed=seed)) < RATIO_TOL
