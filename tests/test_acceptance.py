@@ -15,7 +15,7 @@ from minvec.characters import (ChiEvaluator, MinimalVectorSpec,
                                enumerate_theta, solve_a_theta, verify_a_theta)
 from minvec.cosets import entry_columns, gl2_order, kt_membership_mask, kt_support
 from minvec.global_whittaker import (ArchParams, CoefficientSource,
-                                     RamifiedData, evaluate_phi, gamma_TD,
+                                     RamifiedData, _cutoff, evaluate_phi, gamma_TD,
                                      lambda_prime, scan_supnorm)
 from minvec.matgroups import Mat2Local, TorusSpec, a_mat, n_mat
 from minvec.minimal import (coefficient_density, convolution_check,
@@ -27,7 +27,7 @@ RATIO_TOL = 1e-9          # dual-route Whittaker deviation
 PROGRESSION_TOL = 1e-12   # |lambda'| against sqrt(phi(N)) (float arithmetic)
 BESSEL_REFINE_TOL = 1e-10
 BESSEL_ASYMP_TOL = 1e-3
-PHI_STABILITY_TOL = 1e-8  # enforced inside evaluate_phi(check_stability=True)
+PHI_STABILITY_TOL = 1e-8  # evaluate_phi's move from cutoff R to 2R
 WITNESS_SPREAD_MAX = 20.0
 SLOPE_WINDOW = 0.15       # around the exponent: 1/8 in C, 1/4 in k
 CONV_BUDGET = 300.0       # seconds, criteria 1 and 3 share the pair scans
@@ -290,8 +290,9 @@ def test_criterion_8_numerics(mv31):
     arch = ArchParams("holomorphic", k=12)
     src = CoefficientSource.all_ones()
     for ram in (RamifiedData.unramified(), RamifiedData.build([mv31])):
-        v = evaluate_phi(0.0, 1.0, ram, src, arch, check_stability=True)
-        ok = ok and abs(v) > 0
+        R = _cutoff(ram.N, arch, 1.0)
+        v1, v2 = (evaluate_phi(0.0, 1.0, ram, src, arch, cutoff=c) for c in (R, 2 * R))
+        ok = ok and abs(v2) > 0 and abs(v2 - v1) <= PHI_STABILITY_TOL * max(abs(v1), abs(v2))
     _line(8, ok, "Bessel refinement < 1e-10, asymptotic < 1e-3 at x = 40, "
                  "cutoff doubling stable < 1e-8")
     assert ok

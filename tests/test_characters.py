@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,9 +121,10 @@ def test_coset_naming_matches_min_over_coset(p, m):
 
 
 # buildable tori (p^(4n) <= ENUMERATION_BOUND) whose presentations build in
-# well under a second: (53,1) and (7,2) also build, but take 0.5 GB or more
-_BUILDABLE = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (3, 2), (5, 2),
-              (3, 3)]
+# well under a second: (53,1) and (7,2) also build, but take 0.7 and 0.5 s
+# of CPU at 249 and 184 MB traced peak
+_BUILDABLE = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (29, 1), (3, 2),
+              (5, 2), (3, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,27 @@ def test_every_torus_within_the_enumeration_bound_reaches_its_first_array(p, n, 
     monkeypatch.setattr(characters, "_pow", first_array)
     with pytest.raises(_FirstArray):
         enumerate_theta(TorusSpec(p, n))
+
+
+def _traced(build):
+    """build() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
+def test_unit_logs_and_chi_tables_peak_near_what_they_keep(p, n):
+    # the logs are solved from each unit's coordinates, with no code index or
+    # second grid, and chi's tables from (c, d) axes, with no p^(4n) pair arrays
+    spec = TorusSpec(p, n)
+    pres, peak = _traced(lambda: quad_unit_presentation(p, 2 * n, spec.delta))
+    assert peak <= 3 * pres.log_table.nbytes
+    mv = MinimalVectorSpec.build(spec, enumerate_theta(spec)[0])
+    ev, peak = _traced(lambda: ChiEvaluator.build(mv))
+    assert peak <= 5 * sum(t.nbytes for t in (ev.theta_cd, ev.m_a, ev.m_b, ev.psi_m))
 
 
 def test_theta_counts():

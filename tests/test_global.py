@@ -27,6 +27,7 @@ from minvec.global_whittaker import (_SCAN_BLOCK_ELEMENTS, PREF, X_STEPS_PER_PER
                                      scan_supnorm)
 from minvec.matgroups import TorusSpec
 from minvec.residues import factorize
+from test_acceptance import PHI_STABILITY_TOL
 from test_bessel import oscillation_floor, reference_K_imag, reference_row, signed_progression
 
 
@@ -593,8 +594,8 @@ def test_evaluate_phi_draws_only_the_primes_of_its_progression(rams, N, arch, mo
 
     monkeypatch.setattr(CoefficientSource, "_draw", spy)
     got = evaluate_phi(0.3, 1.1, rams[N], CoefficientSource.sato_tate(seed=2), arch,
-                       check_stability=True)
-    assert got == evaluate_phi(0.3, 1.1, rams[N], full, arch, check_stability=True)
+                       cutoff=2 * R)
+    assert got == evaluate_phi(0.3, 1.1, rams[N], full, arch, cutoff=2 * R)
     assert 0 < len(drawn) < len(_primes_upto(2 * R)) and set(drawn) <= set(full.prime_values)
 
 
@@ -763,17 +764,23 @@ def test_evaluate_phi_translation_invariance(mv31):
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
+def _cutoff_doubling_move(x, y, ram, R):
+    """The relative move of evaluate_phi (all-ones, k = 12) from cutoff R to 2R."""
+    src, arch = CoefficientSource.all_ones(), ArchParams("holomorphic", k=12)
+    v1, v2 = (evaluate_phi(x, y, ram, src, arch, cutoff=c) for c in (R, 2 * R))
+    return abs(v2 - v1) / max(abs(v1), abs(v2), 1e-300), v2
+
+
 def test_evaluate_phi_cutoff_stability(mv31):
     ram = RamifiedData.build([mv31])
-    v = evaluate_phi(0.0, 1.0, ram, CoefficientSource.all_ones(),
-                     ArchParams("holomorphic", k=12), check_stability=True)
-    assert abs(v) > 0
+    R = _cutoff(ram.N, ArchParams("holomorphic", k=12), 1.0)
+    move, v = _cutoff_doubling_move(0.0, 1.0, ram, R)
+    assert move <= PHI_STABILITY_TOL and abs(v) > 0
 
 
-def test_evaluate_phi_too_small_cutoff_is_numerical_error():
-    with pytest.raises(NumericalError, match="tail instability"):
-        evaluate_phi(0.1, 1.0, RamifiedData.unramified(), CoefficientSource.all_ones(),
-                     ArchParams("holomorphic", k=12), cutoff=2, check_stability=True)
+def test_evaluate_phi_too_small_cutoff_moves_when_doubled():
+    move, _ = _cutoff_doubling_move(0.1, 1.0, RamifiedData.unramified(), 2)
+    assert move > PHI_STABILITY_TOL
 
 
 def test_cutoff_past_the_cap_raises():

@@ -49,8 +49,7 @@ SHARED_METHODS = {
 
 # Defaulted parameters that only tests set, each a deliberate test hook.
 TEST_HOOKS = {
-    "evaluate_phi.cutoff": "a short explicit tail, to trip the stability check",
-    "evaluate_phi.check_stability": "doubles the cutoff to show the tail has converged",
+    "evaluate_phi.cutoff": "an explicit tail, R against 2R to show it has converged",
     "bessel_K_imag.rel_tol": "a tighter tolerance, for the self-convergence checks",
     "whittaker_oracle.low": "an explicit window, to show the value does not depend on it",
     "main.argv": "CLI tests pass the argument list instead of sys.argv",

@@ -349,19 +349,21 @@ def test_identity_support_class_is_the_support_unit(p, n):
 
 def _scalar_oracle(mv, g, level, low):
     """The transform one point at a time through LocalElement arithmetic: the
-    reference for whittaker_oracle, which evaluates the window in one pass."""
+    reference for whittaker_oracle, which evaluates the window in one pass.
+    Its terms are summed with math.fsum, so its own rounding does not grow
+    with the window."""
     p, n = mv.p, mv.n
     M = max(mv.torus.precision, 2 * n + level + low + 6)
     c = LocalElement.from_rational(p, Fraction(p ** (2 * n), mv.support_unit()), M)
     ac = a_mat(c)
-    total = 0.0 + 0.0j
+    terms = []
     weight = float(Fraction(1, p**level))
     for xi in range(p ** (level + low)):
         x = LocalElement.from_rational(p, Fraction(xi, p**low), M)
         val = matrix_coefficient(mv, ac * n_mat(x) * g)
         if val != 0.0:
-            total += weight * val * psi(-x).to_complex()
-    return total
+            terms.append(weight * val * psi(-x).to_complex())
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def _default_window(mv, g):
